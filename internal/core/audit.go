@@ -9,15 +9,17 @@ import (
 // The runtime invariant auditor (Config.Audit): a sampled checker that
 // asserts the paper's pacing invariant Global <= Local(i) <= MaxLocal(i),
 // monotone local clocks and window edges, and — under conservative
-// schemes — that every event is delivered no later than its timestamp.
-// Violations surface as contained *SimError values from the Run* drivers,
-// naming the offending core and event. The auditor exists to catch engine
-// bugs (and injected faults) in long runs without a serial cross-check;
-// with Audit off the hot paths pay one nil check per iteration.
+// schemes — that every event is delivered no later than its timestamp and
+// that no request reaches the manager's queue after a visibility pass has
+// already gone past it. Violations surface as contained *SimError values
+// from the Run* drivers, naming the offending core and event. The auditor
+// exists to catch engine bugs (and injected faults) in long runs without a
+// serial cross-check; with Audit off the hot paths pay one nil check per
+// iteration.
 
-// auditState holds the auditor's per-core history. Each index is touched
-// only by the owning core's goroutine (the serial driver owns them all),
-// so no synchronisation is needed.
+// auditState holds the auditor's history. Each per-core index is touched
+// only by the owning core's goroutine (the serial driver owns them all) and
+// procBound only by the manager's, so no synchronisation is needed.
 type auditState struct {
 	// every is the sampling period in core-scheduler iterations.
 	every int
@@ -31,6 +33,9 @@ type auditState struct {
 	// while it slept; the Global <= Local check is suppressed below this
 	// settle point (and below resumeFloor, before the wake-up jump).
 	settleG []int64
+	// procBound is the highest bound a bounded (conservative) visibility
+	// pass has processed through.
+	procBound int64
 }
 
 func newAuditState(n, every int) *auditState {
@@ -96,6 +101,27 @@ func (m *Machine) auditDelivery(i int, ev event.Event, local int64) {
 		m.auditFail(i, local, m.global.Load(), &e,
 			fmt.Sprintf("late delivery under conservative scheme: %v stamped %d delivered at %d",
 				ev.Kind, ev.Time, local))
+	}
+}
+
+// auditVisibility checks the manager's queue at the start of a bounded
+// visibility pass to bound (processBelow; optimistic passes are unbounded
+// and have no order to audit). Min-before-drain promises that every request
+// stamped below a pass's bound is in the queue by that pass, so the oldest
+// queued request can never be older than the previous pass's bound; one that
+// is entered the GQ after a conservative pass had already gone past it and
+// is about to be answered out of timestamp order. A request stamped on the
+// last cycle below the previous bound is tolerated; anything older is not.
+func (m *Machine) auditVisibility(bound int64) {
+	a := m.audit
+	if top := m.gq.Peek(); top != nil && top.Time+1 < a.procBound {
+		e := *top
+		m.auditFail(int(e.Core), e.Time, a.procBound, &e,
+			fmt.Sprintf("late request under conservative scheme: %v stamped %d queued after a visibility pass to %d",
+				e.Kind, e.Time, a.procBound))
+	}
+	if bound > a.procBound {
+		a.procBound = bound
 	}
 }
 

@@ -54,42 +54,20 @@ func (m *Machine) RunFused(s Scheme) (*Result, error) {
 		return nil, fmt.Errorf("core: RunFused supports only the unsharded in-process manager (ManagerShards=%d RemoteShards=%d)",
 			m.cfg.ManagerShards, m.cfg.RemoteShards)
 	}
-	m.scheme = s
-	sc := s
-	m.schemeLive.Store(&sc)
 	m.fused = true
 	m.fusedIn = make([][]event.Event, m.cfg.NumCores)
 	for i := range m.fusedIn {
 		m.fusedIn[i] = make([]event.Event, 0, m.cfg.RingCap)
 	}
 	start := time.Now()
-	m.captureHostMem()
-
-	// Initial windows (mirrored for forensics/introspection; the loop's
-	// authoritative edge is a plain local).
-	init := s.maxLocal(0)
-	for i := range m.maxLocal {
-		m.maxLocal[i].v.Store(init)
-	}
-
+	// The initial windows are mirrored into the pacing atomics for
+	// forensics/introspection; the loop's authoritative edge is p.edge.
+	p := m.beginRun(s)
 	func() {
 		defer m.containPanic(faultinject.Manager, "fused-loop")
-		m.runFusedLoop(s)
+		m.runFusedLoop(p)
 	}()
-	if err := m.takeFault(); err != nil {
-		return nil, err
-	}
-	// Straggler events pushed after done (cores commit a few trailing
-	// instructions) — same final drain as the other drivers, guarded.
-	func() {
-		defer m.containPanic(faultinject.Manager, "final-drain")
-		m.drainOutQs()
-		m.processAll()
-	}()
-	if err := m.takeFault(); err != nil {
-		return nil, err
-	}
-	return m.result(time.Since(start)), nil
+	return m.finishRun(start)
 }
 
 // fusedMin computes the global-time candidate from the loop-owned local
@@ -114,28 +92,6 @@ func (m *Machine) fusedMin(locals []int64, g int64) int64 {
 		return g
 	}
 	return lo
-}
-
-// fusedEdgeTarget computes the scheme's window-edge target for global time
-// g — updateWindows' policy, shared with the adaptive controller state.
-func fusedEdgeTarget(s Scheme, g int64, ad *adaptState) int64 {
-	var target int64
-	switch s.Kind {
-	case Unbounded:
-		return math.MaxInt64
-	case Adaptive:
-		w := ad.window
-		if w > s.Window {
-			w = s.Window
-		}
-		target = g + w + 1
-	default:
-		target = s.maxLocal(g)
-	}
-	if target < 0 { // overflow guard
-		target = math.MaxInt64
-	}
-	return target
 }
 
 // publishFusedHighWaters mirrors the fused driver's pending-event depths
@@ -216,14 +172,13 @@ func (m *Machine) applyFusedCoreFaults(i int, inj *injected, local *int64, pinne
 
 // runFusedLoop is the fused driver's round loop. Each round is one core
 // phase (every runnable core delivers its pending replies, then ticks a
-// batch of cycles up to the scheme's horizon, or fast-forwards a stall)
-// followed by one manager phase (global-time min, per-scheme GQ
-// processing, window-edge raise, sampled observability and health checks).
-func (m *Machine) runFusedLoop(s Scheme) {
+// batch of cycles up to the scheme's horizon, or fast-forwards a stall —
+// the corePacing rules of the goroutine-per-core loop) followed by one
+// manager phase (global-time min, the shared visibility step and window
+// slide, sampled observability and the shared progress watch).
+func (m *Machine) runFusedLoop(p pacing) {
 	n := len(m.cores)
-	conservative := s.Conservative()
-	idleClamp := m.cfg.Cache.CriticalLatency()
-	edge := s.maxLocal(0)
+	pace := m.corePacing()
 	g := int64(0)
 
 	locals := make([]int64, n)
@@ -244,17 +199,10 @@ func (m *Machine) runFusedLoop(s Scheme) {
 		}
 	}
 	fiMgr := newInjected(m.fiMgr)
-	ad := adaptState{window: s.Window}
 	aud := m.audit
 	mw := m.mgrTW
 	measure := m.met != nil
-	lastBarrier := int64(0)
-	lastWindow := ad.window
-	lastChange := time.Now()
-	lastGlobal := int64(-1)
-	prodStreak := 0
-	idleRounds := 0
-	quiet := 0
+	watch := newProgressWatch()
 	rounds := 0
 
 	// Publish the pending-queue high-waters before the first round: an
@@ -265,12 +213,10 @@ func (m *Machine) runFusedLoop(s Scheme) {
 	for !m.done.Load() {
 		rounds++
 		progress := false
-		anyPinned := false
 
 		// --- Core phase: cooperative round-robin over the target cores ---
 		for i, c := range m.cores {
 			if pinned[i] {
-				anyPinned = true
 				continue
 			}
 			local := locals[i]
@@ -279,19 +225,9 @@ func (m *Machine) runFusedLoop(s Scheme) {
 					locals[i] = local
 					progress = true // an injected clock warp moved the clock
 				}
-				if pinned[i] {
-					anyPinned = true
-				}
 				continue
 			}
-			limit := edge
-			if !c.Active() {
-				// Idle-core clamp: whatever the scheme, never free-run an
-				// inactive core past global + critical latency.
-				if idleMax := g + idleClamp; idleMax < limit {
-					limit = idleMax
-				}
-			}
+			limit := pace.limit(p.edge, g, c.Active())
 			if aud != nil {
 				if ticks[i]++; ticks[i]%aud.every == 0 {
 					m.auditCore(i, local, g)
@@ -302,28 +238,11 @@ func (m *Machine) runFusedLoop(s Scheme) {
 			}
 			delivered := m.deliverInbox(i, &inboxes[i], local)
 
-			// Batch horizon — the coreLoop rules verbatim. Under
-			// conservative schemes every reply pushed by a later manager
-			// phase stems from an event stamped >= g, so its timestamp is
-			// >= g + critical latency and the batch can never run past an
-			// undelivered event.
-			end := local + 1
-			if !batchDisabled {
-				end = limit
-				if conservative {
-					if hz := g + idleClamp; hz < end {
-						end = hz
-					}
-				} else if hz := local + optimisticBatch; hz < end {
-					end = hz
-				}
-				if t, ok := earliestEvent(inboxes[i], true); ok && t < end {
-					end = t
-				}
-				if end <= local {
-					end = local + 1
-				}
-			}
+			// Under conservative schemes every reply pushed by a later
+			// manager phase stems from an event stamped >= g, so its
+			// timestamp is >= g + critical latency and the batch can never
+			// run past an undelivered event.
+			end := pace.batchEnd(local, limit, g, inboxes[i])
 			if roi := m.roiTime.Load(); roi >= 0 && !stats[i].ROIMarked {
 				c.MarkROI(local)
 			}
@@ -345,35 +264,10 @@ func (m *Machine) runFusedLoop(s Scheme) {
 				continue
 			}
 
-			// Fully stalled: fast-forward per the coreLoop regime rules.
-			next := c.NextWork(local)
-			if t, ok := earliestEvent(inboxes[i], conservative); ok && t < next {
-				next = t
-			}
-			if next == math.MaxInt64 {
-				switch {
-				case !c.Active():
-					next = limit // idle core: follow the window edge
-				case conservative && m.blocked[i].v.Load() == 0:
-					next = limit // slide to the edge; processing will answer
-				default:
-					// Optimistic or kernel-blocked: freeze — no clock
-					// movement until an event arrives in a later round.
-					continue
-				}
-			}
-			if next > limit {
-				next = limit
-			}
-			if conservative {
-				// No event pushed by a later manager phase can land inside
-				// the skipped range (their timestamps are >= g + critical
-				// latency); the cap keeps that guarantee exact.
-				if horizon := g + idleClamp - 1; next > horizon {
-					next = horizon
-				}
-			}
-			if next > local {
+			// Fully stalled: fast-forward, or (freeze) leave the clock where
+			// it is until an event arrives in a later round.
+			next, freeze := pace.skipTarget(limit, g, c.NextWork(local), inboxes[i], c.Active(), m.blocked[i].v.Load() != 0)
+			if !freeze && next > local {
 				c.Skip(next - local)
 				locals[i] = next
 				m.local[i].v.Store(next)
@@ -386,8 +280,6 @@ func (m *Machine) runFusedLoop(s Scheme) {
 		if measure {
 			t0 = time.Now()
 		}
-		ps := mw.Begin()
-		evBefore := m.evProcessed
 		if ng := m.fusedMin(locals, g); ng > g {
 			g = ng
 			if measure {
@@ -397,58 +289,17 @@ func (m *Machine) runFusedLoop(s Scheme) {
 		if g >= m.cfg.MaxCycles {
 			m.aborted = true
 			m.done.Store(true)
-			break
+			return
 		}
 		if fiMgr != nil {
 			applyPanicFaults(fiMgr, g, "manager")
 		}
-		var processed bool
-		switch {
-		case s.Kind == Adaptive:
-			processed = m.processAllCounting(&ad)
-			ad.adapt(g)
-			if ad.window != lastWindow {
-				lastWindow = ad.window
-				mw.Count(trace.KWindow, ad.window)
-				if measure {
-					m.met.adaptResizes.Inc()
-				}
-			}
-		case s.Kind == Quantum:
-			if allowed := quantumBarrier(g, s.Window); allowed > 0 {
-				if allowed > lastBarrier {
-					lastBarrier = allowed
-					mw.Instant(trace.KBarrier, allowed)
-					if measure {
-						m.met.barriers.Inc()
-					}
-				}
-				processed = m.processConservative(allowed)
-				m.noteProcBound(allowed)
-			}
-		case conservative:
-			processed = m.processConservative(g)
-			m.noteProcBound(g)
-		default:
-			processed = m.processAll()
-		}
-		if processed {
-			mw.Span(trace.KProcess, ps, m.evProcessed-evBefore)
-		}
+		processed := m.makeVisible(&p, g, nil)
 		if g > m.global.Load() {
 			m.global.Store(g) // mirror for forensics/audit/introspection
 		}
-
-		// Raise the window edge (monotone, like updateWindows).
-		if target := fusedEdgeTarget(s, g, &ad); target > edge {
-			edge = target
-			for i := range m.maxLocal {
-				m.maxLocal[i].v.Store(edge)
-			}
+		if m.slideWindows(&p, g) {
 			progress = true
-			if measure {
-				m.met.windowSlides.Inc()
-			}
 		}
 
 		// Sampled observability: trace counts, GQ-depth and slack
@@ -459,9 +310,9 @@ func (m *Machine) runFusedLoop(s Scheme) {
 			mw.Count(trace.KQDepth, int64(m.gq.Len()))
 			if measure {
 				m.met.gqDepth.Observe(int64(m.gq.Len()))
-				if edge != math.MaxInt64 {
+				if p.edge != math.MaxInt64 {
 					for i := range locals {
-						m.met.slack.Observe(edge - locals[i])
+						m.met.slack.Observe(p.edge - locals[i])
 					}
 				}
 			}
@@ -479,40 +330,23 @@ func (m *Machine) runFusedLoop(s Scheme) {
 			m.trace(g, locals)
 		}
 
-		if progress || processed || g != lastGlobal {
-			if idleRounds != 0 || prodStreak&31 == 0 {
-				lastChange = time.Now()
-			}
-			prodStreak++
-			idleRounds = 0
-			quiet = 0
-			lastGlobal = g
+		// The health checks of the threaded manager, minus the park: a
+		// healthy conservative run is never idle (the slide-to-edge rule
+		// always moves the minimum core), so that branch is cold.
+		if watch.deadlockCheckDue(processed) && m.fusedDeadlocked(inboxes) {
+			m.abortStalled(true, 0)
+			return
+		}
+		if progress || processed || g != watch.lastGlobal {
+			watch.productive(g)
 			if measure {
 				m.mgrBusyNS += time.Since(t0).Nanoseconds()
 			}
 			continue
 		}
-		prodStreak = 0
-		idleRounds++
-
-		// No core moved, nothing processed, the global time is pinned: a
-		// kernel deadlock, an injected stall, or a transient wait. The same
-		// health checks as the parallel manager; a healthy conservative run
-		// never lands here (the slide-to-edge rule always moves the minimum
-		// core), so this branch is cold by construction.
-		if quiet++; quiet&511 == 0 && m.fusedDeadlocked(inboxes) {
-			m.aborted = true
-			m.setFault(&StallError{Deadlock: true, Report: m.snapshot(true, 0)})
-			break
+		if watch.idle() && m.stalled(&watch) {
+			return
 		}
-		if idleRounds&1023 == 0 {
-			if wait := time.Since(lastChange); wait > m.stallTimeout() {
-				m.aborted = true
-				m.setFault(&StallError{Wait: wait, Report: m.snapshot(true, wait)})
-				break
-			}
-		}
-		_ = anyPinned
 		runtime.Gosched() // stay polite to the host while waiting
 	}
 }

@@ -155,12 +155,6 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// skipRec records a fast-forward for diagnostics.
-type skipRec struct {
-	from, to, gSnap, limit int64
-	kind                   byte
-}
-
 // padded is an atomic.Int64 padded to a cache line to avoid false sharing
 // between the manager and core threads on the host CMP.
 type padded struct {
@@ -227,10 +221,7 @@ type Machine struct {
 	mgrWake   chan struct{}
 
 	gq evHeap
-	// lastProcGlobal is the bound of the previous conservative processing
-	// pass (used only by diagnostics).
-	lastProcGlobal int64
-	// serialMode marks a RunSerial drive (diagnostics).
+	// serialMode marks a RunSerial drive.
 	serialMode bool
 	// fused marks a RunFused drive: the whole simulation runs on one
 	// goroutine, so Env.Send pushes straight into the GQ and manager
@@ -239,8 +230,6 @@ type Machine struct {
 	// fusedIn is the fused driver's per-core pending-reply slice — the
 	// plain-append replacement for the InQ ring + notify path.
 	fusedIn [][]event.Event
-	// lastSkip records each core's most recent fast-forward (diagnostics).
-	lastSkip []skipRec
 
 	// shards holds the §2.2 sharded-manager plumbing (nil when unsharded).
 	shards *shardState
@@ -273,11 +262,11 @@ type Machine struct {
 	lastEvTime []padded
 
 	// Per-core park/wake plumbing (parallel runs). parkCond wakes a core
-	// waiting for its window to slide (signalled by updateWindows);
+	// waiting for its window to slide (signalled by slideWindows);
 	// freezeCond wakes a core frozen waiting for an InQ event (signalled by
 	// notifyCore after every reply push). frozen[i] != 0 marks a waiter on
 	// freezeCond so the push path can skip the mutex when nobody waits;
-	// parked[i] serves the same role for parkCond, letting updateWindows
+	// parked[i] serves the same role for parkCond, letting slideWindows
 	// slide a spinning (not yet parked) core's window without touching its
 	// mutex.
 	parkMu     []sync.Mutex
@@ -312,8 +301,6 @@ type Machine struct {
 	// trace, when non-nil, receives manager snapshots (used by the Figure 2
 	// style visualisation example).
 	trace func(global int64, locals []int64)
-	// debugDeliver, when non-nil, observes every InQ delivery (tests).
-	debugDeliver func(core int, ev event.Event, local int64)
 
 	// Observability subsystem (all nil/zero when disabled; see observe.go).
 	// epoch anchors the host-time latency stamps (hostNS, latency.go).
@@ -387,7 +374,6 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		maxLocal:    make([]padded, cfg.NumCores),
 		blocked:     make([]padded, cfg.NumCores),
 		resumeFloor: make([]padded, cfg.NumCores),
-		lastSkip:    make([]skipRec, cfg.NumCores),
 		parkMu:      make([]sync.Mutex, cfg.NumCores),
 		parkCond:    make([]*sync.Cond, cfg.NumCores),
 		freezeCond:  make([]*sync.Cond, cfg.NumCores),

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"math"
 	"math/bits"
 
 	"slacksim/internal/cache"
@@ -9,80 +9,34 @@ import (
 	"slacksim/internal/sysemu"
 )
 
-// debugSlowFill, when non-nil, observes fills with suspiciously large
-// latencies (test diagnostics only).
-var debugSlowFill func(core int, addr uint64, reqT, fillT int64)
-
-// debugProcess, when non-nil, observes every processed GQ event (tests).
-var debugProcess func(ev event.Event)
-
-// debugLate, when non-nil, observes events applied after their timestamp
-// (test diagnostics; must never fire under conservative schemes).
-var debugLate func(core int, ev event.Event, local int64)
-
-// debugLateProc, when non-nil, observes requests that entered the GQ after
-// the global time had already passed them (visibility violations).
-var debugLateProc func(ev event.Event, prevGlobal int64)
-
-// SetDebugLateProc installs a late-arrival observer (tests; nil to clear).
-func SetDebugLateProc(fn func(string)) {
-	if fn == nil {
-		debugLateProc = nil
-		return
-	}
-	debugLateProc = func(ev event.Event, prevG int64) {
-		fn(fmt.Sprintf("%v core=%d ts=%d prevG=%d addr=%#x", ev.Kind, ev.Core, ev.Time, prevG, ev.Addr))
-	}
-}
-
-// SetDebugLate installs a formatted observer of late event deliveries
-// (test diagnostics only; pass nil to clear).
-func SetDebugLate(fn func(string)) {
-	if fn == nil {
-		debugLate = nil
-		return
-	}
-	debugLate = func(core int, ev event.Event, local int64) {
-		fn(fmt.Sprintf("core=%d %v ts=%d local=%d addr=%#x aux=%d", core, ev.Kind, ev.Time, local, ev.Addr, ev.Aux))
-	}
-}
-
-// SetDebugProcess installs a formatted observer of processed GQ events
-// (test diagnostics only; pass nil to clear).
-func SetDebugProcess(fn func(string)) {
-	if fn == nil {
-		debugProcess = nil
-		return
-	}
-	debugProcess = func(ev event.Event) {
-		fn(fmt.Sprintf("%v c%d t=%d a=%#x x=%d", ev.Kind, ev.Core, ev.Time, ev.Addr, ev.Aux))
-	}
-}
-
 // This file is the simulation-manager logic shared by the parallel and
 // serial drivers: draining OutQs into the GQ, processing GQ entries
 // (directory/L2 accesses and system calls) and emitting InQ notifications.
-// Conservative schemes call processConservative, which consumes events
-// strictly in (timestamp, core, seq) order once the global time has passed
-// them; optimistic schemes call processAll, which makes every queued
-// request globally visible immediately — the source of the timing
-// distortions of §3.2.
+// processBelow consumes events strictly in (timestamp, core, seq) order up
+// to a bound: the global time (or its last quantum barrier) under
+// conservative schemes, no bound at all under optimistic ones — every
+// queued request becomes globally visible immediately, the source of the
+// timing distortions of §3.2.
 
-// drainOutQs moves all pending core requests into the GQ. Each OutQ is
-// drained in one PopBatch pass into a reusable buffer. Returns whether
-// anything moved. This is the full O(N) scan — the final-drain and
-// serial-driver fallback; the manager hot loops drain through the dirty
-// set instead (drainDirtyOutQs).
-func (m *Machine) drainOutQs() bool {
+// drainAll moves every core's pending requests to sink. This is the full
+// O(N) walk — the final drain, and the reference the dirty-set test checks
+// against; the manager rounds drain through the dirty set (drainDirty).
+func (m *Machine) drainAll(sink func(event.Event)) bool {
 	moved := false
 	for i := range m.outQ {
-		m.drainBuf = m.outQ[i].PopBatch(m.drainBuf[:0])
-		for j := range m.drainBuf {
-			m.gq.Push(m.drainBuf[j])
-		}
-		moved = moved || len(m.drainBuf) > 0
+		moved = m.drainOutQ(i, sink) || moved
 	}
 	return moved
+}
+
+// drainOutQ pops core i's OutQ in one PopBatch pass into the reusable
+// buffer and hands each request to sink.
+func (m *Machine) drainOutQ(i int, sink func(event.Event)) bool {
+	m.drainBuf = m.outQ[i].PopBatch(m.drainBuf[:0])
+	for j := range m.drainBuf {
+		sink(m.drainBuf[j])
+	}
+	return len(m.drainBuf) > 0
 }
 
 // markOutDirty records that core i's OutQ received a push since the
@@ -104,9 +58,11 @@ func (m *Machine) markOutDirty(i int) {
 	}
 }
 
-// drainDirtyOutQs drains only the OutQs that actually received requests
-// since the last round: each dirty word is atomically swapped to zero and
-// the set bits' rings drained. O(dirty), not O(N).
+// drainDirty drains only the OutQs that actually received requests since
+// the last round, handing each request to sink (the GQ, a shard ring, a
+// wire staging buffer — the backend's choice): each dirty word is
+// atomically swapped to zero and the set bits' rings drained. O(dirty),
+// not O(N).
 //
 // No event is ever stranded: a push stores the ring slot and tail before
 // setting the dirty bit, and the manager swaps the bit before reading the
@@ -114,67 +70,40 @@ func (m *Machine) markOutDirty(i int) {
 // swap implies the corresponding push's tail store precedes the drain's
 // tail load, and the event is consumed; a push whose bit-set follows the
 // swap leaves its bit for the next round.
-func (m *Machine) drainDirtyOutQs() bool {
+func (m *Machine) drainDirty(sink func(event.Event)) bool {
 	moved := false
 	for w := range m.outDirty {
 		set := m.outDirty[w].v.Swap(0)
 		for set != 0 {
 			i := w<<6 | bits.TrailingZeros64(set)
 			set &= set - 1
-			m.drainBuf = m.outQ[i].PopBatch(m.drainBuf[:0])
-			for j := range m.drainBuf {
-				m.gq.Push(m.drainBuf[j])
-			}
-			moved = moved || len(m.drainBuf) > 0
+			moved = m.drainOutQ(i, sink) || moved
 		}
 	}
 	return moved
 }
 
-// processConservative handles every queued event with Time < global, oldest
-// first. Deterministic given the event set.
-func (m *Machine) processConservative(global int64) bool {
+// processBelow handles every queued event with Time < bound, oldest first
+// (math.MaxInt64: everything). Deterministic given the event set.
+func (m *Machine) processBelow(bound int64) bool {
+	if m.audit != nil && bound != math.MaxInt64 {
+		m.auditVisibility(bound)
+	}
 	did := false
 	for {
 		top := m.gq.Peek()
-		if top == nil || top.Time >= global {
+		if top == nil || top.Time >= bound {
 			return did
 		}
-		ev := m.gq.Pop()
-		if debugLateProc != nil && m.lastProcGlobal > ev.Time+1 {
-			debugLateProc(ev, m.lastProcGlobal)
-		}
-		m.processEvent(ev)
+		m.processEvent(m.gq.Pop())
 		did = true
 	}
-}
-
-func (m *Machine) noteProcBound(g int64) {
-	if g > m.lastProcGlobal {
-		m.lastProcGlobal = g
-	}
-}
-
-// (noteProcBound is called by the drivers after each conservative pass.)
-
-// processAll handles every queued event immediately (optimistic schemes).
-func (m *Machine) processAll() bool {
-	did := false
-	for m.gq.Len() > 0 {
-		ev := m.gq.Pop()
-		m.processEvent(ev)
-		did = true
-	}
-	return did
 }
 
 // processEvent applies one request: memory-hierarchy traffic goes to the
 // L2/directory model; system calls go to the emulated kernel. Replies and
 // coherence actions are pushed onto the destination cores' InQs.
 func (m *Machine) processEvent(ev event.Event) {
-	if debugProcess != nil {
-		debugProcess(ev)
-	}
 	// Manager-goroutine-only counter (observability; see observe.go).
 	m.evProcessed++
 	if m.met != nil {
@@ -189,7 +118,7 @@ func (m *Machine) processEvent(ev event.Event) {
 }
 
 func (m *Machine) processMem(ev event.Event) {
-	m.processMemVia(m.l2, m.pushReply, ev)
+	applyMemEvent(m.l2, m.pushReply, ev)
 }
 
 // pushReply delivers one manager-produced reply toward core i: a ring push
@@ -241,17 +170,12 @@ func (m *Machine) flushNotifyBatch() {
 	}
 }
 
-// processMemVia applies one memory-hierarchy request against the given
+// applyMemEvent applies one memory-hierarchy request against the given
 // L2/directory instance, emitting the fill and coherence notifications
-// through push. The shard workers use their own instances and rings.
-func (m *Machine) processMemVia(l2 *cache.L2System, push func(int, event.Event), ev event.Event) {
-	applyMemEvent(l2, push, ev)
-}
-
-// applyMemEvent is the machine-independent core of processMemVia: it
-// needs only the L2/directory instance and a reply sink, which is what
-// lets the remote-shard worker (a separate process with no Machine; see
-// worker.go) run the identical timing path as the in-process drivers.
+// through push. It needs nothing of the Machine, which is what lets the
+// in-process shard workers (their own instances and rings) and the
+// remote-shard worker (a separate process with no Machine; see worker.go)
+// run the identical timing path as the unsharded manager.
 func applyMemEvent(l2 *cache.L2System, push func(int, event.Event), ev event.Event) {
 	core := int(ev.Core)
 	// Retire the piggybacked victim first so the directory's presence bits
@@ -269,9 +193,6 @@ func applyMemEvent(l2 *cache.L2System, push func(int, event.Event), ev event.Eve
 		kind = cache.GetS
 	}
 	fill, invs := l2.Access(core, ev.Addr, kind, ev.Time)
-	if debugSlowFill != nil && fill.Time-ev.Time > 200 {
-		debugSlowFill(core, ev.Addr, ev.Time, fill.Time)
-	}
 	for _, inv := range invs {
 		sendInvVia(push, inv)
 	}
@@ -290,6 +211,23 @@ func applyMemEvent(l2 *cache.L2System, push func(int, event.Event), ev event.Eve
 		ReqTime: ev.ReqTime,
 		SendNS:  ev.SendNS,
 	})
+}
+
+// processShardBelow pops every event stamped below bound off one shard's
+// heap, in (timestamp, core, seq) order, through applyMemEvent — the one
+// processing pass shared by the in-process shard workers, the remote
+// worker and the parent's adopted shards, so their reply order cannot
+// drift apart. It returns the number of events processed.
+func processShardBelow(gq *event.Heap, l2 *cache.L2System, bound int64, push func(int, event.Event)) int64 {
+	n := int64(0)
+	for {
+		top := gq.Peek()
+		if top == nil || top.Time >= bound {
+			return n
+		}
+		applyMemEvent(l2, push, gq.Pop())
+		n++
+	}
 }
 
 func sendInvVia(push func(int, event.Event), inv cache.InvMsg) {
@@ -354,17 +292,4 @@ func (m *Machine) processSyscall(ev event.Event) {
 		Aux:  res.Ret,
 		Flag: res.Retry,
 	})
-}
-
-// (minLocal, the naive global-time scan, lives in mintree.go as the
-// tree's reference oracle; the managers read the tree root via globalMin.)
-
-// oldestPendingTime returns the timestamp of the oldest queued event, or
-// fallback when the GQ is empty (diagnostics; the Lookahead scheme no
-// longer anchors on it — see Scheme.maxLocal).
-func (m *Machine) oldestPendingTime(fallback int64) int64 {
-	if top := m.gq.Peek(); top != nil {
-		return top.Time
-	}
-	return fallback
 }

@@ -75,9 +75,9 @@ func drainBench(b *testing.B, dirty bool) {
 		}
 		b.StartTimer()
 		if dirty {
-			m.drainDirtyOutQs()
+			m.drainDirty(m.gq.Push)
 		} else {
-			m.drainOutQs()
+			m.drainAll(m.gq.Push)
 		}
 		b.StopTimer()
 		for m.gq.Len() > 0 { // keep the heap from growing across rounds

@@ -11,9 +11,6 @@ import (
 	"slacksim/internal/trace"
 )
 
-// debugBigJump, when non-nil, observes large fast-forward jumps (tests).
-var debugBigJump func(core int, from, to, nextWork int64)
-
 // parkSpinIters bounds the busy-wait phase before a blocked core thread
 // parks on its condition variable. Shared-memory spinning is the cheap
 // common case the paper's design exploits; parking only matters when the
@@ -44,17 +41,8 @@ func (m *Machine) RunParallel(s Scheme) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	m.scheme = s
-	sc := s
-	m.schemeLive.Store(&sc)
 	start := time.Now()
-	m.captureHostMem()
-
-	// Initial windows.
-	init := s.maxLocal(0)
-	for i := range m.maxLocal {
-		m.maxLocal[i].v.Store(init)
-	}
+	p := m.beginRun(s)
 
 	// Every spawned goroutine (and the manager loop itself) runs under
 	// containPanic: a panic anywhere inside the simulation is recorded as
@@ -62,6 +50,23 @@ func (m *Machine) RunParallel(s Scheme) (*Result, error) {
 	// unparks and joins), and the error is returned below — no goroutine
 	// leaks, no host-process crash.
 	var wg sync.WaitGroup
+	m.spawnCores(&wg)
+	toGQ := m.gq.Push
+	be := mgrBackend{drain: func(int64) bool { return m.drainDirty(toGQ) }, deadlockSound: true}
+	if m.shards != nil {
+		be = m.startShards(&wg)
+	}
+	func() {
+		defer m.containPanic(faultinject.Manager, "manager")
+		m.runManager(p, be)
+	}()
+	m.wakeAll()
+	wg.Wait()
+	return m.finishRun(start)
+}
+
+// spawnCores starts one contained coreLoop goroutine per target core.
+func (m *Machine) spawnCores(wg *sync.WaitGroup) {
 	for i := range m.cores {
 		wg.Add(1)
 		go func(i int) {
@@ -70,86 +75,36 @@ func (m *Machine) RunParallel(s Scheme) (*Result, error) {
 			m.coreLoop(i)
 		}(i)
 	}
-	if m.shards != nil {
-		for sidx := 0; sidx < m.shards.n; sidx++ {
-			wg.Add(1)
-			go func(sidx int) {
-				defer wg.Done()
-				defer m.containPanic(faultinject.ShardWorker(sidx), "shard-worker")
-				m.shardWorker(sidx)
-			}(sidx)
-		}
-		func() {
-			defer m.containPanic(faultinject.Manager, "manager")
-			m.runShardedManager(s)
-		}()
-	} else {
-		func() {
-			defer m.containPanic(faultinject.Manager, "manager")
-			m.managerLoop(s)
-		}()
-	}
-	m.wakeAll()
-	wg.Wait()
-	if err := m.takeFault(); err != nil {
-		return nil, err
-	}
-	// Process any straggler events so kernel/directory state is final —
-	// also guarded, a straggler can fault like any in-run event.
-	func() {
-		defer m.containPanic(faultinject.Manager, "final-drain")
-		m.drainOutQs()
-		m.processAll()
-	}()
-	if err := m.takeFault(); err != nil {
-		return nil, err
-	}
-	return m.result(time.Since(start)), nil
 }
 
 // coreLoop is one core thread: deliver InQ events whose time has come,
 // simulate up to a safe horizon of cycles in a tight batch, publish the new
 // local time; block at the window edge.
 //
-// Batched stepping: each outer iteration computes a horizon end =
-// min(window edge, safe event horizon, earliest kept inbox timestamp) and
-// runs Tick in an inner loop up to it, hoisting the done/global/maxLocal
-// atomic loads, the inbox drain, the trace/metric sampling, and (mostly)
-// the local-clock publication out of the per-cycle path. Under conservative
-// schemes the safe event horizon is gSnap + critical latency: every event
-// pushed after this iteration's drain is stamped >= that (the manager's
-// process-then-publish order), and events already drained bound the horizon
-// by their own timestamps — so every event is still applied exactly at its
-// timestamp and conservative schemes stay bit-exact against the serial
-// reference. Under optimistic schemes there is no such bound; the batch is
-// capped at optimisticBatch cycles and additionally breaks as soon as a
-// reply lands in the core's rings, preserving the current cycle-granularity
-// delivery of replies on arrival.
+// Batched stepping: each outer iteration computes a batch end (see
+// corePacing.batchEnd) and runs Tick in an inner loop up to it, hoisting the
+// done/global/maxLocal atomic loads, the inbox drain, the trace/metric
+// sampling, and (mostly) the local-clock publication out of the per-cycle
+// path. Under conservative schemes every event is still applied exactly at
+// its timestamp, so they stay bit-exact against the serial reference. Under
+// optimistic schemes the batch additionally breaks as soon as a reply lands
+// in the core's rings, preserving cycle-granularity delivery on arrival.
 //
-// Two regime controls keep the simulation faithful and live on any host:
-//
-//   - A core whose Tick made no progress (fully stalled pipeline) does not
-//     burn simulated cycles at host speed. It fast-forwards to the next
-//     deterministic work time — a scheduled completion, a queued event's
-//     timestamp — or, when only a not-yet-arrived reply can unblock it,
-//     yields the host CPU without advancing its clock. This reproduces the
-//     paper's regime (simulating a cycle was expensive relative to the
-//     manager's reply latency, so a stalled core observed replies at their
-//     timestamps) and prevents unbounded-slack runs from inflating the
-//     simulated time by host-speed-dependent amounts.
-//
-//   - A core with no workload thread is additionally clamped to global +
-//     the critical latency, whatever the scheme: letting it free-run under
-//     large or unbounded slack would poison shared-resource occupancy
-//     clocks with far-future timestamps.
+// A core whose Tick made no progress (fully stalled pipeline) does not burn
+// simulated cycles at host speed. It fast-forwards to the next
+// deterministic work time or, when only a not-yet-arrived reply can unblock
+// it, yields the host CPU without advancing its clock (see
+// corePacing.skipTarget). This reproduces the paper's regime (simulating a
+// cycle was expensive relative to the manager's reply latency, so a stalled
+// core observed replies at their timestamps) and prevents unbounded-slack
+// runs from inflating the simulated time by host-speed-dependent amounts.
 func (m *Machine) coreLoop(i int) {
 	c := m.cores[i]
 	st := c.Stats()
 	// Sized so a full InQ drain never grows the slice mid-run.
 	inbox := make([]event.Event, 0, m.cfg.RingCap)
 	local := m.local[i].v.Load()
-	idleClamp := m.cfg.Cache.CriticalLatency()
-	includeInvs := m.scheme.Conservative()
+	pace := m.corePacing()
 	ticks := 0
 	tw := m.coreWriter(i)
 	measure := m.met != nil
@@ -179,14 +134,9 @@ func (m *Machine) coreLoop(i int) {
 		// safe skip horizon (later pushes are stamped >= gSnap + critical
 		// latency by the manager's process-then-publish order).
 		gSnap := m.global.Load()
-		limit := m.maxLocal[i].v.Load()
+		limit := pace.limit(m.maxLocal[i].v.Load(), gSnap, c.Active())
 		if aud != nil && ticks%aud.every == 0 {
 			m.auditCore(i, local, gSnap)
-		}
-		if !c.Active() {
-			if idleMax := gSnap + idleClamp; idleMax < limit {
-				limit = idleMax
-			}
 		}
 		// Slack sampling (1 in 64 iterations when tracing/metrics are on):
 		// the headroom MaxLocal(i) − Local(i) and the lead over the last
@@ -224,34 +174,14 @@ func (m *Machine) coreLoop(i int) {
 
 		delivered := m.deliverInbox(i, &inbox, local)
 
-		// Batch horizon. Kept inbox events all have timestamps > local, and
-		// bound the horizon below, so no event ever becomes deliverable in
-		// the middle of a batch under a conservative scheme.
-		end := local + 1
-		if !batchDisabled {
-			end = limit
-			if includeInvs {
-				if hz := gSnap + idleClamp; hz < end {
-					end = hz
-				}
-			} else if hz := local + optimisticBatch; hz < end {
-				end = hz
-			}
-			if t, ok := earliestEvent(inbox, true); ok && t < end {
-				end = t
-			}
-			if end <= local {
-				end = local + 1
-			}
-		}
-
+		end := pace.batchEnd(local, limit, gSnap, inbox)
 		if roi := m.roiTime.Load(); roi >= 0 && !st.ROIMarked {
 			c.MarkROI(local)
 		}
 		progressed := c.Tick(local)
 		local++
 		for progressed && local < end {
-			if !includeInvs && m.coreHasEvents(i) {
+			if !pace.conservative && m.coreHasEvents(i) {
 				break // optimistic: deliver the arrival promptly
 			}
 			if local&localPublishMask == 0 {
@@ -268,67 +198,24 @@ func (m *Machine) coreLoop(i int) {
 			continue
 		}
 
-		// Fully stalled: fast-forward to the next actionable time.
-		next := c.NextWork(local)
-		if t, ok := earliestEvent(inbox, includeInvs); ok && t < next {
-			next = t
-		}
-		if next == math.MaxInt64 {
-			switch {
-			case !c.Active():
-				next = limit // idle core: follow the window edge
-			case m.scheme.Conservative() && m.blocked[i].v.Load() == 0:
-				// Conservative schemes process requests only once the
-				// global time passes them, and the global time includes
-				// every core that is not asleep in the kernel — so slide
-				// (skip, never tick) to the window edge and park there;
-				// the quantum barrier or the window slide then lets the
-				// manager answer us. The skip targets are pure simulated-
-				// time quantities, so the outcome stays deterministic.
-				next = limit
-			default:
-				// Optimistic schemes answer requests on arrival, and a
-				// kernel-blocked thread is excluded from the global time
-				// under every scheme, so in either case the reply needs
-				// nothing from this core: freeze the clock entirely — no
-				// ticking — until an event arrives, then jump precisely
-				// to its timestamp. Ticking once per wait poll would
-				// advance the clock at host-schedule speed — exactly the
-				// nondeterminism that must not leak into the simulation.
-				fs := tw.Begin()
-				var ft0 time.Time
-				if measure {
-					ft0 = time.Now()
-				}
-				m.freezeWait(i)
-				if measure {
-					m.waitHostNS[i] += time.Since(ft0).Nanoseconds()
-					m.met.freezes.Inc()
-				}
-				tw.Span(trace.KFreeze, fs, local)
-				continue
+		// Fully stalled: fast-forward to the next actionable time, or hold
+		// the clock still until an event arrives (see corePacing.skipTarget).
+		next, freeze := pace.skipTarget(limit, gSnap, c.NextWork(local), inbox, c.Active(), m.blocked[i].v.Load() != 0)
+		if freeze {
+			fs := tw.Begin()
+			var ft0 time.Time
+			if measure {
+				ft0 = time.Now()
 			}
-		}
-		if next > limit {
-			next = limit
-		}
-		if includeInvs {
-			// Conservative schemes: cap the skip at the pre-drain global
-			// snapshot plus the critical latency, so no event pushed after
-			// this iteration's drain can land inside the skipped range.
-			// The loop re-drains and extends the skip as the global time
-			// advances.
-			if horizon := gSnap + idleClamp - 1; next > horizon {
-				next = horizon
+			m.freezeWait(i)
+			if measure {
+				m.waitHostNS[i] += time.Since(ft0).Nanoseconds()
+				m.met.freezes.Inc()
 			}
+			tw.Span(trace.KFreeze, fs, local)
+			continue
 		}
 		if next > local {
-			if debugBigJump != nil && next-local > 2000 {
-				debugBigJump(i, local, next, c.NextWork(local))
-			}
-			if debugLate != nil {
-				m.lastSkip[i] = skipRec{from: local, to: next, gSnap: gSnap, limit: limit, kind: 'S'}
-			}
 			c.Skip(next - local)
 			local = next
 			m.publishLocal(i, local)
@@ -336,29 +223,9 @@ func (m *Machine) coreLoop(i int) {
 	}
 }
 
-// earliestEvent returns the smallest timestamp among queued events that
-// should bound a stalled core's fast-forward jump. Under conservative
-// schemes every event participates, so invalidations and downgrades are
-// applied exactly at their timestamps — the serial reference and the
-// parallel engine then agree on every L1 state transition. Under
-// optimistic schemes invalidations are excluded: they unblock nothing, and
-// jumping a frozen core's clock to a far-future invalidation from a core
-// running ahead would inflate its simulated time by exactly the skew the
-// scheme allows; applying them late is part of the measured distortion.
-func earliestEvent(inbox []event.Event, includeInvs bool) (int64, bool) {
-	best, ok := int64(0), false
-	for i := range inbox {
-		if !includeInvs {
-			switch inbox[i].Kind {
-			case event.KInv, event.KDowngrade:
-				continue
-			}
-		}
-		if !ok || inbox[i].Time < best {
-			best, ok = inbox[i].Time, true
-		}
-	}
-	return best, ok
+// corePacing returns the run's per-core pacing rules (scheme.go).
+func (m *Machine) corePacing() corePacing {
+	return corePacing{conservative: m.scheme.Conservative(), critical: m.cfg.Cache.CriticalLatency()}
 }
 
 // parkCore waits until the manager raises the core's max local time: a
@@ -371,7 +238,7 @@ func (m *Machine) parkCore(i int, local int64) {
 		runtime.Gosched()
 	}
 	// Publish the waiter flag before the locked predicate check (same
-	// lost-wakeup-free pattern as freezeWait): updateWindows either sees the
+	// lost-wakeup-free pattern as freezeWait): slideWindows either sees the
 	// flag and signals under the mutex, or raised maxLocal before our check.
 	m.parked[i].v.Store(1)
 	m.parkMu[i].Lock()
@@ -462,386 +329,4 @@ func (m *Machine) wakeManager() {
 	case m.mgrWake <- struct{}{}:
 	default:
 	}
-}
-
-// mgrIdleWait is the manager-side analogue of parkCore/freezeWait: after a
-// few idle rounds the manager spins briefly (with yields) and then parks
-// on its wake channel until core activity bumps the epoch — recovering a
-// host core whenever the machine is quiescent, instead of rescanning an
-// unchanged machine at host speed. The park is timed: the stall watchdog
-// and certain-deadlock detection must keep running even when no core will
-// ever bump the epoch again (a stalled or deadlocked workload is exactly
-// the case with no activity), so the caller gets a timedOut=true wake at
-// most timeout after parking and runs the health checks then.
-func (m *Machine) mgrIdleWait(epoch int64, timeout time.Duration) (timedOut bool) {
-	for s := 0; s < parkSpinIters; s++ {
-		if m.done.Load() || m.mgrEpoch.v.Load() != epoch {
-			return false
-		}
-		runtime.Gosched()
-	}
-	// Publish the waiter flag before the final epoch check: a concurrent
-	// bumper either sees the flag (and sends a wake token) or bumped before
-	// our check (and we see the new epoch). Sequentially consistent
-	// atomics on both sides make missing both impossible.
-	m.mgrParked.Store(1)
-	defer m.mgrParked.Store(0)
-	if m.done.Load() || m.mgrEpoch.v.Load() != epoch {
-		return false
-	}
-	if m.met != nil {
-		m.met.mgrParks.Inc()
-	}
-	// Reuse one timer across parks: a machine that parks thousands of times
-	// per second would otherwise allocate a fresh runtime timer each park.
-	// The timer never fires outside this function (we drain or consume the
-	// expiry before returning), so Reset is always safe.
-	if m.mgrTimer == nil {
-		m.mgrTimer = time.NewTimer(timeout)
-	} else {
-		m.mgrTimer.Reset(timeout)
-	}
-	select {
-	case <-m.mgrWake:
-		if !m.mgrTimer.Stop() {
-			// Timer fired between the wake and the Stop; drain the expiry so
-			// the next park's select cannot observe a stale tick.
-			select {
-			case <-m.mgrTimer.C:
-			default:
-			}
-		}
-		return false
-	case <-m.mgrTimer.C:
-		return true
-	}
-}
-
-// mgrParkCeil caps the manager's escalating park timeout: long enough to
-// make a fully parked manager's background wake-ups negligible, short
-// enough that deadlock detection and the watchdog stay responsive.
-const mgrParkCeil = 10 * time.Millisecond
-
-// nextParkTimeout escalates the manager's park timeout from 100µs toward
-// the ceiling; productive rounds reset it.
-func nextParkTimeout(d *time.Duration) time.Duration {
-	switch {
-	case *d == 0:
-		*d = 100 * time.Microsecond
-	case *d < mgrParkCeil:
-		if *d *= 2; *d > mgrParkCeil {
-			*d = mgrParkCeil
-		}
-	}
-	return *d
-}
-
-// managerLoop is the simulation manager thread (§2.1): it consolidates the
-// OutQs into the GQ, advances the global time, makes requests globally
-// visible according to the scheme, and slides every core's window.
-//
-// Its per-round cost is proportional to activity, not core count: the
-// global-time candidate is the min-tree root (O(1); cores pay O(log N) on
-// publication), the drain touches only OutQs with new requests (the dirty
-// set), replies are pushed with one coalesced notify per core, and a
-// quiescent machine parks the manager on its wake channel (timed, so the
-// watchdog and deadlock detection never depend on the hot loop).
-func (m *Machine) managerLoop(s Scheme) {
-	conservative := s.Conservative()
-	var tracedLocals []int64
-	idleRounds := 0
-	prodStreak := 0
-	quiet := 0
-	parkT := time.Duration(0)
-	lastChange := time.Now()
-	lastGlobal := int64(-1)
-	lastBarrier := int64(0)
-	ad := adaptState{window: s.Window}
-	mw := m.mgrTW
-	measure := m.met != nil
-	lastWindow := ad.window
-	fi := newInjected(m.fiMgr)
-	for !m.done.Load() {
-		var t0 time.Time
-		if measure {
-			t0 = time.Now()
-		}
-		ps := mw.Begin()
-		evBefore := m.evProcessed
-		// The activity epoch is read first: any bump after this point keeps
-		// the manager from parking at the end of an idle round, so no
-		// activity between the reads below and the idle decision is lost.
-		epoch := m.mgrEpoch.v.Load()
-		// Snapshot the global-time candidate BEFORE draining: every event
-		// with a timestamp below this minimum was pushed before its core's
-		// clock passed it — the push precedes the core's leaf update in the
-		// total order of atomic operations, which precedes this root read —
-		// so the drain below is guaranteed to contain it. Draining first
-		// would let cores advance between the drain and the minimum,
-		// overstating the bound past events still sitting in their OutQs.
-		g := m.globalMin()
-		if measure {
-			// Straggler attribution: charge the round to the core whose
-			// leaf holds the min-tree root (latency.go).
-			m.noteStraggler()
-		}
-		if fi != nil {
-			applyPanicFaults(fi, g, "manager")
-		}
-		moved := m.drainDirtyOutQs()
-		if g >= m.cfg.MaxCycles {
-			m.aborted = true
-			m.done.Store(true)
-			break
-		}
-
-		var processed bool
-		m.beginNotifyBatch()
-		switch {
-		case s.Kind == Adaptive:
-			processed = m.processAllCounting(&ad)
-			ad.adapt(g)
-			if ad.window != lastWindow {
-				lastWindow = ad.window
-				mw.Count(trace.KWindow, ad.window)
-				mw.Instant(trace.KPhase, ad.window)
-				if measure {
-					m.met.adaptResizes.Inc()
-				}
-			}
-		case s.Kind == Quantum:
-			// Requests become visible only at the barrier (§3.1): when
-			// every thread has finished the quantum. The barrier is the
-			// last quantum boundary at or below the global time — computed
-			// by rounding down, as the sharded manager always did, never by
-			// testing g%Window == 0: batched stepping can move the global
-			// time across a boundary without ever landing on it, and the
-			// equality test would skip that barrier outright (see
-			// TestQuantumBarrierCrossedByJump).
-			if allowed := quantumBarrier(g, s.Window); allowed > 0 {
-				if allowed > lastBarrier {
-					lastBarrier = allowed
-					mw.Instant(trace.KBarrier, allowed)
-					if measure {
-						m.met.barriers.Inc()
-					}
-				}
-				processed = m.processConservative(allowed)
-				m.noteProcBound(allowed)
-			}
-		case conservative:
-			processed = m.processConservative(g)
-			m.noteProcBound(g)
-		default:
-			processed = m.processAll()
-		}
-		m.flushNotifyBatch()
-		if processed {
-			mw.Span(trace.KProcess, ps, m.evProcessed-evBefore)
-			mw.Count(trace.KQDepth, int64(m.gq.Len()))
-			if measure {
-				m.met.gqDepth.Observe(int64(m.gq.Len()))
-			}
-		}
-		if m.introOn {
-			// Mirror the manager-owned GQ depth for the live /slack view.
-			m.liveGQ.Store(int64(m.gq.Len()))
-		}
-
-		// Publish the new global time only after this pass's replies are
-		// pushed: a core reading global = g may then rely on every request
-		// stamped below g having been answered, which makes global +
-		// critical latency a safe fast-forward horizon (see coreLoop).
-		if g > m.global.Load() {
-			m.global.Store(g)
-			mw.Count(trace.KGlobal, g)
-			if measure {
-				m.met.globalAdv.Inc()
-			}
-		}
-
-		changed := m.updateWindows(s, g, &ad)
-		if changed && measure {
-			m.met.windowSlides.Inc()
-		}
-
-		// Certain-deadlock detection: when every live thread is blocked in
-		// the kernel, idle cores can keep the global time advancing, so the
-		// host-time watchdog below never fires — the run would crawl to
-		// MaxCycles. After a run of event-free rounds, consult the kernel
-		// and fail immediately with the same forensic report.
-		if moved || processed {
-			quiet = 0
-		} else if quiet++; quiet&511 == 0 && m.detectDeadlock() {
-			m.aborted = true
-			m.setFault(&StallError{Deadlock: true, Report: m.snapshot(true, 0)})
-			break
-		}
-
-		if m.trace != nil && (changed || processed) {
-			if tracedLocals == nil {
-				tracedLocals = make([]int64, len(m.local))
-			}
-			for i := range m.local {
-				tracedLocals[i] = m.local[i].v.Load()
-			}
-			m.trace(g, tracedLocals)
-		}
-
-		if moved || processed || changed || g != lastGlobal {
-			// The watchdog stamp is only consulted after the machine goes
-			// idle, so during a hot productive streak it is refreshed 1-in-32
-			// (time.Now is ~3% of manager CPU otherwise). The idle→productive
-			// transition always stamps, so a workload that is productive only
-			// rarely never accumulates false stall time.
-			if idleRounds != 0 || prodStreak&31 == 0 {
-				lastChange = time.Now()
-			}
-			prodStreak++
-			idleRounds = 0
-			parkT = 0
-			lastGlobal = g
-			if measure {
-				m.mgrBusyNS += time.Since(t0).Nanoseconds()
-			}
-			continue
-		}
-		prodStreak = 0
-		idleRounds++
-		if idleRounds > 4 {
-			// The round observed no activity and the epoch proves none
-			// arrived since it started: spin briefly, then park until a core
-			// publishes, pushes, or is granted. The park is timed (escalating
-			// toward mgrParkCeil) so the health checks below still run when
-			// no core will ever bump the epoch again — a stalled or
-			// deadlocked workload is exactly that case, and the watchdog must
-			// not depend on the manager hot-looping.
-			if m.mgrIdleWait(epoch, nextParkTimeout(&parkT)) {
-				if m.detectDeadlock() {
-					m.aborted = true
-					m.setFault(&StallError{Deadlock: true, Report: m.snapshot(true, 0)})
-					break
-				}
-				if wait := time.Since(lastChange); wait > m.stallTimeout() {
-					m.aborted = true
-					m.setFault(&StallError{Wait: wait, Report: m.snapshot(true, wait)})
-					break
-				}
-			}
-		}
-		if idleRounds&1023 == 0 && time.Since(lastChange) > m.stallTimeout() {
-			// Watchdog: the simulated time has not moved for a long host
-			// time — a deadlocked workload or a simulator bug. Capture the
-			// forensic snapshot (this goroutine owns the kernel and GQ)
-			// and surface a StallError rather than hang.
-			wait := time.Since(lastChange)
-			m.aborted = true
-			m.setFault(&StallError{Wait: wait, Report: m.snapshot(true, wait)})
-			break
-		}
-	}
-	m.wakeAll()
-}
-
-// quantumBarrier returns the last quantum boundary at or below the global
-// time g — the visibility point for the Quantum scheme. Rounding down (never
-// testing g%window == 0) is the load-bearing part: batched stepping can move
-// the global time across a boundary without landing on it, and an equality
-// test would skip that barrier's processing entirely (a liveness bug when a
-// request below the boundary is the only thing that can unblock a core).
-func quantumBarrier(g, window int64) int64 {
-	return g - g%window
-}
-
-func (m *Machine) stallTimeout() time.Duration {
-	if m.cfg.StallTimeout > 0 {
-		return m.cfg.StallTimeout
-	}
-	// Generous default: the watchdog exists for genuinely deadlocked
-	// workloads, and must not fire on hosts slowed by load or the race
-	// detector.
-	return 60 * time.Second
-}
-
-// adaptState is the Adaptive scheme's controller: it measures processed
-// events per simulated cycle over epochs of global-time progress and
-// halves or doubles the window accordingly (within [1, ceiling]).
-type adaptState struct {
-	window     int64
-	epochStart int64
-	events     int64
-}
-
-// Adaptation thresholds: above high, synchronise tightly; below low, relax.
-const (
-	adaptEpoch    = 2048  // simulated cycles per adaptation decision
-	adaptHighRate = 0.02  // events per cycle
-	adaptLowRate  = 0.005 //
-)
-
-func (a *adaptState) adapt(g int64) {
-	if g-a.epochStart < adaptEpoch {
-		return
-	}
-	rate := float64(a.events) / float64(g-a.epochStart)
-	switch {
-	case rate > adaptHighRate && a.window > 1:
-		a.window /= 2
-		if a.window < 1 {
-			a.window = 1
-		}
-	case rate < adaptLowRate:
-		a.window *= 2
-	}
-	a.epochStart = g
-	a.events = 0
-}
-
-// processAllCounting is processAll with event accounting for adaptation.
-func (m *Machine) processAllCounting(ad *adaptState) bool {
-	did := false
-	for m.gq.Len() > 0 {
-		ev := m.gq.Pop()
-		m.processEvent(ev)
-		ad.events++
-		did = true
-	}
-	return did
-}
-
-// updateWindows recomputes every core's max local time for the scheme and
-// wakes cores whose window moved.
-func (m *Machine) updateWindows(s Scheme, g int64, ad *adaptState) bool {
-	var target int64
-	switch s.Kind {
-	case Unbounded:
-		return false // set once at start; never moves
-	case Adaptive:
-		w := ad.window
-		if w > s.Window {
-			w = s.Window
-		}
-		target = g + w + 1
-	default:
-		target = s.maxLocal(g)
-	}
-	if target < 0 { // overflow guard
-		target = math.MaxInt64
-	}
-	changed := false
-	for i := range m.maxLocal {
-		if m.maxLocal[i].v.Load() < target {
-			m.maxLocal[i].v.Store(target)
-			changed = true
-			// Signal under the park mutex so a core checking the condition
-			// cannot miss the wakeup — but only when the core has actually
-			// parked; a spinning core observes the new maxLocal directly.
-			if m.parked[i].v.Load() != 0 {
-				m.parkMu[i].Lock()
-				m.parkCond[i].Signal()
-				m.parkMu[i].Unlock()
-			}
-		}
-	}
-	return changed
 }

@@ -14,6 +14,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"slacksim/internal/event"
 )
 
 // SchemeKind enumerates the slack simulation schemes of §3.1.
@@ -156,6 +158,204 @@ func (s Scheme) maxLocal(global int64) int64 {
 		return global + s.Window + 1
 	}
 	return global + 1
+}
+
+// The two functions below are the whole of the paper's scheme table
+// (PAPER.md) as every driver sees it: how far event visibility and the
+// window edge follow the global time. Each driver's manager calls them once
+// per round; nothing else in the package branches on the scheme kind.
+
+// visibleBound returns the timestamp bound below which queued requests
+// become globally visible once the global time is g. Optimistic schemes
+// answer every request on arrival (no bound); conservative schemes answer
+// only what the global time has passed, in timestamp order; Quantum answers
+// only at the barrier — the last quantum boundary at or below g — and says
+// so through barrier.
+func (s Scheme) visibleBound(g int64) (bound int64, barrier bool) {
+	switch {
+	case s.Kind == Quantum:
+		return quantumBarrier(g, s.Window), true
+	case s.Conservative():
+		return g, false
+	}
+	return math.MaxInt64, false
+}
+
+// quantumBarrier returns the last quantum boundary at or below the global
+// time g — the visibility point for the Quantum scheme. Rounding down (never
+// testing g%window == 0) is the load-bearing part: batched stepping can move
+// the global time across a boundary without landing on it, and an equality
+// test would skip that barrier's processing entirely (a liveness bug when a
+// request below the boundary is the only thing that can unblock a core).
+func quantumBarrier(g, window int64) int64 {
+	return g - g%window
+}
+
+// windowTarget returns every core's max local time once the global time is
+// g. adapted is the Adaptive controller's current window (ignored by the
+// other kinds), clamped to the scheme's ceiling. The manager only ever
+// raises the edge, so Unbounded — at MaxInt64 from the start — never moves.
+func (s Scheme) windowTarget(g, adapted int64) int64 {
+	if s.Kind == Adaptive && adapted < s.Window {
+		s.Window = adapted
+	}
+	if target := s.maxLocal(g); target >= 0 {
+		return target
+	}
+	return math.MaxInt64 // overflow guard
+}
+
+// adaptState is the Adaptive scheme's controller: it measures processed
+// events per simulated cycle over epochs of global-time progress and
+// halves or doubles the window accordingly (within [1, ceiling]).
+type adaptState struct {
+	window     int64
+	epochStart int64
+	events     int64
+}
+
+// newAdaptState returns the controller for an Adaptive scheme, nil for
+// every other kind.
+func newAdaptState(s Scheme) *adaptState {
+	if s.Kind != Adaptive {
+		return nil
+	}
+	return &adaptState{window: s.Window}
+}
+
+// Adaptation thresholds: above high, synchronise tightly; below low, relax.
+const (
+	adaptEpoch    = 2048  // simulated cycles per adaptation decision
+	adaptHighRate = 0.02  // events per cycle
+	adaptLowRate  = 0.005 //
+)
+
+// adapt closes an adaptation epoch when one has elapsed at global time g
+// and reports whether the window changed.
+func (a *adaptState) adapt(g int64) (resized bool) {
+	if g-a.epochStart < adaptEpoch {
+		return false
+	}
+	before := a.window
+	rate := float64(a.events) / float64(g-a.epochStart)
+	switch {
+	case rate > adaptHighRate && a.window > 1:
+		a.window /= 2
+	case rate < adaptLowRate:
+		a.window *= 2
+	}
+	a.epochStart = g
+	a.events = 0
+	return a.window != before
+}
+
+// corePacing is the per-core half of the policy: how far one core may run
+// before it must look at the world again. The goroutine-per-core loop and
+// the fused round-robin both pace their cores with it, once per batch.
+type corePacing struct {
+	// conservative selects the safe-horizon rules (every event applied
+	// exactly at its timestamp) over the optimistic ones.
+	conservative bool
+	// critical is the target's critical latency: under a conservative
+	// scheme every reply pushed after a core read global = g is stamped
+	// >= g + critical (the manager's process-then-publish order).
+	critical int64
+}
+
+// limit returns the cycle the core must stop before: its window edge, and
+// for a core with no workload thread additionally g + critical, whatever
+// the scheme — letting it free-run under large or unbounded slack would
+// poison shared-resource occupancy clocks with far-future timestamps.
+func (p corePacing) limit(edge, g int64, active bool) int64 {
+	if idleMax := g + p.critical; !active && idleMax < edge {
+		return idleMax
+	}
+	return edge
+}
+
+// batchEnd returns the exclusive end of the uninterrupted batch of cycles a
+// core at local may tick: min(limit, safe event horizon, earliest kept
+// inbox timestamp), and at least one cycle. The safe horizon is g + critical
+// under conservative schemes; optimistic schemes have none, so the batch is
+// capped at optimisticBatch cycles. Kept inbox events all have timestamps
+// > local, so none becomes deliverable in the middle of a batch.
+func (p corePacing) batchEnd(local, limit, g int64, inbox []event.Event) int64 {
+	end := limit
+	if p.conservative {
+		if hz := g + p.critical; hz < end {
+			end = hz
+		}
+	} else if hz := local + optimisticBatch; hz < end {
+		end = hz
+	}
+	if batchDisabled || end <= local+1 {
+		return local + 1
+	}
+	if t, ok := earliestEvent(inbox, true); ok && t < end {
+		end = t
+	}
+	return end
+}
+
+// skipTarget returns where a fully stalled core at local fast-forwards to:
+// its next deterministic work time — a scheduled completion (nextWork) or a
+// queued event's timestamp — capped at limit and, under conservative
+// schemes, at g + critical - 1 so no event pushed after the core's last
+// drain can land inside the skipped range. With no work in sight an idle
+// core follows the window edge, and so does a running core under a
+// conservative scheme: requests are answered only once the global time
+// passes them, and the global time includes every core not asleep in the
+// kernel, so it slides (skips, never ticks) to the edge and the manager
+// then answers it. Otherwise — an optimistic scheme answers on arrival, and
+// a kernel-blocked thread is excluded from the global time under every
+// scheme — the reply needs nothing from this core, and freeze says to hold
+// the clock still until an event arrives: ticking once per wait poll would
+// advance it at host-schedule speed, exactly the nondeterminism that must
+// not leak into the simulation. Every input is a simulated-time quantity, so
+// the outcome is deterministic.
+func (p corePacing) skipTarget(limit, g, nextWork int64, inbox []event.Event, active, blocked bool) (next int64, freeze bool) {
+	next = nextWork
+	if t, ok := earliestEvent(inbox, p.conservative); ok && t < next {
+		next = t
+	}
+	if next == math.MaxInt64 {
+		if active && (blocked || !p.conservative) {
+			return 0, true
+		}
+		next = limit
+	}
+	if next > limit {
+		next = limit
+	}
+	if hz := g + p.critical - 1; p.conservative && next > hz {
+		next = hz
+	}
+	return next, false
+}
+
+// earliestEvent returns the smallest timestamp among queued events that
+// should bound a stalled core's fast-forward jump. Under conservative
+// schemes every event participates, so invalidations and downgrades are
+// applied exactly at their timestamps — the serial reference and the
+// parallel engine then agree on every L1 state transition. Under
+// optimistic schemes invalidations are excluded: they unblock nothing, and
+// jumping a frozen core's clock to a far-future invalidation from a core
+// running ahead would inflate its simulated time by exactly the skew the
+// scheme allows; applying them late is part of the measured distortion.
+func earliestEvent(inbox []event.Event, includeInvs bool) (int64, bool) {
+	best, ok := int64(0), false
+	for i := range inbox {
+		if !includeInvs {
+			switch inbox[i].Kind {
+			case event.KInv, event.KDowngrade:
+				continue
+			}
+		}
+		if !ok || inbox[i].Time < best {
+			best, ok = inbox[i].Time, true
+		}
+	}
+	return best, ok
 }
 
 // ParseScheme parses the paper's scheme notation: "CC", "Q10", "L10",

@@ -109,6 +109,148 @@ func TestMaxLocalMonotone(t *testing.T) {
 	}
 }
 
+// TestVisibleBound tables the visibility half of the scheme policy across
+// all seven kinds: what the manager may process once the global time is g.
+func TestVisibleBound(t *testing.T) {
+	const all = math.MaxInt64
+	for _, c := range []struct {
+		s       Scheme
+		g       int64
+		bound   int64
+		barrier bool
+	}{
+		{SchemeCC, 0, 0, false},
+		{SchemeCC, 57, 57, false},
+		{SchemeL10, 57, 57, false},
+		{SchemeS9x, 57, 57, false},
+		// Quantum rounds down to the last boundary at or below g — also when
+		// batched stepping jumped the global time across it (23 never equals
+		// a multiple of 10), not yet below the first one, and exactly on one.
+		{SchemeQ10, 23, 20, true},
+		{SchemeQ10, 9, 0, true},
+		{SchemeQ10, 30, 30, true},
+		{Scheme{Kind: Quantum, Window: 7}, 20, 14, true},
+		// Optimistic kinds: everything, on arrival.
+		{SchemeS9, 57, all, false},
+		{SchemeS100, 0, all, false},
+		{SchemeSU, 57, all, false},
+		{SchemeA1000, 57, all, false},
+	} {
+		bound, barrier := c.s.visibleBound(c.g)
+		if bound != c.bound || barrier != c.barrier {
+			t.Errorf("%v.visibleBound(%d) = %d, %v; want %d, %v", c.s, c.g, bound, barrier, c.bound, c.barrier)
+		}
+	}
+}
+
+// TestWindowTarget tables the window half: every core's max local time once
+// the global time is g.
+func TestWindowTarget(t *testing.T) {
+	for _, c := range []struct {
+		s          Scheme
+		g, adapted int64
+		want       int64
+	}{
+		{SchemeCC, 7, 0, 8},
+		{SchemeQ10, 9, 0, 10},
+		{SchemeQ10, 10, 0, 20},
+		{SchemeL10, 100, 0, 110},
+		{SchemeS9, 100, 0, 110},
+		{SchemeS9x, 100, 0, 110},
+		// Unbounded never moves, whatever the global time.
+		{SchemeSU, 0, 0, math.MaxInt64},
+		{SchemeSU, 1 << 40, 0, math.MaxInt64},
+		// Adaptive follows its controller's window, clamped to the ceiling.
+		{SchemeA1000, 100, 64, 165},
+		{SchemeA1000, 100, 1000, 1101},
+		{SchemeA1000, 100, 4000, 1101},
+		// Overflow guard: a target past MaxInt64 saturates, never wraps.
+		{SchemeS100, math.MaxInt64 - 50, 0, math.MaxInt64},
+		{SchemeA1000, math.MaxInt64 - 10, 64, math.MaxInt64},
+	} {
+		if got := c.s.windowTarget(c.g, c.adapted); got != c.want {
+			t.Errorf("%v.windowTarget(%d, %d) = %d, want %d", c.s, c.g, c.adapted, got, c.want)
+		}
+	}
+}
+
+// TestCorePacing tables the per-core half of the policy: the idle-core
+// clamp, the batch horizon and the stalled-core fast-forward target.
+func TestCorePacing(t *testing.T) {
+	cons := corePacing{conservative: true, critical: 10}
+	opt := corePacing{conservative: false, critical: 10}
+	at := func(k event.Kind, t int64) event.Event { return event.Event{Kind: k, Time: t} }
+	const none = math.MaxInt64
+
+	// limit: only an inactive core is clamped, and only below its edge.
+	for _, c := range []struct {
+		p       corePacing
+		edge, g int64
+		active  bool
+		want    int64
+	}{
+		{opt, none, 100, true, none},
+		{opt, none, 100, false, 110},
+		{cons, 105, 100, false, 105},
+		{cons, 200, 100, false, 110},
+		{cons, 200, 100, true, 200},
+	} {
+		if got := c.p.limit(c.edge, c.g, c.active); got != c.want {
+			t.Errorf("limit(%d, %d, %v) conservative=%v = %d, want %d", c.edge, c.g, c.active, c.p.conservative, got, c.want)
+		}
+	}
+
+	// batchEnd.
+	for _, c := range []struct {
+		name            string
+		p               corePacing
+		local, limit, g int64
+		inbox           []event.Event
+		want            int64
+	}{
+		{"conservative cap at g + critical", cons, 100, 500, 100, nil, 110},
+		{"window edge below the cap", cons, 100, 105, 100, nil, 105},
+		{"optimistic cap at optimisticBatch", opt, 100, none, 0, nil, 100 + optimisticBatch},
+		{"optimistic edge below the cap", opt, 100, 150, 0, nil, 150},
+		{"inbox event bounds the horizon", cons, 100, 500, 100, []event.Event{at(event.KFill, 104), at(event.KInv, 107)}, 104},
+		{"invalidations bound it too", opt, 100, none, 0, []event.Event{at(event.KInv, 130)}, 130},
+		{"CC: one cycle, inbox not consulted", cons, 100, 101, 100, []event.Event{at(event.KFill, 101)}, 101},
+		{"never less than one cycle", cons, 100, 500, 80, nil, 101},
+	} {
+		if got := c.p.batchEnd(c.local, c.limit, c.g, c.inbox); got != c.want {
+			t.Errorf("batchEnd %s: got %d, want %d", c.name, got, c.want)
+		}
+	}
+
+	// skipTarget.
+	for _, c := range []struct {
+		name               string
+		p                  corePacing
+		limit, g, nextWork int64
+		inbox              []event.Event
+		active, blocked    bool
+		want               int64
+		freeze             bool
+	}{
+		{"scheduled completion", cons, 500, 100, 104, nil, true, false, 104, false},
+		{"earlier inbox event wins", cons, 500, 100, 108, []event.Event{at(event.KFill, 103)}, true, false, 103, false},
+		{"conservative cap at g + critical - 1", cons, 500, 100, 300, nil, true, false, 109, false},
+		{"capped at the limit", opt, 120, 100, 300, nil, true, false, 120, false},
+		{"conservative, no work: slide to the edge", cons, 105, 100, none, nil, true, false, 105, false},
+		{"conservative but kernel-blocked: freeze", cons, 105, 100, none, nil, true, true, 0, true},
+		{"optimistic, no work: freeze", opt, 200, 100, none, nil, true, false, 0, true},
+		{"idle core follows the edge", opt, 110, 100, none, nil, false, false, 110, false},
+		{"conservative skip honours an invalidation", cons, 500, 100, none, []event.Event{at(event.KInv, 106)}, true, false, 106, false},
+		{"optimistic skip ignores invalidations", opt, 200, 100, none, []event.Event{at(event.KInv, 106), at(event.KDowngrade, 107)}, true, false, 0, true},
+		{"optimistic skip still honours a fill", opt, 200, 100, none, []event.Event{at(event.KInv, 106), at(event.KFill, 150)}, true, false, 150, false},
+	} {
+		got, freeze := c.p.skipTarget(c.limit, c.g, c.nextWork, c.inbox, c.active, c.blocked)
+		if got != c.want || freeze != c.freeze {
+			t.Errorf("skipTarget %s: got %d, %v; want %d, %v", c.name, got, freeze, c.want, c.freeze)
+		}
+	}
+}
+
 func TestSchemeValidate(t *testing.T) {
 	bad := []Scheme{
 		{Kind: Quantum, Window: 0},

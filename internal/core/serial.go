@@ -46,6 +46,7 @@ func (m *Machine) runSerialLoop() {
 	for i, c := range m.cores {
 		stats[i] = c.Stats()
 	}
+	toGQ := m.gq.Push
 	t := int64(0)
 	mw := m.mgrTW
 	measure := m.met != nil
@@ -88,15 +89,14 @@ func (m *Machine) runSerialLoop() {
 		// time is the loop induction variable, and paying the O(log N) leaf
 		// path per core per cycle would tax the reference run for a minimum
 		// it never reads.
-		if m.drainDirtyOutQs() {
+		if m.drainDirty(toGQ) {
 			anyProgress = true
 		}
 		t++
 		m.global.Store(t)
-		if m.processConservative(t) {
+		if m.processBelow(t) {
 			anyProgress = true
 		}
-		m.noteProcBound(t)
 		if anyProgress || m.done.Load() {
 			continue
 		}
@@ -140,7 +140,7 @@ func (m *Machine) runSerialLoop() {
 		}
 		t = next
 		m.global.Store(t)
-		m.processConservative(t)
+		m.processBelow(t)
 	}
 }
 
@@ -173,20 +173,6 @@ func (m *Machine) deliverInbox(i int, inbox *[]event.Event, local int64) bool {
 		m.lastEvTime[i].v.Store(ev.Time)
 		if m.audit != nil {
 			m.auditDelivery(i, ev, local)
-		}
-		if debugLate != nil && ev.Time < local {
-			mode := i
-			if m.serialMode {
-				mode = -1 - i // negative core ids mark the serial engine
-			}
-			debugLate(mode, ev, local)
-			if !m.serialMode {
-				r := m.lastSkip[i]
-				debugLate(1000+i, event.Event{Kind: event.Kind(r.kind), Time: r.from, Addr: uint64(r.to), Aux: r.gSnap, Seq: r.limit}, local)
-			}
-		}
-		if m.debugDeliver != nil {
-			m.debugDeliver(i, ev, local)
 		}
 		if ev.SendNS != 0 {
 			// A stamped reply (metrics on): attribute the request→reply

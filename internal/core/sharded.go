@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"runtime"
-	"time"
+	"sync"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/event"
+	"slacksim/internal/faultinject"
 	"slacksim/internal/trace"
 )
 
@@ -69,234 +68,53 @@ func (m *Machine) shardOf(addr uint64) int {
 	return m.shards.l2[0].BankOf(addr) % m.shards.n
 }
 
-// runShardedManager is the sharded replacement for managerLoop: it routes
-// memory events to the shard workers, keeps system calls and pacing, and
-// synchronises the shards' watermarks with the window updates.
-func (m *Machine) runShardedManager(s Scheme) {
+// startShards spawns the shard worker goroutines and returns the sharded
+// manager backend: memory events are routed to the owning shard's ring
+// (system calls stay on the manager's own queue), and the gate raises every
+// shard's allowed time and waits for their watermarks, so each round's
+// replies are in the cores' rings before the windows move.
+func (m *Machine) startShards(wg *sync.WaitGroup) mgrBackend {
+	for sidx := 0; sidx < m.shards.n; sidx++ {
+		wg.Add(1)
+		go func(sidx int) {
+			defer wg.Done()
+			defer m.containPanic(faultinject.ShardWorker(sidx), "shard-worker")
+			m.shardWorker(sidx)
+		}(sidx)
+	}
+	route := m.routeToShard
+	return mgrBackend{
+		drain:         func(int64) bool { return m.drainDirty(route) },
+		gate:          m.raiseShardGates,
+		deadlockSound: true,
+	}
+}
+
+// routeToShard sends one core request to its processor: memory traffic to
+// the owning shard, system calls to the manager's own queue.
+func (m *Machine) routeToShard(ev event.Event) {
+	if ev.Kind == event.KSyscall {
+		m.gq.Push(ev)
+		return
+	}
+	m.shards.in[m.shardOf(ev.Addr)].MustPush(ev)
+}
+
+// raiseShardGates lets every shard process through allowed and blocks
+// until all of their watermarks have passed it.
+func (m *Machine) raiseShardGates(allowed int64) bool {
 	sh := m.shards
-	conservative := s.Conservative()
-	optimistic := !conservative
-	if optimistic {
-		for i := 0; i < sh.n; i++ {
-			sh.gate[i].v.Store(math.MaxInt64)
+	for i := range sh.gate {
+		if sh.gate[i].v.Load() < allowed {
+			sh.gate[i].v.Store(allowed)
 		}
 	}
-
-	ad := adaptState{window: s.Window}
-	idleRounds := 0
-	prodStreak := 0
-	quiet := 0
-	parkT := time.Duration(0)
-	lastChange := time.Now()
-	lastGlobal := int64(-1)
-	mw := m.mgrTW
-	measure := m.met != nil
-	lastWindow := ad.window
-	lastBarrier := int64(0)
-	fi := newInjected(m.fiMgr)
-	for !m.done.Load() {
-		var t0 time.Time
-		if measure {
-			t0 = time.Now()
-		}
-		ps := mw.Begin()
-		evBefore := m.evProcessed
-		// Epoch first, as in managerLoop: activity after this read keeps the
-		// manager from parking at the end of an idle round.
-		epoch := m.mgrEpoch.v.Load()
-		// Min-before-drain, as in managerLoop: the bound must not pass
-		// events still in flight toward the queues. The min-tree root makes
-		// this O(1) instead of an O(N) clock scan.
-		g := m.globalMin()
-		if measure {
-			// Straggler attribution, as in managerLoop (latency.go).
-			m.noteStraggler()
-		}
-		if fi != nil {
-			applyPanicFaults(fi, g, "manager")
-		}
-		moved := m.drainAndRouteDirty()
-		if g >= m.cfg.MaxCycles {
-			m.aborted = true
-			m.done.Store(true)
-			break
-		}
-
-		var processed bool
-		m.beginNotifyBatch()
-		if conservative {
-			allowed := g
-			if s.Kind == Quantum {
-				// Visibility only at quantum boundaries (see quantumBarrier:
-				// round down, never test g%Window == 0).
-				allowed = quantumBarrier(g, s.Window)
-				if allowed > lastBarrier {
-					lastBarrier = allowed
-					mw.Instant(trace.KBarrier, allowed)
-					if measure {
-						m.met.barriers.Inc()
-					}
-				}
-			}
-			if allowed > 0 {
-				for i := 0; i < sh.n; i++ {
-					if sh.gate[i].v.Load() < allowed {
-						sh.gate[i].v.Store(allowed)
-					}
-				}
-				m.waitWatermarks(allowed)
-				processed = m.processConservative(allowed)
-			}
-		} else {
-			if s.Kind == Adaptive {
-				processed = m.processAllCounting(&ad)
-				ad.adapt(g)
-				if ad.window != lastWindow {
-					lastWindow = ad.window
-					mw.Count(trace.KWindow, ad.window)
-					mw.Instant(trace.KPhase, ad.window)
-					if measure {
-						m.met.adaptResizes.Inc()
-					}
-				}
-			} else {
-				processed = m.processAll()
-			}
-		}
-		m.flushNotifyBatch()
-		if processed {
-			mw.Span(trace.KProcess, ps, m.evProcessed-evBefore)
-			mw.Count(trace.KQDepth, int64(m.gq.Len()))
-			if measure {
-				m.met.gqDepth.Observe(int64(m.gq.Len()))
-			}
-		}
-		if m.introOn {
-			// Mirror the manager-owned GQ depth for the live /slack view.
-			m.liveGQ.Store(int64(m.gq.Len()))
-		}
-
-		// As in managerLoop: publish global only after the pass's replies
-		// (including the shard watermark wait) so cores can use it as a
-		// safe fast-forward horizon.
-		if g > m.global.Load() {
-			m.global.Store(g)
-			mw.Count(trace.KGlobal, g)
-			if measure {
-				m.met.globalAdv.Inc()
-			}
-		}
-
-		changed := m.updateWindows(s, g, &ad)
-		if changed && measure {
-			m.met.windowSlides.Inc()
-		}
-
-		// Certain-deadlock detection, as in managerLoop: idle cores keep
-		// the global advancing, so the host-time watchdog below can never
-		// fire. After a run of event-free rounds, ask the kernel.
-		if moved || processed {
-			quiet = 0
-		} else if quiet++; quiet&511 == 0 && m.detectDeadlock() {
-			m.aborted = true
-			m.setFault(&StallError{Deadlock: true, Report: m.snapshot(true, 0)})
-			break
-		}
-
-		if moved || processed || changed || g != lastGlobal {
-			// 1-in-32 watchdog stamp during hot streaks; the idle→productive
-			// transition always stamps (see managerLoop in parallel.go).
-			if idleRounds != 0 || prodStreak&31 == 0 {
-				lastChange = time.Now()
-			}
-			prodStreak++
-			idleRounds = 0
-			parkT = 0
-			lastGlobal = g
-			if measure {
-				m.mgrBusyNS += time.Since(t0).Nanoseconds()
-			}
-			continue
-		}
-		prodStreak = 0
-		idleRounds++
-		if idleRounds > 4 {
-			// Park as in managerLoop: timed, so the health checks still run
-			// when no core will ever bump the epoch again. The shard workers
-			// keep their own spin/yield loops; only the pacing thread parks.
-			if m.mgrIdleWait(epoch, nextParkTimeout(&parkT)) {
-				if m.detectDeadlock() {
-					m.aborted = true
-					m.setFault(&StallError{Deadlock: true, Report: m.snapshot(true, 0)})
-					break
-				}
-				if wait := time.Since(lastChange); wait > m.stallTimeout() {
-					m.aborted = true
-					m.setFault(&StallError{Wait: wait, Report: m.snapshot(true, wait)})
-					break
-				}
-			}
-		}
-		if idleRounds&1023 == 0 && time.Since(lastChange) > m.stallTimeout() {
-			// Watchdog, as in managerLoop: capture forensics and surface
-			// a StallError rather than hang.
-			wait := time.Since(lastChange)
-			m.aborted = true
-			m.setFault(&StallError{Wait: wait, Report: m.snapshot(true, wait)})
-			break
-		}
-	}
-	m.wakeAll()
-}
-
-// drainAndRoute moves core requests to their processors: memory traffic to
-// the owning shard, system calls to the manager's own queue. Full O(N)
-// scan — the final-drain fallback; the hot loop uses drainAndRouteDirty.
-func (m *Machine) drainAndRoute() bool {
-	moved := false
-	for i := range m.outQ {
-		moved = m.routeOutQ(i) || moved
-	}
-	return moved
-}
-
-// drainAndRouteDirty is drainAndRoute restricted to the dirty set: only
-// OutQs that received a push since the last round are touched (same
-// bitmap and no-stranding argument as drainDirtyOutQs).
-func (m *Machine) drainAndRouteDirty() bool {
-	moved := false
-	for w := range m.outDirty {
-		set := m.outDirty[w].v.Swap(0)
-		for set != 0 {
-			i := w<<6 | bits.TrailingZeros64(set)
-			set &= set - 1
-			moved = m.routeOutQ(i) || moved
-		}
-	}
-	return moved
-}
-
-// routeOutQ drains core i's OutQ, routing each request to its processor.
-func (m *Machine) routeOutQ(i int) bool {
-	m.drainBuf = m.outQ[i].PopBatch(m.drainBuf[:0])
-	for j := range m.drainBuf {
-		ev := m.drainBuf[j]
-		if ev.Kind == event.KSyscall {
-			m.gq.Push(ev)
-			continue
-		}
-		m.shards.in[m.shardOf(ev.Addr)].MustPush(ev)
-	}
-	return len(m.drainBuf) > 0
-}
-
-// waitWatermarks blocks until every shard has processed through allowed.
-func (m *Machine) waitWatermarks(allowed int64) {
-	for s := 0; s < m.shards.n; s++ {
-		for m.shards.mark[s].v.Load() < allowed && !m.done.Load() {
+	for i := range sh.mark {
+		for sh.mark[i].v.Load() < allowed && !m.done.Load() {
 			runtime.Gosched()
 		}
 	}
+	return false
 }
 
 // shardWorker owns one bank shard: it consumes routed requests in
@@ -305,7 +123,7 @@ func (m *Machine) waitWatermarks(allowed int64) {
 func (m *Machine) shardWorker(sidx int) {
 	sh := m.shards
 	l2 := sh.l2[sidx]
-	var gq evHeap
+	var gq event.Heap
 	var drainBuf []event.Event
 	push := func(core int, ev event.Event) {
 		sh.out[sidx][core].MustPush(ev)
@@ -330,20 +148,10 @@ func (m *Machine) shardWorker(sidx int) {
 			gq.Push(drainBuf[j])
 		}
 		moved := len(drainBuf) > 0
-		did := false
 		ps := sw.Begin()
-		n := int64(0)
-		for {
-			top := gq.Peek()
-			if top == nil || top.Time >= allowed {
-				break
-			}
-			ev := gq.Pop()
-			m.processMemVia(l2, push, ev)
-			did = true
-			n++
-		}
-		if n > 0 {
+		n := processShardBelow(&gq, l2, allowed, push)
+		did := n > 0
+		if did {
 			m.evShard.Add(n)
 			sw.Span(trace.KProcess, ps, n)
 			if measure {
@@ -364,6 +172,11 @@ func (m *Machine) shardWorker(sidx int) {
 // goroutines or remote workers (whose final counters arrive in their
 // FStats frames) — or returns the single manager's stats.
 func (m *Machine) aggregateL2Stats() cache.L2Stats {
+	if m.serialMode {
+		// The serial loop processes every request on the manager's own
+		// instance, whatever shard geometry the machine was built with.
+		return m.l2.Stats
+	}
 	if m.remote != nil && m.remote.workers != nil {
 		var total cache.L2Stats
 		for i := range m.remote.l2stats {

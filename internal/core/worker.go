@@ -470,18 +470,10 @@ func (w *remoteWorkerLoop) processAndReply() error {
 	before := w.events
 	for _, sh := range w.shards {
 		sh.replies = sh.replies[:0]
-		for {
-			top := sh.gq.Peek()
-			if top == nil || top.Time >= w.gate {
-				break
-			}
-			ev := sh.gq.Pop()
-			applyMemEvent(sh.l2, func(core int, out event.Event) {
-				out.Core = int32(core)
-				sh.replies = append(sh.replies, out)
-			}, ev)
-			w.events++
-		}
+		w.events += processShardBelow(&sh.gq, sh.l2, w.gate, func(core int, out event.Event) {
+			out.Core = int32(core)
+			sh.replies = append(sh.replies, out)
+		})
 		if len(sh.replies) > 0 {
 			if err := w.conn.SendBatch(remote.FReplies, sh.idx, sh.replies); err != nil {
 				return err

@@ -8,19 +8,16 @@ import (
 )
 
 // TestExactnessStress hammers the conservative schemes on fft against the
-// serial reference; on divergence it prints the first differing kernel
-// trace lines.
+// serial reference, with the invariant auditor on — a late delivery or a
+// request queued behind a visibility pass fails the run outright; on
+// divergence it prints the first differing kernel trace lines.
 func TestExactnessStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress")
 	}
 	w, _ := Get("fft")
-	core.SetDebugLate(func(s string) { t.Logf("LATE %s", s) })
-	defer core.SetDebugLate(nil)
-	core.SetDebugLateProc(func(s string) { t.Logf("LATEPROC %s", s) })
-	defer core.SetDebugLateProc(nil)
 	trace := func(scheme core.Scheme, serial bool) (int64, []string) {
-		m := machineFor(t, w, 4, 1)
+		m := machineFor(t, w, 4, 1, func(c *core.Config) { c.Audit = true })
 		var sb strings.Builder
 		m.Kernel().Trace = func(s string) { sb.WriteString(s); sb.WriteByte('\n') }
 		var r *core.Result

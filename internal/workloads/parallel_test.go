@@ -9,20 +9,24 @@ import (
 	"slacksim/internal/cpu"
 )
 
-func machineFor(t *testing.T, w *Workload, threads, scale int) *core.Machine {
+func machineFor(t *testing.T, w *Workload, threads, scale int, mods ...func(*core.Config)) *core.Machine {
 	t.Helper()
 	prog, err := asm.Assemble(w.Source(scale), asm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.NewMachine(prog, core.Config{
+	cfg := core.Config{
 		NumCores:   threads,
 		NumThreads: threads,
 		CPU:        cpu.DefaultConfig(),
 		Cache:      cache.DefaultConfig(threads),
 		MemSize:    64 << 20,
 		MaxCycles:  500_000_000,
-	})
+	}
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	m, err := core.NewMachine(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
