@@ -8,7 +8,7 @@ import (
 	"slacksim/internal/workloads"
 )
 
-// TestBatchedSteppingDeterminism cross-checks coreLoop's batched inner loop
+// TestBatchedSteppingDeterminism cross-checks coreTurn's batched inner loop
 // against the single-cycle path it replaced: a paper workload run under the
 // conservative schemes must produce a bit-identical simulation either way.
 //

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -15,7 +14,7 @@ import (
 )
 
 // This file is the engine's fault-containment layer. Every goroutine the
-// Run* drivers spawn (core loops, the manager, shard workers) runs under a
+// Run* drivers spawn (core groups, the manager, shard workers) runs under a
 // deferred containPanic, so a panic anywhere inside the simulation — a CPU
 // model bug, a ring overflow, an injected fault — is converted into a
 // structured SimError, the run is cancelled cleanly (every peer unparked
@@ -286,10 +285,14 @@ func (m *Machine) takeFault() error {
 // SimError and a clean shutdown. Deferred by every goroutine the Run*
 // drivers spawn, and around the manager/serial loops themselves.
 func (m *Machine) containPanic(target int, op string) {
-	r := recover()
-	if r == nil {
-		return
+	if r := recover(); r != nil {
+		m.recordPanic(target, op, r)
 	}
+}
+
+// recordPanic is containPanic's second half, for a deferred function that
+// only knows at recovery time whom to blame (runGroup).
+func (m *Machine) recordPanic(target int, op string, r any) {
 	se := &SimError{
 		Core:       target,
 		Op:         op,
@@ -332,6 +335,10 @@ func (m *Machine) detectDeadlock() bool {
 				return false
 			}
 		}
+		// The fused driver's replies wait in plain slices, not rings.
+		if m.fused && len(m.fusedIn[i])+len(m.members[i].inbox) != 0 {
+			return false
+		}
 	}
 	return m.kernel.Deadlocked()
 }
@@ -372,8 +379,8 @@ func (m *Machine) coreReports() []CoreReport {
 			MaxLocal:    m.maxLocal[i].v.Load(),
 			ResumeFloor: m.resumeFloor[i].v.Load(),
 			Blocked:     m.blocked[i].v.Load() != 0,
-			Parked:      m.parked[i].v.Load() != 0,
-			Frozen:      m.frozen[i].v.Load() != 0,
+			Parked:      m.members[i].wait.Load() == memberAtEdge,
+			Frozen:      m.members[i].wait.Load() == memberFrozen,
 			InQ:         in,
 			OutQ:        m.outQ[i].Len(),
 		}
@@ -448,36 +455,31 @@ func newInjected(fs []faultinject.Fault) *injected {
 	return &injected{faults: fs, fired: make([]bool, len(fs))}
 }
 
-// applyCoreFaults fires core i's due faults against its local clock.
-// Returns true when the outer loop must restart the iteration (the clock
-// changed or the run ended while stalled).
-func (m *Machine) applyCoreFaults(i int, inj *injected, local *int64) bool {
+// applyCoreFaults fires a core's due injected faults against its loop-owned
+// clock. It reports true when the turn must end here (the clock changed, or
+// the core is now pinned). A Stall pins the core: it is skipped from then
+// on, its published clock pins the global time, and the stall watchdog must
+// eventually fire.
+func (m *Machine) applyCoreFaults(mb *member) bool {
 	restart := false
+	inj := mb.fi
 	for idx := range inj.faults {
 		f := &inj.faults[idx]
-		if inj.fired[idx] || *local < f.At {
+		if inj.fired[idx] || mb.local < f.At {
 			continue
 		}
 		inj.fired[idx] = true
 		switch f.Kind {
 		case faultinject.Panic:
-			panic(fmt.Sprintf("faultinject: injected panic on core %d at local=%d", i, *local))
+			panic(fmt.Sprintf("faultinject: injected panic on core %d at local=%d", mb.id, mb.local))
 		case faultinject.Stall:
-			// Stop ticking without parking: the published local clock pins
-			// the global time, so the watchdog must eventually fire.
-			for !m.done.Load() {
-				runtime.Gosched()
-			}
+			mb.pinned = true
 			return true
 		case faultinject.RingFlood:
-			m.floodOutQ(i, *local)
+			m.floodOutQ(mb.id, mb.local)
 		case faultinject.ClockWarp:
-			nl := *local - f.Dur
-			if nl < 0 {
-				nl = 0
-			}
-			*local = nl
-			m.publishLocal(i, nl)
+			mb.local = max(mb.local-f.Dur, 0)
+			m.publishLocal(mb.id, mb.local)
 			restart = true
 		}
 	}

@@ -104,8 +104,8 @@ func (m *Machine) slackSnapshot() introspect.SlackSnapshot {
 			Local:    m.local[i].v.Load(),
 			MaxLocal: ml,
 			Blocked:  m.blocked[i].v.Load() != 0,
-			Parked:   m.parked[i].v.Load() != 0,
-			Frozen:   m.frozen[i].v.Load() != 0,
+			Parked:   m.members[i].wait.Load() == memberAtEdge,
+			Frozen:   m.members[i].wait.Load() == memberFrozen,
 			InQ:      m.inQ[i].Len(),
 			OutQ:     m.outQ[i].Len(),
 		}

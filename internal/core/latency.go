@@ -80,8 +80,8 @@ func newStragglerState(n int) *stragglerState {
 // time is the loop induction variable, no core ever "holds it back").
 func (m *Machine) noteStraggler() {
 	st := m.strag
-	if st == nil {
-		return
+	if st == nil || m.fused {
+		return // (the fused driver keeps no min-tree to ask)
 	}
 	i := m.lt.argmin()
 	if i < 0 {

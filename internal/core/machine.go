@@ -215,10 +215,13 @@ type Machine struct {
 	// parks when a round was idle and the epoch did not move. mgrParked
 	// flags a manager waiting on mgrWake so the bump path can skip the
 	// channel when the manager is running (same Dekker pattern as the
-	// cores' parked/frozen flags).
+	// groups' waiting flag).
 	mgrEpoch  padded
 	mgrParked atomic.Int32
 	mgrWake   chan struct{}
+	// mgrMu is the manager's role on the unsharded backend, where the groups
+	// run the rounds themselves: whichever group gets it runs one.
+	mgrMu sync.Mutex
 
 	gq evHeap
 	// serialMode marks a RunSerial drive.
@@ -261,19 +264,15 @@ type Machine struct {
 	lastEvKind []padded
 	lastEvTime []padded
 
-	// Per-core park/wake plumbing (parallel runs). parkCond wakes a core
-	// waiting for its window to slide (signalled by slideWindows);
-	// freezeCond wakes a core frozen waiting for an InQ event (signalled by
-	// notifyCore after every reply push). frozen[i] != 0 marks a waiter on
-	// freezeCond so the push path can skip the mutex when nobody waits;
-	// parked[i] serves the same role for parkCond, letting slideWindows
-	// slide a spinning (not yet parked) core's window without touching its
-	// mutex.
-	parkMu     []sync.Mutex
-	parkCond   []*sync.Cond
-	freezeCond []*sync.Cond
-	frozen     []padded
-	parked     []padded
+	// Grouped execution (group.go). members is every core's loop-owned run
+	// state; groups[:nGroups] are the run's host goroutines' blocks of it and
+	// groupOf maps a core to its group. All three are allocated here at full
+	// size and only filled in by beginRun, so Interrupt and the forensic
+	// snapshots may touch them at any time.
+	members []member
+	groups  []coreGroup
+	groupOf []*coreGroup
+	nGroups int
 
 	// drainBuf is the manager-side reusable buffer for Ring.PopBatch
 	// (manager goroutine only).
@@ -310,12 +309,9 @@ type Machine struct {
 	coreTW  []*trace.Writer // per-core trace rings
 	mgrTW   *trace.Writer   // manager trace ring
 	shardTW []*trace.Writer // per-shard-worker trace rings
-	// Host-time sync-overhead breakdown, filled only when metrics are
-	// enabled. Each slot is written solely by its owning goroutine and
-	// read after the run's WaitGroup join.
-	coreHostNS []int64 // total host ns each core goroutine ran
-	waitHostNS []int64 // host ns each core spent blocked on the manager
-	mgrBusyNS  int64   // host ns of productive manager rounds
+	// mgrBusyNS is the host time of productive manager rounds (metrics
+	// only; the groups keep their own share of the sync-overhead breakdown).
+	mgrBusyNS int64
 	// evProcessed counts manager-thread GQ events (manager/serial
 	// goroutine only); evShard counts shard-worker events.
 	evProcessed int64
@@ -374,11 +370,9 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		maxLocal:    make([]padded, cfg.NumCores),
 		blocked:     make([]padded, cfg.NumCores),
 		resumeFloor: make([]padded, cfg.NumCores),
-		parkMu:      make([]sync.Mutex, cfg.NumCores),
-		parkCond:    make([]*sync.Cond, cfg.NumCores),
-		freezeCond:  make([]*sync.Cond, cfg.NumCores),
-		frozen:      make([]padded, cfg.NumCores),
-		parked:      make([]padded, cfg.NumCores),
+		members:     make([]member, cfg.NumCores),
+		groups:      make([]coreGroup, cfg.NumCores),
+		groupOf:     make([]*coreGroup, cfg.NumCores),
 		waitCycles:  make([]int64, cfg.NumCores),
 		lastEvKind:  make([]padded, cfg.NumCores),
 		lastEvTime:  make([]padded, cfg.NumCores),
@@ -439,8 +433,8 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("core: %w", cerr)
 		}
 		m.cores[i] = c
-		m.parkCond[i] = sync.NewCond(&m.parkMu[i])
-		m.freezeCond[i] = sync.NewCond(&m.parkMu[i])
+		m.groups[i].cond = sync.NewCond(&m.groups[i].mu)
+		m.groupOf[i] = &m.groups[i] // until beginRun forms the run's groups
 	}
 	// Deferred grants for blocked syscalls (lock handoff, barrier release,
 	// semaphore signal, join) come back through the same InQ reply path.

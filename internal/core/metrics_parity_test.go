@@ -19,8 +19,11 @@ import (
 func metricNames(t *testing.T, driver string) []string {
 	t.Helper()
 	cfg := smallConfig(2, ModelOoO)
-	if driver == "sharded" {
+	switch driver {
+	case "sharded":
 		cfg.ManagerShards = 2
+	case "remote":
+		cfg.RemoteShards = 2
 	}
 	m := mustMachine(t, memProg, cfg)
 	reg := metrics.NewRegistry()
@@ -31,6 +34,14 @@ func metricNames(t *testing.T, driver string) []string {
 		_, err = m.RunSerial()
 	case "fused":
 		_, err = m.RunFused(SchemeS9)
+	case "remote":
+		transports, join := startRemoteWorkers(1)
+		_, err = m.RunRemoteSharded(SchemeS9, transports)
+		for _, werr := range join() {
+			if werr != nil {
+				t.Errorf("worker exit: %v", werr)
+			}
+		}
 	default:
 		_, err = m.RunParallel(SchemeS9)
 	}
@@ -95,6 +106,29 @@ func TestMetricNameParityAcrossDrivers(t *testing.T) {
 	}
 	if d := diff(fused, parallel); len(d) != 0 {
 		t.Errorf("fused-only metrics: %v", d)
+	}
+
+	// So does the remote driver, under its wire, recovery and federated
+	// worker instruments.
+	remote := metricNames(t, "remote")
+	if d := diff(parallel, remote); len(d) != 0 {
+		t.Errorf("metrics lost under the remote driver: %v", d)
+	}
+
+	// The fabric's own ledger rows — sampled manager-round phases and the
+	// group loop's turns and waits — carry the same names on every driver.
+	for _, want := range []string{
+		"engine.round.min_ns", "engine.round.drain_ns", "engine.round.visible_ns",
+		"engine.round.notify_ns", "engine.round.slide_ns",
+		"engine.group.turn_ns", "engine.group.yield_ns", "engine.group.park_ns",
+	} {
+		for driver, names := range map[string][]string{
+			"serial": serial, "parallel": parallel, "sharded": sharded, "fused": fused, "remote": remote,
+		} {
+			if i := sort.SearchStrings(names, want); i == len(names) || names[i] != want {
+				t.Errorf("%s registry missing %q", driver, want)
+			}
+		}
 	}
 
 	// The latency-attribution families must exist under every driver.

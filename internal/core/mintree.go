@@ -72,9 +72,6 @@ func newMinTree(n int) *minTree {
 // leaf is blocked). O(1): a single atomic load.
 func (t *minTree) root() int64 { return t.nodes[1].v.Load() }
 
-// leaf returns leaf i's current value (tests and forensics).
-func (t *minTree) leaf(i int) int64 { return t.nodes[t.base+i].v.Load() }
-
 // setLeaf stores leaf i without propagating (callers follow with
 // propagate; split so the machine's leaf refresh can store-then-verify
 // against the pacing atomics before paying for the upward pass).
@@ -93,14 +90,6 @@ func (t *minTree) propagate(i int) {
 			}
 		}
 	}
-}
-
-// update is the one-call form: set leaf i to v and rebuild its path to the
-// root. Used directly by tests and benchmarks; the engine goes through
-// Machine.refreshMinLeaf, which derives v from the pacing atomics.
-func (t *minTree) update(i int, v int64) {
-	t.setLeaf(i, v)
-	t.propagate(i)
 }
 
 // argmin walks from the root toward the leaf that (currently) holds the
@@ -173,14 +162,19 @@ func (m *Machine) refreshMinLeaf(i int) {
 // every-round O(N) scan at no per-cycle cost.
 func (m *Machine) publishLocal(i int, v int64) {
 	m.local[i].v.Store(v)
-	m.refreshMinLeaf(i)
-	m.bumpMgrEpoch()
+	if !m.fused { // a single runner has no tree to feed, no manager to wake
+		m.refreshMinLeaf(i)
+		m.bumpMgrEpoch()
+	}
 }
 
 // globalMin returns the manager's global-time candidate: the tree root,
 // or the current global time unchanged when every live core is blocked in
 // the kernel (minLocal's all-blocked fallback).
 func (m *Machine) globalMin() int64 {
+	if m.fused {
+		return m.minLocal()
+	}
 	if v := m.lt.root(); v != minTreeInf {
 		return v
 	}
@@ -188,9 +182,10 @@ func (m *Machine) globalMin() int64 {
 }
 
 // minLocal is the naive O(N) scan the min-tree replaced. It remains the
-// reference oracle: the property test cross-checks the tree root against
-// it at every quiescent point, and diagnostics may use it freely (it has
-// no side effects).
+// reference oracle — the property test cross-checks the tree root against
+// it at every quiescent point — and it is the fused driver's global-time
+// candidate: a single runner publishes to no tree, and scanning the clocks
+// it just stored is cheaper than maintaining one.
 func (m *Machine) minLocal() int64 {
 	lo := int64(-1)
 	for i := range m.local {

@@ -246,3 +246,14 @@ func TestQuantumBarrierCrossedByJump(t *testing.T) {
 	// (The rounding arithmetic itself — off-multiple, below the first
 	// boundary, exactly on one — is tabled in TestVisibleBound.)
 }
+
+// leaf returns leaf i's current value (tests and forensics).
+func (t *minTree) leaf(i int) int64 { return t.nodes[t.base+i].v.Load() }
+
+// update is the one-call form: set leaf i to v and rebuild its path to the
+// root. The engine goes through Machine.refreshMinLeaf, which derives v
+// from the pacing atomics.
+func (t *minTree) update(i int, v int64) {
+	t.setLeaf(i, v)
+	t.propagate(i)
+}

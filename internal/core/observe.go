@@ -36,6 +36,14 @@ type engineMet struct {
 	slack        *metrics.Histogram // engine.slack.sample
 	gqDepth      *metrics.Histogram // engine.gq.depth
 
+	// Sampled host-time spans of the fabric itself — the ledger rows under
+	// "unattributed": one manager round in 64, phase by phase, and the
+	// group loop's turns and waits. The same names on every driver.
+	roundNS      [len(roundPhases)]*metrics.Histogram // engine.round.<phase>_ns
+	groupTurnNS  *metrics.Histogram                   // engine.group.turn_ns
+	groupYieldNS *metrics.Histogram                   // engine.group.yield_ns
+	groupParkNS  *metrics.Histogram                   // engine.group.park_ns
+
 	// Memory-event latency attribution (latency.go): machine-wide and
 	// per-core request→reply latency, in simulated cycles and host ns.
 	memLat       *metrics.Histogram   // engine.mem.lat_cycles
@@ -64,8 +72,14 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 		adaptResizes: r.Counter("engine.adapt.resizes"),
 		slack:        r.Histogram("engine.slack.sample"),
 		gqDepth:      r.Histogram("engine.gq.depth"),
+		groupTurnNS:  r.Histogram("engine.group.turn_ns"),
+		groupYieldNS: r.Histogram("engine.group.yield_ns"),
+		groupParkNS:  r.Histogram("engine.group.park_ns"),
 		memLat:       r.Histogram("engine.mem.lat_cycles"),
 		memLatNS:     r.Histogram("engine.mem.lat_host_ns"),
+	}
+	for i, phase := range roundPhases {
+		m.met.roundNS[i] = r.Histogram("engine.round." + phase + "_ns")
 	}
 	for i := 0; i < m.cfg.NumCores; i++ {
 		m.met.coreMemLat = append(m.met.coreMemLat, r.Histogram(fmt.Sprintf("engine.c%d.mem.lat_cycles", i)))
@@ -92,8 +106,6 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 			}
 		}
 	}
-	m.coreHostNS = make([]int64, m.cfg.NumCores)
-	m.waitHostNS = make([]int64, m.cfg.NumCores)
 }
 
 // EnableTrace attaches a trace collector to the machine. Must be called
@@ -124,14 +136,6 @@ func (m *Machine) EnableTrace(c *trace.Collector) {
 	}
 }
 
-// coreWriter returns core i's trace writer (nil when tracing is off).
-func (m *Machine) coreWriter(i int) *trace.Writer {
-	if m.coreTW == nil {
-		return nil
-	}
-	return m.coreTW[i]
-}
-
 // publishObservability fills the Result's observability fields and
 // publishes the end-of-run counter snapshot into the metrics registry.
 // No-op when metrics are disabled.
@@ -143,9 +147,9 @@ func (m *Machine) publishObservability(res *Result) {
 	res.Metrics = r
 	res.EventsProcessed = m.evProcessed + m.evShard.Load()
 	res.ManagerBusy = durNS(m.mgrBusyNS)
-	for i := range m.coreHostNS {
-		res.CoreBusy = append(res.CoreBusy, durNS(m.coreHostNS[i]))
-		res.CoreWait = append(res.CoreWait, durNS(m.waitHostNS[i]))
+	for _, g := range m.groupOf {
+		res.CoreBusy = append(res.CoreBusy, durNS(g.hostNS))
+		res.CoreWait = append(res.CoreWait, durNS(g.waitNS))
 	}
 
 	r.Gauge("engine.global.final").Set(m.global.Load())

@@ -419,7 +419,7 @@ func (m *Machine) RunRemoteShardedOpts(s Scheme, opts *RemoteOptions) (*Result, 
 	// send/recv goroutines, the supervisors, and the manager all convert
 	// panics into a recorded SimError and a clean join.
 	var wg sync.WaitGroup
-	m.spawnCores(&wg)
+	m.spawnGroups(&wg, 0, nil)
 	func() {
 		defer m.containPanic(faultinject.Manager, "manager")
 		m.runManager(p, m.remoteBackend())

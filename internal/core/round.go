@@ -6,15 +6,16 @@ import (
 	"time"
 
 	"slacksim/internal/faultinject"
+	"slacksim/internal/metrics"
 	"slacksim/internal/trace"
 )
 
 // This file is the simulation manager's round (§2.1), written once. The
 // three threaded drivers — unsharded, sharded, remote — run the same loop
-// (runManager) over a mgrBackend that supplies only where requests go and
+// (mgrLoop.round) over a mgrBackend that supplies only where requests go and
 // how their processors are gated; the fused driver keeps its own loop
-// skeleton (it interleaves a core phase and never parks) but takes the
-// visibility step, the window slide and the progress watch from here. See
+// skeleton (plain locals instead of rings, a min-tree and parks) but takes
+// the visibility step, the window slide and the progress watch from here. See
 // docs/engine.md, "The manager round", for why each step sits where it does.
 
 // mgrBackend is what genuinely differs between the threaded managers. Both
@@ -44,7 +45,7 @@ type pacing struct {
 }
 
 // beginRun installs the scheme for a paced run, opens every core's initial
-// window and returns the manager's pacing state.
+// window, forms the core groups and returns the manager's pacing state.
 func (m *Machine) beginRun(s Scheme) pacing {
 	m.scheme = s
 	m.schemeLive.Store(&s)
@@ -53,6 +54,7 @@ func (m *Machine) beginRun(s Scheme) pacing {
 	for i := range m.maxLocal {
 		m.maxLocal[i].v.Store(p.edge)
 	}
+	m.formGroups()
 	return p
 }
 
@@ -76,126 +78,194 @@ func (m *Machine) finishRun(start time.Time) (*Result, error) {
 	return m.result(time.Since(start)), nil
 }
 
-// runManager is the simulation manager thread: each round it consolidates
-// the OutQs, advances the global time, makes requests globally visible
-// according to the scheme, and slides every core's window.
-//
-// Its per-round cost is proportional to activity, not core count: the
-// global-time candidate is the min-tree root (O(1); cores pay O(log N) on
-// publication), the drain touches only OutQs with new requests (the dirty
-// set), replies are pushed with one coalesced notify per core, and a
-// quiescent machine parks the manager on its wake channel (timed, so the
-// watchdog and deadlock detection never depend on the hot loop).
+// mgrLoop is the simulation manager between rounds: the scheme's pacing
+// state, the backend, and the liveness bookkeeping.
+type mgrLoop struct {
+	m            *Machine
+	p            pacing
+	be           mgrBackend
+	watch        progressWatch
+	fi           *injected
+	tracedLocals []int64
+	// epoch is the activity epoch read at the start of the last round: the
+	// manager may park only if it has not moved since.
+	epoch  int64
+	rounds int
+}
+
+func (m *Machine) newMgrLoop(p pacing, be mgrBackend) *mgrLoop {
+	return &mgrLoop{m: m, p: p, be: be, watch: newProgressWatch(), fi: newInjected(m.fiMgr)}
+}
+
+// runManager is the simulation manager as a goroutine of its own (the
+// sharded and remote backends, whose gates block): round after round until
+// the run ends. The unsharded driver's groups run the same rounds between
+// their members' turns instead (runGroup).
 func (m *Machine) runManager(p pacing, be mgrBackend) {
-	defer m.wakeAll()
-	var tracedLocals []int64
-	watch := newProgressWatch()
-	mw := m.mgrTW
-	measure := m.met != nil
-	fi := newInjected(m.fiMgr)
+	l := m.newMgrLoop(p, be)
 	for !m.done.Load() {
-		var t0 time.Time
+		if !l.round() {
+			l.idle(true)
+		}
+	}
+}
+
+// roundPhases names the phases of a manager round that one round in 64 is
+// timed by, in order: engine.round.<phase>_ns.
+var roundPhases = [...]string{"min", "drain", "visible", "notify", "slide"}
+
+// lapTimer times a sampled round's phases into those histograms, one lap
+// after each; a nil *lapTimer (metrics off, an unsampled round) is inert.
+type lapTimer struct {
+	t time.Time
+	h []*metrics.Histogram // the phases still to come
+}
+
+func (lt *lapTimer) lap() {
+	if lt != nil {
+		now := time.Now()
+		lt.h[0].Observe(now.Sub(lt.t).Nanoseconds())
+		lt.t, lt.h = now, lt.h[1:]
+	}
+}
+
+// round is one manager round: it consolidates the OutQs, advances the
+// global time, makes requests globally visible according to the scheme, and
+// slides every core's window. It reports whether the round changed anything;
+// the run's end (MaxCycles, a certain deadlock) is left in done.
+//
+// Its cost is proportional to activity, not core count: the global-time
+// candidate is the min-tree root (O(1); cores pay O(log N) on publication),
+// the drain touches only OutQs with new requests (the dirty set), replies
+// are pushed with one coalesced notify per group, and a quiescent machine
+// parks the manager on its wake channel (idle).
+func (l *mgrLoop) round() bool {
+	m, mw := l.m, l.m.mgrTW
+	measure := m.met != nil
+	var t0 time.Time
+	var lt *lapTimer
+	if measure {
+		t0 = time.Now()
+		if l.rounds++; l.rounds&63 == 0 {
+			lt = &lapTimer{t: t0, h: m.met.roundNS[:]}
+		}
+	}
+	// The activity epoch is read first: any bump after this point keeps
+	// the manager from parking at the end of an idle round, so no
+	// activity between the reads below and the idle decision is lost.
+	l.epoch = m.mgrEpoch.v.Load()
+	// Snapshot the global-time candidate BEFORE draining: every event
+	// with a timestamp below this minimum was pushed before its core's
+	// clock passed it — the push precedes the core's leaf update in the
+	// total order of atomic operations, which precedes this root read —
+	// so the drain below is guaranteed to contain it. Draining first
+	// would let cores advance between the drain and the minimum,
+	// overstating the bound past events still sitting in their OutQs.
+	g := m.globalMin()
+	if measure {
+		// Straggler attribution: charge the round to the core whose
+		// leaf holds the min-tree root (latency.go).
+		m.noteStraggler()
+	}
+	lt.lap()
+	if l.fi != nil {
+		applyPanicFaults(l.fi, g, "manager")
+	}
+	moved := l.be.drain(g)
+	lt.lap()
+	if g >= m.cfg.MaxCycles {
+		m.aborted = true
+		m.done.Store(true)
+		return false
+	}
+
+	m.beginNotifyBatch()
+	processed := m.makeVisible(&l.p, g, l.be.gate)
+	lt.lap()
+	m.flushNotifyBatch()
+	lt.lap()
+	if processed {
+		mw.Count(trace.KQDepth, int64(m.gq.Len()))
 		if measure {
-			t0 = time.Now()
+			m.met.gqDepth.Observe(int64(m.gq.Len()))
 		}
-		// The activity epoch is read first: any bump after this point keeps
-		// the manager from parking at the end of an idle round, so no
-		// activity between the reads below and the idle decision is lost.
-		epoch := m.mgrEpoch.v.Load()
-		// Snapshot the global-time candidate BEFORE draining: every event
-		// with a timestamp below this minimum was pushed before its core's
-		// clock passed it — the push precedes the core's leaf update in the
-		// total order of atomic operations, which precedes this root read —
-		// so the drain below is guaranteed to contain it. Draining first
-		// would let cores advance between the drain and the minimum,
-		// overstating the bound past events still sitting in their OutQs.
-		g := m.globalMin()
+	}
+	if m.introOn {
+		// Mirror the manager-owned GQ depth for the live /slack view.
+		m.liveGQ.Store(int64(m.gq.Len()))
+	}
+
+	// Publish the new global time only after this pass's replies are
+	// pushed (including the backend's gate wait): a core reading
+	// global = g may then rely on every request stamped below g having
+	// been answered, which makes global + critical latency a safe
+	// fast-forward horizon (see corePacing).
+	wake := int32(0)
+	if g > m.global.Load() {
+		m.global.Store(g)
+		wake = waitGlobal
+		mw.Count(trace.KGlobal, g)
 		if measure {
-			// Straggler attribution: charge the round to the core whose
-			// leaf holds the min-tree root (latency.go).
-			m.noteStraggler()
+			m.met.globalAdv.Inc()
 		}
-		if fi != nil {
-			applyPanicFaults(fi, g, "manager")
-		}
-		moved := be.drain(g)
-		if g >= m.cfg.MaxCycles {
-			m.aborted = true
-			m.done.Store(true)
-			return
-		}
+	}
+	changed := m.slideWindows(&l.p, g)
+	if changed {
+		wake |= waitEdge
+	}
+	// State first, flags second: the waker's half of the groups' park
+	// protocol (coreGroup.waiting).
+	for k := 0; wake != 0 && k < m.nGroups; k++ {
+		m.groups[k].wake(wake)
+	}
+	lt.lap()
 
-		m.beginNotifyBatch()
-		processed := m.makeVisible(&p, g, be.gate)
-		m.flushNotifyBatch()
-		if processed {
-			mw.Count(trace.KQDepth, int64(m.gq.Len()))
-			if measure {
-				m.met.gqDepth.Observe(int64(m.gq.Len()))
-			}
+	if m.trace != nil && (changed || processed) {
+		if l.tracedLocals == nil {
+			l.tracedLocals = make([]int64, len(m.local))
 		}
-		if m.introOn {
-			// Mirror the manager-owned GQ depth for the live /slack view.
-			m.liveGQ.Store(int64(m.gq.Len()))
+		for i := range m.local {
+			l.tracedLocals[i] = m.local[i].v.Load()
 		}
+		m.trace(g, l.tracedLocals)
+	}
 
-		// Publish the new global time only after this pass's replies are
-		// pushed (including the backend's gate wait): a core reading
-		// global = g may then rely on every request stamped below g having
-		// been answered, which makes global + critical latency a safe
-		// fast-forward horizon (see corePacing).
-		if g > m.global.Load() {
-			m.global.Store(g)
-			mw.Count(trace.KGlobal, g)
-			if measure {
-				m.met.globalAdv.Inc()
-			}
+	// Certain-deadlock detection: when every live thread is blocked in
+	// the kernel, idle cores can keep the global time advancing, so the
+	// host-time watchdog never fires — the run would crawl to
+	// MaxCycles. After a run of event-free rounds, consult the kernel.
+	if l.watch.deadlockCheckDue(moved || processed) && l.be.deadlockSound && m.detectDeadlock() {
+		m.abortStalled(true, 0)
+		return false
+	}
+	if moved || processed || changed || g != l.watch.lastGlobal {
+		l.watch.productive(g)
+		if measure {
+			m.mgrBusyNS += time.Since(t0).Nanoseconds()
 		}
+		return true
+	}
+	return false
+}
 
-		changed := m.slideWindows(&p, g)
-
-		if m.trace != nil && (changed || processed) {
-			if tracedLocals == nil {
-				tracedLocals = make([]int64, len(m.local))
-			}
-			for i := range m.local {
-				tracedLocals[i] = m.local[i].v.Load()
-			}
-			m.trace(g, tracedLocals)
-		}
-
-		// Certain-deadlock detection: when every live thread is blocked in
-		// the kernel, idle cores can keep the global time advancing, so the
-		// host-time watchdog never fires — the run would crawl to
-		// MaxCycles. After a run of event-free rounds, consult the kernel.
-		if watch.deadlockCheckDue(moved || processed) && be.deadlockSound && m.detectDeadlock() {
+// idle follows a round that observed no activity. After a few of those, if
+// mayPark and the epoch proves none arrived since the round started, it
+// spins briefly, then parks until a core publishes, pushes, or is granted.
+// The park is timed (escalating toward mgrParkCeil) so the health checks
+// still run when no core will ever bump the epoch again — a stalled or
+// deadlocked workload is exactly that case.
+func (l *mgrLoop) idle(mayPark bool) {
+	m := l.m
+	checkStall := l.watch.idle()
+	if mayPark && l.watch.shouldPark() && m.mgrIdleWait(l.epoch, l.watch.nextParkTimeout()) {
+		if l.be.deadlockSound && m.detectDeadlock() {
 			m.abortStalled(true, 0)
 			return
 		}
-		if moved || processed || changed || g != watch.lastGlobal {
-			watch.productive(g)
-			if measure {
-				m.mgrBusyNS += time.Since(t0).Nanoseconds()
-			}
-			continue
-		}
-		// The round observed no activity. After a few of those, and if the
-		// epoch proves none arrived since the round started, spin briefly,
-		// then park until a core publishes, pushes, or is granted. The park
-		// is timed (escalating toward mgrParkCeil) so the health checks
-		// still run when no core will ever bump the epoch again — a stalled
-		// or deadlocked workload is exactly that case.
-		checkStall := watch.idle()
-		if watch.shouldPark() && m.mgrIdleWait(epoch, watch.nextParkTimeout()) {
-			if be.deadlockSound && m.detectDeadlock() {
-				m.abortStalled(true, 0)
-				return
-			}
-			checkStall = true
-		}
-		if checkStall && m.stalled(&watch) {
-			return
-		}
+		checkStall = true
+	}
+	if checkStall {
+		m.stalled(&l.watch)
 	}
 }
 
@@ -240,8 +310,8 @@ func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) bool) (proces
 }
 
 // slideWindows raises every core's max local time to the scheme's target
-// for global time g and wakes the cores parked at the old edge. The edge is
-// monotone; it reports whether it moved.
+// for global time g (the caller wakes the groups parked at the old edge).
+// The edge is monotone; it reports whether it moved.
 func (m *Machine) slideWindows(p *pacing, g int64) bool {
 	adapted := int64(0)
 	if p.ad != nil {
@@ -254,14 +324,6 @@ func (m *Machine) slideWindows(p *pacing, g int64) bool {
 	p.edge = target
 	for i := range m.maxLocal {
 		m.maxLocal[i].v.Store(target)
-		// Signal under the park mutex so a core checking the condition
-		// cannot miss the wakeup — but only when the core has actually
-		// parked; a spinning core observes the new maxLocal directly.
-		if m.parked[i].v.Load() != 0 {
-			m.parkMu[i].Lock()
-			m.parkCond[i].Signal()
-			m.parkMu[i].Unlock()
-		}
 	}
 	if m.met != nil {
 		m.met.windowSlides.Inc()
@@ -374,20 +436,19 @@ func (m *Machine) stallTimeout() time.Duration {
 	return 60 * time.Second
 }
 
-// mgrIdleWait is the manager-side analogue of parkCore/freezeWait: the
-// manager spins briefly (with yields) and then parks on its wake channel
-// until core activity bumps the epoch — recovering a host core whenever the
-// machine is quiescent, instead of rescanning an unchanged machine at host
-// speed. The park is timed: the stall watchdog and certain-deadlock
+// mgrIdleWait is the manager-side analogue of parkGroup: the manager yields
+// and re-polls for groupParkBudget of host time and then parks on its wake
+// channel until core activity bumps the epoch — recovering a host core
+// whenever the machine is quiescent, instead of rescanning an unchanged
+// machine at host speed. The park is timed: the stall watchdog and certain-deadlock
 // detection must keep running even when no core will ever bump the epoch
 // again, so the caller gets a timedOut=true wake at most timeout after
 // parking and runs the health checks then.
 func (m *Machine) mgrIdleWait(epoch int64, timeout time.Duration) (timedOut bool) {
-	for s := 0; s < parkSpinIters; s++ {
+	for t0 := time.Now(); time.Since(t0) < groupParkBudget; runtime.Gosched() {
 		if m.done.Load() || m.mgrEpoch.v.Load() != epoch {
 			return false
 		}
-		runtime.Gosched()
 	}
 	// Publish the waiter flag before the final epoch check: a concurrent
 	// bumper either sees the flag (and sends a wake token) or bumped before

@@ -250,8 +250,8 @@ func (a *adaptState) adapt(g int64) (resized bool) {
 }
 
 // corePacing is the per-core half of the policy: how far one core may run
-// before it must look at the world again. The goroutine-per-core loop and
-// the fused round-robin both pace their cores with it, once per batch.
+// before it must look at the world again: coreTurn paces every driver's
+// cores with it, once per batch.
 type corePacing struct {
 	// conservative selects the safe-horizon rules (every event applied
 	// exactly at its timestamp) over the optimistic ones.
@@ -260,15 +260,31 @@ type corePacing struct {
 	// scheme every reply pushed after a core read global = g is stamped
 	// >= g + critical (the manager's process-then-publish order).
 	critical int64
+	// shared says the core takes turns with others on one host goroutine.
+	// An optimistic batch is then capped at the critical latency rather than
+	// optimisticBatch: a sibling left a whole batch behind would see its
+	// requests answered that much out of timestamp order.
+	shared bool
 }
 
 // limit returns the cycle the core must stop before: its window edge, and
 // for a core with no workload thread additionally g + critical, whatever
 // the scheme — letting it free-run under large or unbounded slack would
-// poison shared-resource occupancy clocks with far-future timestamps.
+// poison shared-resource occupancy clocks with far-future timestamps. Under
+// an optimistic scheme a shared core stops at the lower half of what is left
+// of its window (never less than the critical latency): groups drift apart
+// at random with nothing but the edge to stop them, the error follows the
+// lead of a request's timestamp over the global time when it is answered,
+// and a group that far ahead is not the one the run is waiting for
+// (docs/engine.md, "Grouped execution", has the measurements).
 func (p corePacing) limit(edge, g int64, active bool) int64 {
 	if idleMax := g + p.critical; !active && idleMax < edge {
 		return idleMax
+	}
+	if p.shared && !p.conservative && edge != math.MaxInt64 {
+		if half := g + max((edge-g+1)/2, p.critical); half < edge {
+			return half
+		}
 	}
 	return edge
 }
@@ -277,16 +293,23 @@ func (p corePacing) limit(edge, g int64, active bool) int64 {
 // core at local may tick: min(limit, safe event horizon, earliest kept
 // inbox timestamp), and at least one cycle. The safe horizon is g + critical
 // under conservative schemes; optimistic schemes have none, so the batch is
-// capped at optimisticBatch cycles. Kept inbox events all have timestamps
-// > local, so none becomes deliverable in the middle of a batch.
+// capped at optimisticBatch cycles (the critical latency when shared). Kept
+// inbox events all have timestamps > local, so none becomes deliverable in
+// the middle of a batch.
 func (p corePacing) batchEnd(local, limit, g int64, inbox []event.Event) int64 {
 	end := limit
 	if p.conservative {
 		if hz := g + p.critical; hz < end {
 			end = hz
 		}
-	} else if hz := local + optimisticBatch; hz < end {
-		end = hz
+	} else {
+		hz := local + optimisticBatch
+		if p.shared {
+			hz = local + p.critical
+		}
+		if hz < end {
+			end = hz
+		}
 	}
 	if batchDisabled || end <= local+1 {
 		return local + 1

@@ -41,7 +41,7 @@ type Options struct {
 	// Driver selects the execution engine: "serial", "parallel",
 	// "sharded", "fused", or "auto" (the default). Auto picks the fused
 	// single-goroutine driver when a run's host-core budget is 1 — the
-	// goroutine-per-core fabric is pure overhead there (ROADMAP item 5) —
+	// threaded fabric is pure overhead there (ROADMAP item 5) —
 	// and the parallel driver otherwise. hostCores == 0 (the serial
 	// reference) always runs serial regardless of Driver.
 	Driver string

@@ -109,7 +109,7 @@ func TestDisabledOverheadBudget(t *testing.T) {
 	nilOpNS := float64(br.T.Nanoseconds()) / float64(br.N) / 3
 
 	// The engine's disabled path executes at most a few nil checks per
-	// ticked cycle: coreLoop's batched inner loop carries none at all (the
+	// ticked cycle: coreTurn's batched inner loop carries none at all (the
 	// sampling test runs once per outer iteration, masked to 1 in 64), and
 	// the manager's per-round checks amortise over the cores' cycles plus
 	// one per processed event. The latency-attribution stamps add one
