@@ -2,7 +2,12 @@ package core
 
 import (
 	"fmt"
+	"net"
 	"testing"
+
+	"slacksim/internal/asm"
+	"slacksim/internal/remote"
+	"slacksim/internal/workloads"
 )
 
 // allocLoopProg runs long enough (~400k committed instructions) that any
@@ -64,5 +69,72 @@ func TestDriverAllocsBounded(t *testing.T) {
 					res.HostAllocs, res.AllocsPerKInstr(), res.HostGCs, res.HostGCPauses)
 			})
 		}
+	}
+	// The remote driver's steady state allocates per routed batch (the
+	// journal's copy of it), not per instruction. Its row runs the remote
+	// benchmark's shape — ocean, S9*, two workers behind a loopback TCP
+	// listener — against a fixed budget: the measured count plus 25 %.
+	t.Run("remote-loopback", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("workload run")
+		}
+		w, err := workloads.Get("ocean")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := asm.Assemble(w.Source(1), asm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := remoteMachine(t, prog, w, 4, 2)
+		transports, join := loopbackWorkers(t, 2)
+		res, err := m.RunRemoteSharded(SchemeS9x, transports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, werr := range join() {
+			if werr != nil {
+				t.Errorf("worker exit: %v", werr)
+			}
+		}
+		const budget = 4500
+		if res.HostAllocs > budget {
+			t.Errorf("HostAllocs = %d over %d instrs (%.2f/kinstr), budget %d",
+				res.HostAllocs, res.Committed, res.AllocsPerKInstr(), budget)
+		}
+		t.Logf("HostAllocs=%d (%.3f/kinstr) GCs=%d", res.HostAllocs, res.AllocsPerKInstr(), res.HostGCs)
+	})
+}
+
+// loopbackWorkers serves nw worker sessions behind a loopback TCP listener
+// and returns the parent's connections plus a join that collects each
+// session's exit error.
+func loopbackWorkers(t *testing.T, nw int) ([]remote.Transport, func() []error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	errs := make(chan error, nw)
+	transports := make([]remote.Transport, nw)
+	for i := range transports {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		transports[i] = c
+		go func() { errs <- ServeRemoteShards(s) }()
+	}
+	return transports, func() []error {
+		out := make([]error, nw)
+		for i := range out {
+			out[i] = <-errs
+		}
+		return out
 	}
 }

@@ -33,6 +33,8 @@ type engineMet struct {
 	freezes      *metrics.Counter   // engine.reply.freezes
 	mgrParks     *metrics.Counter   // engine.manager.parks
 	adaptResizes *metrics.Counter   // engine.adapt.resizes
+	gatesRaised  *metrics.Counter   // engine.gates.raised (sharded/remote gateBook)
+	gatesElided  *metrics.Counter   // engine.gates.elided
 	slack        *metrics.Histogram // engine.slack.sample
 	gqDepth      *metrics.Histogram // engine.gq.depth
 
@@ -70,6 +72,8 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 		freezes:      r.Counter("engine.reply.freezes"),
 		mgrParks:     r.Counter("engine.manager.parks"),
 		adaptResizes: r.Counter("engine.adapt.resizes"),
+		gatesRaised:  r.Counter("engine.gates.raised"),
+		gatesElided:  r.Counter("engine.gates.elided"),
 		slack:        r.Histogram("engine.slack.sample"),
 		gqDepth:      r.Histogram("engine.gq.depth"),
 		groupTurnNS:  r.Histogram("engine.group.turn_ns"),

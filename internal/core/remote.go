@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +33,10 @@ import (
 // event below allowed queued; the worker writes all its reply batches
 // before the watermark, so a parent that has seen watermark >= allowed
 // has every reply below allowed in the cores' rings before it raises any
-// window. The wire adds only host latency — which a slack window of s
-// cycles absorbs exactly as it absorbs host scheduling jitter.
+// window. Only a worker holding an event below allowed is gated at all
+// (the gate book, round.go). The wire adds only host latency — which a
+// slack window of s cycles absorbs exactly as it absorbs host scheduling
+// jitter.
 //
 // Fault tolerance rests on the same in-order invariants. Every outbound
 // frame is appended to a per-worker replay journal and sent from it;
@@ -157,6 +160,7 @@ type remoteState struct {
 	// stage accumulates the current round's routed events per shard
 	// (manager goroutine only).
 	stage [][]event.Event
+	book  *gateBook // per worker (manager goroutine only)
 
 	// adopted[s] is non-nil once shard s has been migrated into the
 	// parent after its worker was abandoned (manager goroutine only).
@@ -236,7 +240,7 @@ type adoptedShard struct {
 // wireMsg is one unit of outbound work: a journal entry until it is
 // acknowledged by a checkpoint, and the send queue the sender drains.
 type wireMsg struct {
-	kind  byte // remote.FEvents, FGate, FCheckpointAck, FFinish
+	kind  byte // remote.FEvents, FGate, FCheckpointAck, FHeartbeat, FFinish
 	shard int
 	evs   []event.Event
 	gate  int64
@@ -298,9 +302,8 @@ type remoteWorker struct {
 	// manager spins on it in waitRemoteWatermarks). It survives
 	// reconnects — a watermark only ever rises.
 	mark padded
-	// lastGate is the highest gate the manager has enqueued (manager
-	// goroutine only).
-	lastGate int64
+	// enqueued counts journal appends (the supervisor's keepalive check).
+	enqueued atomic.Int64
 	// adoptedFlag marks a worker whose shards migrated in-process
 	// (manager goroutine only; supervision is already parked by then).
 	adoptedFlag bool
@@ -354,6 +357,7 @@ func (w *remoteWorker) enqueue(msg wireMsg) {
 	}
 	w.journal = append(w.journal, msg)
 	w.mu.Unlock()
+	w.enqueued.Add(1)
 	select {
 	case w.wakeSend <- struct{}{}:
 	default:
@@ -580,6 +584,7 @@ func (m *Machine) processAdoptedShards(bound int64) bool {
 // The stall watchdog and the watermark deadline carry the liveness
 // guarantee instead.
 func (m *Machine) remoteBackend() mgrBackend {
+	m.remote.book = m.newGateBook(len(m.remote.workers))
 	fiWire := newInjected(m.fiWire)
 	stage := m.stageForWire
 	return mgrBackend{
@@ -606,40 +611,44 @@ func (m *Machine) stageForWire(ev event.Event) {
 	m.remote.stage[sh] = append(m.remote.stage[sh], ev)
 }
 
-// flushStage journals each shard's staged batch for its worker's sender —
-// or, for a shard already migrated in-process, pushes it straight into its
-// local heap. The journaled slices' ownership transfers to the journal, so
-// those stage slots are reset to nil rather than reused.
+// flushStage journals each shard's staged batch for its worker's sender,
+// noting its events in the worker's gate book — or, for a shard already
+// migrated in-process, pushes it straight into its local heap. The journal
+// keeps a batch until a checkpoint covers it, so it gets a copy of its own
+// and the stage buffers are reused.
 func (m *Machine) flushStage() {
-	for sh, evs := range m.remote.stage {
+	r := m.remote
+	for sh, evs := range r.stage {
 		if len(evs) == 0 {
 			continue
 		}
-		if as := m.remote.adopted[sh]; as != nil {
+		r.stage[sh] = evs[:0]
+		if as := r.adopted[sh]; as != nil {
 			for i := range evs {
 				as.gq.Push(evs[i])
 			}
-			m.remote.stage[sh] = evs[:0]
 			continue
 		}
-		wk := m.remote.workers[m.remote.owner[sh]]
-		wk.enqueue(wireMsg{kind: remote.FEvents, shard: sh, evs: evs})
-		m.remote.stage[sh] = nil
+		wk := r.owner[sh]
+		for i := range evs {
+			r.book.note(wk, evs[i].Time)
+		}
+		r.workers[wk].enqueue(wireMsg{kind: remote.FEvents, shard: sh, evs: slices.Clone(evs)})
 	}
 }
 
-// remoteGate lets every live worker process through allowed, waits for
-// their watermarks, and processes the adopted shards in-process. The
-// round's batches went out in the drain, before this gate — in-order
-// delivery then gives the worker every event below allowed before it sees
-// the gate, which is the shared-memory driver's push-then-raise order.
-// Under an optimistic scheme allowed is unbounded from the first round on,
-// so each worker gets exactly one gate and answers on arrival after it.
+// remoteGate lets every live worker holding an event below allowed process
+// through it, waits for the watermarks of the gates raised, and processes
+// the adopted shards in-process. The round's batches went out in the drain,
+// before this gate — in-order delivery then gives the worker every event
+// below allowed before it sees the gate, which is the shared-memory
+// driver's push-then-raise order. Under an optimistic scheme allowed is
+// unbounded from the first round on, so each worker gets exactly one gate
+// and answers on arrival after it.
 func (m *Machine) remoteGate(allowed int64) bool {
 	r := m.remote
 	for _, w := range r.workers {
-		if !w.adoptedFlag && allowed > w.lastGate {
-			w.lastGate = allowed
+		if !w.adoptedFlag && r.book.raise(w.id, allowed) {
 			w.enqueue(wireMsg{kind: remote.FGate, gate: allowed})
 			// Flow-event anchor: the worker's FGate receive records a
 			// KWireRecv with the identical flow id, and the merge pairs
@@ -647,46 +656,57 @@ func (m *Machine) remoteGate(allowed int64) bool {
 			r.wireTW.Instant(trace.KWireSend, trace.WireFlowID(w.id, allowed))
 		}
 	}
-	m.waitRemoteWatermarks(allowed)
+	m.waitRemoteWatermarks()
 	return m.processAdoptedShards(allowed)
 }
 
 // waitRemoteWatermarks blocks until every live worker has acknowledged
-// processing through allowed — the wire form of raiseShardGates' wait.
-// The total wait is bounded by twice the stall timeout: one stall window
-// for an undisturbed worker, and another for the supervisor's recovery to
-// complete behind it. A worker abandoned mid-wait has its shards
-// migrated here, after which the wait no longer applies to it.
-func (m *Machine) waitRemoteWatermarks(allowed int64) {
-	var deadline *time.Timer
+// processing through the last gate raised on it — the wire form of
+// raiseShardGates' wait. The total wait is bounded by twice the stall
+// timeout: one stall window for an undisturbed worker, and another for the
+// supervisor's recovery to complete behind it. A worker abandoned mid-wait
+// has its shards migrated here, after which the wait no longer applies to
+// it.
+func (m *Machine) waitRemoteWatermarks() {
+	var expired <-chan time.Time
+	var due time.Time
 	for _, w := range m.remote.workers {
 		if w.adoptedFlag {
 			continue
 		}
-		for w.mark.v.Load() < allowed && !m.done.Load() {
+		gate := m.remote.book.procs[w.id].gate
+		for w.mark.v.Load() < gate && !m.done.Load() {
 			if w.sup.State() == remote.SupAbandoned {
 				m.adoptWorker(w)
 				break
 			}
-			if deadline == nil {
-				deadline = time.NewTimer(2 * m.stallTimeout())
-				defer deadline.Stop()
+			if expired == nil {
+				due = time.Now().Add(2 * m.stallTimeout())
+				expired = m.armMgrTimer(time.Until(due))
 			}
 			select {
 			case <-w.markCh:
 				// Re-check the mark (or notice an abandonment); stale
 				// wakeups are harmless.
-			case <-deadline.C:
+			case <-expired:
+				if wait := time.Until(due); wait > 0 {
+					// A stale tick left by the timer's previous use.
+					expired = m.armMgrTimer(wait)
+					continue
+				}
 				m.setFault(&SimError{
 					Core:   w.faultTarget(),
 					Op:     "remote-watermark",
-					Scheme: m.scheme, GlobalTime: m.global.Load(), SimTime: allowed,
+					Scheme: m.scheme, GlobalTime: m.global.Load(), SimTime: gate,
 					Detail: fmt.Sprintf("%s: no watermark for gate %d within %v (last %d, supervisor %v, %d reconnects)",
-						w.name(), allowed, 2*m.stallTimeout(), w.mark.v.Load(), w.sup.State(), w.sup.Reconnects()),
+						w.name(), gate, 2*m.stallTimeout(), w.mark.v.Load(), w.sup.State(), w.sup.Reconnects()),
 				})
 				return
 			}
 		}
+	}
+	if expired != nil {
+		m.disarmMgrTimer()
 	}
 }
 

@@ -70,6 +70,8 @@ func (m *Machine) remoteSender(w *remoteWorker, conn *remote.Conn, stopSend chan
 			err = conn.SendTime(remote.FGate, msg.gate)
 		case remote.FCheckpointAck:
 			err = conn.SendTime(remote.FCheckpointAck, msg.gate)
+		case remote.FHeartbeat:
+			err = conn.WriteFrame(remote.FHeartbeat, nil)
 		case remote.FFinish:
 			err = conn.WriteFrame(remote.FFinish, nil)
 		}
@@ -226,18 +228,22 @@ func (m *Machine) remoteReceiver(w *remoteWorker, conn *remote.Conn, skip []int6
 }
 
 // superviseWorker owns one worker's connection lifecycle: it watches the
-// live incarnation's goroutines and heartbeat freshness, tears down and
-// rebuilds the connection on failure, and parks once the worker is
-// finished, abandoned, or the run is shutting down.
+// live incarnation's goroutines and heartbeat freshness, sends an idle
+// worker a keepalive, tears down and rebuilds the connection on failure,
+// and parks once the worker is finished, abandoned, or the run is shutting
+// down. It ticks at the heartbeat interval, capped at half the stall
+// timeout so that keepalives (up to two ticks apart) beat the worker's
+// orphan timeout of twice the stall timeout.
 func (m *Machine) superviseWorker(w *remoteWorker) {
 	r := m.remote
 	hb := r.opts.heartbeat()
-	var tickC <-chan time.Time
-	if hb > 0 {
-		t := time.NewTicker(hb)
-		defer t.Stop()
-		tickC = t.C
+	tick := m.stallTimeout() / 2
+	if hb > 0 && hb < tick {
+		tick = hb
 	}
+	ticker := time.NewTicker(tick)
+	defer ticker.Stop()
+	var seen int64
 	for {
 		w.mu.Lock()
 		conn, stopSend, sendDone, recvDone := w.conn, w.stopSend, w.sendDone, w.recvDone
@@ -266,7 +272,14 @@ func (m *Machine) superviseWorker(w *remoteWorker) {
 				failed = true
 			case <-sendDone:
 				failed = true
-			case <-tickC:
+			case <-ticker.C:
+				// Keepalive: an elided gate sends the worker nothing, and a
+				// worker that hears nothing for twice the stall timeout
+				// exits as orphaned.
+				if w.enqueued.Load() == seen {
+					w.enqueue(wireMsg{kind: remote.FHeartbeat})
+				}
+				seen = w.enqueued.Load()
 				since := time.Duration(time.Now().UnixNano() - w.lastHeard.Load())
 				switch w.sup.CheckBeat(since, hb) {
 				case remote.BeatDead:

@@ -28,12 +28,69 @@ type mgrBackend struct {
 	// gate, when non-nil, lets the backend's own processors (shard
 	// goroutines, remote workers) handle everything routed to them below
 	// allowed, and returns only once their replies are in the cores' rings.
-	// It reports whether it processed events on the manager goroutine
-	// itself. Runs inside the round's notify batch.
+	// Only the processors whose gateBook holds a request below allowed are
+	// gated and waited for. It reports whether it processed events on the
+	// manager goroutine itself. Runs inside the round's notify batch.
 	gate func(allowed int64) bool
 	// deadlockSound says the manager can see every in-flight event, so an
 	// "all queues empty, every live thread blocked" verdict is certain.
 	deadlockSound bool
+}
+
+// gateBook records, per memory processor (a shard goroutine or a remote
+// worker), the gates raised on it and the requests routed to it that no
+// gate has covered yet, so that a gate covering none of them is elided
+// (docs/engine.md, "Gating only what is pending"). Manager goroutine only.
+type gateBook struct {
+	procs          []gatedProc
+	raised, elided *metrics.Counter // engine.gates.*; nil when metrics are off
+}
+
+type gatedProc struct {
+	gate    int64   // the last gate raised: the watermark to wait for
+	seen    int64   // the highest bound considered, raised or elided
+	pending []int64 // timestamps routed and not yet below a raised gate
+}
+
+func (m *Machine) newGateBook(n int) *gateBook {
+	b := &gateBook{procs: make([]gatedProc, n)}
+	if m.met != nil {
+		b.raised, b.elided = m.met.gatesRaised, m.met.gatesElided
+	}
+	return b
+}
+
+// note records a request stamped t routed to processor p. Behind an
+// unbounded gate every request is answered on arrival, so nothing is kept.
+func (b *gateBook) note(p int, t int64) {
+	if pr := &b.procs[p]; pr.gate != math.MaxInt64 {
+		pr.pending = append(pr.pending, t)
+	}
+}
+
+// raise reports whether processor p must be gated at bound: bound is new
+// and either covers a request p holds or is the unbounded gate of an
+// optimistic scheme, which always goes once. Raising records bound as p's
+// gate and keeps only the requests at or above it.
+func (b *gateBook) raise(p int, bound int64) bool {
+	pr := &b.procs[p]
+	if bound <= pr.seen {
+		return false
+	}
+	pr.seen = bound
+	keep := pr.pending[:0]
+	for _, t := range pr.pending {
+		if t >= bound {
+			keep = append(keep, t)
+		}
+	}
+	if len(keep) == len(pr.pending) && bound != math.MaxInt64 {
+		b.elided.Inc()
+		return false
+	}
+	pr.gate, pr.pending = bound, keep
+	b.raised.Inc()
+	return true
 }
 
 // pacing is the scheme-policy state a manager carries between rounds.
@@ -462,27 +519,38 @@ func (m *Machine) mgrIdleWait(epoch int64, timeout time.Duration) (timedOut bool
 	if m.met != nil {
 		m.met.mgrParks.Inc()
 	}
-	// Reuse one timer across parks: a machine that parks thousands of times
-	// per second would otherwise allocate a fresh runtime timer each park.
-	// The timer never fires outside this function (we drain or consume the
-	// expiry before returning), so Reset is always safe.
-	if m.mgrTimer == nil {
-		m.mgrTimer = time.NewTimer(timeout)
-	} else {
-		m.mgrTimer.Reset(timeout)
-	}
+	expired := m.armMgrTimer(timeout)
 	select {
 	case <-m.mgrWake:
-		if !m.mgrTimer.Stop() {
-			// Timer fired between the wake and the Stop; drain the expiry so
-			// the next park's select cannot observe a stale tick.
-			select {
-			case <-m.mgrTimer.C:
-			default:
-			}
-		}
+		m.disarmMgrTimer()
 		return false
-	case <-m.mgrTimer.C:
+	case <-expired:
 		return true
+	}
+}
+
+// armMgrTimer starts the manager's one reusable timer — shared by the idle
+// park and the remote watermark wait, which would otherwise allocate one
+// per wait — and returns its channel. A disarm that races the expiry can
+// leave a stale tick behind (pre-1.23 timer semantics), so a tick may come
+// early: the park only times out sooner, the watermark wait re-checks its
+// deadline.
+func (m *Machine) armMgrTimer(d time.Duration) <-chan time.Time {
+	if m.mgrTimer == nil {
+		m.mgrTimer = time.NewTimer(d)
+	} else {
+		m.mgrTimer.Reset(d)
+	}
+	return m.mgrTimer.C
+}
+
+// disarmMgrTimer stops the manager's timer, draining an expiry that has
+// already landed.
+func (m *Machine) disarmMgrTimer() {
+	if !m.mgrTimer.Stop() {
+		select {
+		case <-m.mgrTimer.C:
+		default:
+		}
 	}
 }

@@ -25,10 +25,11 @@ import (
 // Determinism for conservative schemes is preserved because the state the
 // shards mutate is disjoint per line, each shard processes its events in
 // (timestamp, core, seq) order, and the pacing thread raises the windows
-// only after every shard's watermark has passed the newly allowed time —
-// so every reply is still in flight before any core is allowed to reach
-// its timestamp. A sharded run is bit-identical to the serial reference
-// built from the same cache configuration.
+// only after every shard holding a request below the newly allowed time
+// has been gated there and its watermark has passed the gate — so every
+// reply is in flight before any core is allowed to reach its timestamp. A
+// sharded run is bit-identical to the serial reference built from the same
+// cache configuration.
 
 // shardState is the per-machine sharding plumbing (nil when unsharded).
 type shardState struct {
@@ -38,6 +39,7 @@ type shardState struct {
 	out  [][]*event.Ring // shard s -> core i
 	gate []padded        // per-shard allowed-time target
 	mark []padded        // per-shard processed-through watermark
+	book *gateBook       // what each shard holds below no gate (manager only)
 }
 
 func newShardState(cfg Config) (*shardState, error) {
@@ -70,10 +72,12 @@ func (m *Machine) shardOf(addr uint64) int {
 
 // startShards spawns the shard worker goroutines and returns the sharded
 // manager backend: memory events are routed to the owning shard's ring
-// (system calls stay on the manager's own queue), and the gate raises every
-// shard's allowed time and waits for their watermarks, so each round's
-// replies are in the cores' rings before the windows move.
+// (system calls stay on the manager's own queue), and the gate raises the
+// allowed time of every shard with a request below it and waits for their
+// watermarks, so each round's replies are in the cores' rings before the
+// windows move.
 func (m *Machine) startShards(wg *sync.WaitGroup) mgrBackend {
+	m.shards.book = m.newGateBook(m.shards.n)
 	for sidx := 0; sidx < m.shards.n; sidx++ {
 		wg.Add(1)
 		go func(sidx int) {
@@ -91,26 +95,30 @@ func (m *Machine) startShards(wg *sync.WaitGroup) mgrBackend {
 }
 
 // routeToShard sends one core request to its processor: memory traffic to
-// the owning shard, system calls to the manager's own queue.
+// the owning shard (and its gate book), system calls to the manager's own
+// queue.
 func (m *Machine) routeToShard(ev event.Event) {
 	if ev.Kind == event.KSyscall {
 		m.gq.Push(ev)
 		return
 	}
-	m.shards.in[m.shardOf(ev.Addr)].MustPush(ev)
+	s := m.shardOf(ev.Addr)
+	m.shards.book.note(s, ev.Time)
+	m.shards.in[s].MustPush(ev)
 }
 
-// raiseShardGates lets every shard process through allowed and blocks
-// until all of their watermarks have passed it.
+// raiseShardGates lets every shard holding a request below allowed process
+// through it, and blocks until each shard's watermark has passed the last
+// gate raised on it.
 func (m *Machine) raiseShardGates(allowed int64) bool {
 	sh := m.shards
 	for i := range sh.gate {
-		if sh.gate[i].v.Load() < allowed {
+		if sh.book.raise(i, allowed) {
 			sh.gate[i].v.Store(allowed)
 		}
 	}
 	for i := range sh.mark {
-		for sh.mark[i].v.Load() < allowed && !m.done.Load() {
+		for sh.mark[i].v.Load() < sh.book.procs[i].gate && !m.done.Load() {
 			runtime.Gosched()
 		}
 	}

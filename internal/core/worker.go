@@ -305,10 +305,11 @@ func (w *remoteWorkerLoop) restoreFromParent() error {
 	return nil
 }
 
-// readTimeout is the worker's orphan detector: the parent gates every
-// conservative round and keeps the connection open for the whole run, so
-// total silence for well past the parent's own stall watchdog means the
-// parent is gone and the worker should exit rather than linger.
+// readTimeout is the worker's orphan detector: the parent sends a
+// heartbeat at least every stall timeout in which it has nothing else for
+// this worker and keeps the connection open for the whole run, so total
+// silence for twice that means the parent is gone and the worker should
+// exit rather than linger.
 func (w *remoteWorkerLoop) readTimeout() time.Duration {
 	t := time.Duration(w.hello.StallTimeoutMS) * time.Millisecond
 	if t <= 0 {
@@ -350,14 +351,8 @@ func (w *remoteWorkerLoop) serve() (err error) {
 				if time.Since(lastFrame) >= w.readTimeout() {
 					return fmt.Errorf("core: remote worker %d: orphaned (no frame in %v)", w.hello.WorkerID, w.readTimeout())
 				}
-				if w.heartbeat() > 0 {
-					w.metHB.Inc()
-					if err := w.conn.WriteFrame(remote.FHeartbeat, w.heartbeatPayload()); err != nil {
-						return fmt.Errorf("core: remote worker %d: heartbeat: %w", w.hello.WorkerID, err)
-					}
-					if err := w.conn.Flush(); err != nil {
-						return fmt.Errorf("core: remote worker %d: heartbeat: %w", w.hello.WorkerID, err)
-					}
+				if err := w.sendHeartbeat(); err != nil {
+					return err
 				}
 				continue
 			}
@@ -365,9 +360,16 @@ func (w *remoteWorkerLoop) serve() (err error) {
 		}
 		lastFrame = time.Now()
 		switch f.Type {
-		case remote.FHeartbeat, remote.FCheckpointAck:
-			// Parent liveness / checkpoint bookkeeping; nothing to do. (A
-			// stale ack after a resume is harmless by design.)
+		case remote.FHeartbeat:
+			// The parent's keepalive to a worker it has not gated lately:
+			// answer it, because its frames keep this worker from ever
+			// going read-idle, and the parent still needs to hear from it.
+			if err := w.sendHeartbeat(); err != nil {
+				return err
+			}
+		case remote.FCheckpointAck:
+			// Checkpoint bookkeeping; nothing to do. (A stale ack after a
+			// resume is harmless by design.)
 		case remote.FEvents:
 			w.batches++
 			w.metBat.Inc()
@@ -450,6 +452,22 @@ func (w *remoteWorkerLoop) serve() (err error) {
 			return fmt.Errorf("core: remote worker %d: unexpected %s frame", w.hello.WorkerID, remote.FrameName(f.Type))
 		}
 	}
+}
+
+// sendHeartbeat ships one FHeartbeat, unless heartbeats are off.
+func (w *remoteWorkerLoop) sendHeartbeat() error {
+	if w.heartbeat() <= 0 {
+		return nil
+	}
+	w.metHB.Inc()
+	err := w.conn.WriteFrame(remote.FHeartbeat, w.heartbeatPayload())
+	if err == nil {
+		err = w.conn.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("core: remote worker %d: heartbeat: %w", w.hello.WorkerID, err)
+	}
+	return nil
 }
 
 func (w *remoteWorkerLoop) shardByIndex(idx int) *remoteShard {

@@ -2,7 +2,9 @@ package metrics_test
 
 import (
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"slacksim/internal/asm"
 	"slacksim/internal/cache"
@@ -16,9 +18,9 @@ import (
 // This file bounds the observability subsystem's disabled-path overhead.
 // The instrumentation sites in the engine's hot loops cost, when tracing
 // and metrics are off, a handful of nil checks per simulated core-cycle.
-// TestDisabledOverheadBudget measures (a) the host cost of one simulated
-// core-cycle in a real parallel run and (b) the measured cost of a
-// disabled-path operation, and asserts that an over-generous per-cycle
+// TestDisabledOverheadBudget measures (a) the host CPU cost of one
+// simulated core-cycle in a real parallel run and (b) the measured cost of
+// a disabled-path operation, and asserts that an over-generous per-cycle
 // site budget stays under 5% of the per-cycle cost. The paired
 // BenchmarkParallelObservability{Off,On} benchmarks give the end-to-end
 // numbers recorded in bench_results.txt.
@@ -77,11 +79,15 @@ func TestDisabledOverheadBudget(t *testing.T) {
 	}
 
 	// (a) Host cost of a simulated core-cycle with instrumentation
-	// disabled. wall/ticked underestimates the true per-core-cycle cost
-	// whenever core threads overlap on the host, which only makes the
-	// computed overhead fraction an overestimate — the safe direction.
+	// disabled: the process CPU time of the run over its ticked cycles. CPU
+	// time, not wall time — the group goroutines run truly in parallel, so
+	// wall time per cycle shrinks with the host threads, and other test
+	// binaries sharing the host stretch it; the run's own CPU time is what
+	// a disabled site's nil check adds to.
 	m := buildMachine(t)
+	cpu0 := processCPU()
 	res, err := m.RunParallel(core.SchemeS9)
+	cpuNS := (processCPU() - cpu0).Nanoseconds()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,24 +95,31 @@ func TestDisabledOverheadBudget(t *testing.T) {
 	if ticked == 0 {
 		t.Fatal("no ticked cycles")
 	}
-	perCycleNS := float64(res.Wall.Nanoseconds()) / float64(ticked)
+	perCycleNS := float64(cpuNS) / float64(ticked)
 	if perCycleNS <= 0 {
 		t.Fatalf("implausible per-cycle cost %.2f ns", perCycleNS)
 	}
 
-	// (b) Cost of one disabled-path operation (nil-handle update).
-	br := testing.Benchmark(func(b *testing.B) {
-		var c *metrics.Counter
-		var h *metrics.Histogram
-		var w *trace.Writer
-		for i := 0; i < b.N; i++ {
-			c.Add(1)
-			h.Observe(int64(i))
-			w.Count(trace.KSlack, int64(i))
+	// (b) Cost of one disabled-path operation (nil-handle update): the
+	// fastest of a few benchmark runs, since a concurrent load can only
+	// slow one down.
+	nilOpNS := 0.0
+	for run := 0; run < 3; run++ {
+		br := testing.Benchmark(func(b *testing.B) {
+			var c *metrics.Counter
+			var h *metrics.Histogram
+			var w *trace.Writer
+			for i := 0; i < b.N; i++ {
+				c.Add(1)
+				h.Observe(int64(i))
+				w.Count(trace.KSlack, int64(i))
+			}
+		})
+		// Three nil-handle ops per benchmark iteration.
+		if ns := float64(br.T.Nanoseconds()) / float64(br.N) / 3; run == 0 || ns < nilOpNS {
+			nilOpNS = ns
 		}
-	})
-	// Three nil-handle ops per benchmark iteration.
-	nilOpNS := float64(br.T.Nanoseconds()) / float64(br.N) / 3
+	}
 
 	// The engine's disabled path executes at most a few nil checks per
 	// ticked cycle: coreTurn's batched inner loop carries none at all (the
@@ -123,6 +136,15 @@ func TestDisabledOverheadBudget(t *testing.T) {
 	if overhead >= 0.05 {
 		t.Errorf("disabled-instrumentation budget %.2f%% >= 5%%", overhead*100)
 	}
+}
+
+// processCPU is the user+sys CPU time this process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func benchmarkParallel(b *testing.B, attach bool) {

@@ -30,6 +30,7 @@ const magic = "SLKR"
 
 // Frame types. Parent → worker: FHello, FEvents, FGate, FFinish.
 // Worker → parent: FWelcome, FReplies, FWatermark, FError, FStats, FBye.
+// Both ways: FHeartbeat, FCheckpoint, FCheckpointAck.
 const (
 	// FHello opens the handshake: magic, version, then a JSON Hello.
 	FHello byte = 0x01
@@ -66,7 +67,11 @@ const (
 	// trace-clock sample (8-byte little-endian ns since the worker's
 	// collector was created, or empty when the worker traces nothing);
 	// the parent subtracts it from its own trace clock at receive time to
-	// estimate the offset that rebases the worker's records.
+	// estimate the offset that rebases the worker's records. The parent
+	// sends an empty one to a worker it has enqueued nothing else for since
+	// its previous heartbeat tick (gates covering no request are elided),
+	// so an idle worker's orphan timeout never fires during a live run; the
+	// worker answers it with a heartbeat of its own.
 	FHeartbeat byte = 0x0B
 	// FCheckpoint carries serialized shard state (checkpoint.go). The
 	// worker emits one every CheckpointEvery gates; the parent stores the

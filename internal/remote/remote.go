@@ -118,6 +118,7 @@ type Conn struct {
 	readBuf []byte // receiver-goroutine scratch
 	hdr     [frameHeader]byte
 	rhdr    [frameHeader]byte
+	tbuf    [8]byte // SendTime payload (sender goroutine)
 
 	// rOff is the stream offset of the next frame to read (receiver
 	// goroutine only); CorruptFrameError reports it.
@@ -273,9 +274,8 @@ func (c *Conn) DecodeEvents(payload []byte, dst []event.Event) (shard int, evs [
 
 // SendTime frames an 8-byte timestamp (gate and watermark frames).
 func (c *Conn) SendTime(typ byte, t int64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(t))
-	return c.WriteFrame(typ, b[:])
+	binary.LittleEndian.PutUint64(c.tbuf[:], uint64(t))
+	return c.WriteFrame(typ, c.tbuf[:])
 }
 
 // DecodeTime reads an 8-byte timestamp payload.
