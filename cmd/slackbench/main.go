@@ -8,16 +8,15 @@
 //	slackbench -all
 //	slackbench -figure8 -workloads fft,lu -hostcores 1,2
 //	slackbench -table3 -scale 2 -repeat 3
-//	slackbench -figure8 -listen 127.0.0.1:8344 -json new.json
-//	slackbench -compare old.json new.json -threshold 0.1
+//	slackbench -figure8 -listen 127.0.0.1:8344
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -36,7 +35,7 @@ func main() {
 		all        = flag.Bool("all", false, "run every experiment")
 		wls        = flag.String("workloads", "", "comma-separated workloads (default: the paper's four)")
 		schemes    = flag.String("schemes", "", "comma-separated schemes (default: CC,Q10,L10,S9,S9*,S100,SU)")
-		hostCores  = flag.String("hostcores", "", "comma-separated host-core counts (default: 1 plus 2,4,8 clipped to this host)")
+		hostCores  = flag.String("hostcores", "", "comma-separated host-core counts, none above the host's CPU count (default: 1 plus 2,4,8 clipped to this host)")
 		scale      = flag.Int("scale", 1, "workload input scale factor")
 		cores      = flag.Int("cores", 8, "target CMP cores")
 		driver     = flag.String("driver", "auto", "execution driver: serial, parallel, sharded, fused, or auto (fused at 1 host core, parallel otherwise)")
@@ -47,21 +46,12 @@ func main() {
 		metricsOn  = flag.Bool("metrics", false, "attach a metrics registry to every run and log per-run breakdowns")
 		traceDir   = flag.String("tracedir", "", "write a Chrome trace-event JSON per run into this directory (named <workload>_<scheme>_<driver>_h<hostcores>.json)")
 		bundleDir  = flag.String("bundle-dir", "slackbench-bundles", "write a post-mortem crash bundle under this directory when a sweep run fails (empty disables)")
-		jsonPath   = flag.String("json", "", "also write the numbers of every requested experiment to this file as JSON")
 		listen     = flag.String("listen", "", "serve live introspection (/metrics, /slack, /stallz, /debug/pprof) on this address during the sweep (implies -metrics)")
 		remoteF    = flag.Bool("remote", false, "sweep the distributed remote-shard backend by worker-process count (loopback TCP workers)")
 		remoteSh   = flag.Int("remote-shards", 2, "memory shards hosted by remote workers during -remote")
 		remoteWkrs = flag.String("remote-workers-list", "1,2", "comma-separated worker-process counts for -remote")
-
-		compare   = flag.String("compare", "", "regression-gate mode: compare this old report JSON against a new one (-compare old.json new.json) and exit 1 on regressions")
-		warnOnly  = flag.Bool("warn-only", false, "with -compare, print regressions but always exit 0")
-		threshold = flag.Float64("threshold", harness.DefaultCompareThreshold, "with -compare, relative regression threshold (fraction)")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		os.Exit(runCompare(*compare, flag.Args(), *warnOnly, *threshold))
-	}
 
 	if *all {
 		*table2, *figure8, *figure9, *table3 = true, true, true, true
@@ -117,6 +107,11 @@ func main() {
 			if err != nil || n < 1 {
 				fatal(fmt.Errorf("bad host-core count %q", s))
 			}
+			// A column above the host's CPUs would measure GOMAXPROCS
+			// oversubscription, not parallelism; bench/ refuses it too.
+			if n > runtime.NumCPU() {
+				fatal(fmt.Errorf("host-core count %d exceeds runtime.NumCPU() = %d", n, runtime.NumCPU()))
+			}
 			opts.HostCores = append(opts.HostCores, n)
 		}
 	}
@@ -144,47 +139,28 @@ func main() {
 	}()
 
 	ro := r.Options()
-	report := harness.Report{
-		TargetCores: ro.TargetCores,
-		HostCores:   ro.HostCores,
-		Scale:       ro.Scale,
-		Host:        harness.CollectHostInfo(),
-	}
-	// Record which engine produced each host-core column, so -compare can
-	// refuse to diff fused numbers against parallel ones.
-	report.Host.Drivers = r.DriverNames()
 	if *table2 {
-		rows, err := r.Table2Data()
-		if err != nil {
+		if err := r.Table2(os.Stdout); err != nil {
 			fatal(err)
 		}
-		report.Table2 = rows
-		harness.PrintTable2(os.Stdout, rows)
 		fmt.Println()
 	}
 	if *figure8 {
-		data, err := r.Figure8(os.Stdout)
-		if err != nil {
+		if _, err := r.Figure8(os.Stdout); err != nil {
 			fatal(err)
 		}
-		report.Figure8 = data
 		fmt.Println()
 	}
 	if *figure9 {
-		data, err := r.Figure9(os.Stdout)
-		if err != nil {
+		if _, err := r.Figure9(os.Stdout); err != nil {
 			fatal(err)
 		}
-		report.Figure9 = data
 		fmt.Println()
 	}
 	if *table3 {
-		rows, err := r.Table3Data()
-		if err != nil {
+		if err := r.Table3(os.Stdout); err != nil {
 			fatal(err)
 		}
-		report.Table3 = rows
-		harness.PrintTable3(os.Stdout, rows, ro.HostCores[len(ro.HostCores)-1])
 		fmt.Println()
 	}
 	if *remoteF {
@@ -196,23 +172,10 @@ func main() {
 			}
 			workerCounts = append(workerCounts, n)
 		}
-		data, err := r.RemoteSweep(os.Stdout, *remoteSh, workerCounts)
-		if err != nil {
+		if _, err := r.RemoteSweep(os.Stdout, *remoteSh, workerCounts); err != nil {
 			fatal(err)
 		}
-		report.Remote = data
 		fmt.Println()
-	}
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "slackbench: wrote %s\n", *jsonPath)
 	}
 	if *breakdown {
 		for _, wl := range ro.Workloads {
@@ -225,59 +188,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runCompare implements -compare. Go's flag package stops parsing at the
-// first positional argument, so everything after `-compare old.json` —
-// the new report path plus any trailing -warn-only/-threshold — arrives
-// in rest and is scanned by hand, merged with the values flag parsing
-// already saw.
-func runCompare(oldPath string, rest []string, warnOnly bool, threshold float64) int {
-	var newPath string
-	for i := 0; i < len(rest); i++ {
-		arg := rest[i]
-		switch {
-		case arg == "-warn-only" || arg == "--warn-only":
-			warnOnly = true
-		case arg == "-threshold" || arg == "--threshold":
-			i++
-			if i >= len(rest) {
-				fatal(fmt.Errorf("-threshold needs a value"))
-			}
-			v, err := strconv.ParseFloat(rest[i], 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad -threshold %q", rest[i]))
-			}
-			threshold = v
-		case strings.HasPrefix(arg, "-threshold=") || strings.HasPrefix(arg, "--threshold="):
-			v, err := strconv.ParseFloat(arg[strings.Index(arg, "=")+1:], 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad %s", arg))
-			}
-			threshold = v
-		case newPath == "":
-			newPath = arg
-		default:
-			fatal(fmt.Errorf("unexpected argument %q after -compare", arg))
-		}
-	}
-	if newPath == "" {
-		fatal(fmt.Errorf("-compare needs two reports: slackbench -compare old.json new.json"))
-	}
-	oldR, err := harness.LoadReport(oldPath)
-	if err != nil {
-		fatal(err)
-	}
-	newR, err := harness.LoadReport(newPath)
-	if err != nil {
-		fatal(err)
-	}
-	c := harness.CompareReports(oldR, newR, threshold)
-	c.Print(os.Stdout)
-	if c.Regressions > 0 && !warnOnly {
-		return 1
-	}
-	return 0
 }
 
 func splitList(s string) []string {

@@ -22,8 +22,9 @@
 // the observability subsystem, see docs/observability.md), cmd/slackbench
 // (the paper's tables and figures, plus -breakdown for the per-scheme
 // sync-overhead split), cmd/ssasm (assembler tool). Runnable walkthroughs
-// live in examples/. The benchmarks regenerating each table and figure are
-// in bench_test.go; run them with
+// live in examples/. The repository's benchmark — speed, CPU cost and
+// accuracy against the serial engine, with spreads — is the separate
+// module in bench/; run it with
 //
-//	go test -bench=. -benchtime=1x .
+//	bash bench/run.sh -seed 101
 package slacksim

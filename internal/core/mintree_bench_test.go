@@ -12,7 +12,7 @@ import (
 // (BenchmarkDrainFullScan) regardless of activity; the new round pays one
 // O(1) root read plus — per *active* core — an O(log N) leaf update
 // (BenchmarkMinTree) and a dirty-bit drain (BenchmarkDrainDirtySet).
-// Numbers are quoted in docs/performance.md ("Host-core scaling").
+// Numbers are quoted in docs/performance.md ("The threaded fabric").
 
 // BenchmarkMinLocalScan measures the old per-round global-time computation:
 // a scan of every core's clock/blocked/floor atomics.

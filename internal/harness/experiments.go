@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"slacksim/internal/core"
@@ -11,25 +10,24 @@ import (
 	"slacksim/internal/workloads"
 )
 
-// Table2Row is one benchmark's baseline measurement (paper Table 2).
-type Table2Row struct {
+// table2Row is one benchmark's baseline measurement (paper Table 2).
+type table2Row struct {
 	Benchmark string
 	InputSet  string
 	KIPS      float64
 	ROIInstrs int64
 	ROICycles int64
-	// HostAllocs/AllocsPerK record the run's host heap allocations
-	// (runtime.MemStats delta) — the zero-allocation hot loop's
-	// regression indicator alongside KIPS.
-	HostAllocs uint64  `json:",omitempty"`
-	AllocsPerK float64 `json:",omitempty"`
+	// AllocsPerK is the run's host heap allocations (runtime.MemStats
+	// delta) per kinstr — the zero-allocation hot loop's regression
+	// indicator alongside KIPS.
+	AllocsPerK float64
 }
 
-// Table2Data measures the paper's Table 2: each benchmark's input set and
+// table2Data measures the paper's Table 2: each benchmark's input set and
 // the instruction throughput (KIPS) of the cycle-by-cycle simulation with
 // all simulation threads on one host core.
-func (r *Runner) Table2Data() ([]Table2Row, error) {
-	var rows []Table2Row
+func (r *Runner) table2Data() ([]table2Row, error) {
+	var rows []table2Row
 	for _, name := range r.opts.Workloads {
 		w, err := workloads.Get(name)
 		if err != nil {
@@ -40,21 +38,20 @@ func (r *Runner) Table2Data() ([]Table2Row, error) {
 			return nil, err
 		}
 		res := run.Result
-		rows = append(rows, Table2Row{
+		rows = append(rows, table2Row{
 			Benchmark:  name,
 			InputSet:   w.InputDesc(r.opts.Scale),
 			KIPS:       res.KIPS(),
 			ROIInstrs:  res.Committed,
 			ROICycles:  res.ROICycles(),
-			HostAllocs: res.HostAllocs,
 			AllocsPerK: res.AllocsPerKInstr(),
 		})
 	}
 	return rows, nil
 }
 
-// PrintTable2 renders Table2Data rows as text.
-func PrintTable2(out io.Writer, rows []Table2Row) {
+// printTable2 renders table2Data rows as text.
+func printTable2(out io.Writer, rows []table2Row) {
 	fmt.Fprintln(out, "Table 2: Benchmarks (baseline = cycle-by-cycle on 1 host core)")
 	var t stats.Table
 	t.AddRow("Benchmark", "Input Set", "KIPS", "ROI instrs", "ROI cycles", "allocs/kinstr")
@@ -67,11 +64,11 @@ func PrintTable2(out io.Writer, rows []Table2Row) {
 
 // Table2 measures and renders Table 2.
 func (r *Runner) Table2(out io.Writer) error {
-	rows, err := r.Table2Data()
+	rows, err := r.table2Data()
 	if err != nil {
 		return err
 	}
-	PrintTable2(out, rows)
+	printTable2(out, rows)
 	return nil
 }
 
@@ -321,10 +318,10 @@ func (d *Figure9Data) printPanel(out io.Writer, format string, get func(scheme s
 	fmt.Fprint(out, t.String())
 }
 
-// Table3Row is one benchmark's slack-error measurements (paper Table 3):
+// table3Row is one benchmark's slack-error measurements (paper Table 3):
 // the relative execution-time error of each optimistic scheme versus the
 // deterministic serial reference, as a fraction (0.01 = 1%).
-type Table3Row struct {
+type table3Row struct {
 	Benchmark string
 	Err       map[string]float64
 }
@@ -332,18 +329,18 @@ type Table3Row struct {
 // table3Schemes are the optimistic schemes Table 3 compares.
 var table3Schemes = []core.Scheme{core.SchemeS9, core.SchemeS100, core.SchemeSU}
 
-// Table3Data measures the paper's Table 3: relative error in the simulated
+// table3Data measures the paper's Table 3: relative error in the simulated
 // execution time of the optimistic schemes (S9, S100, SU) at the largest
 // host-core count, versus the deterministic cycle-by-cycle reference.
-func (r *Runner) Table3Data() ([]Table3Row, error) {
+func (r *Runner) table3Data() ([]table3Row, error) {
 	hc := r.opts.HostCores[len(r.opts.HostCores)-1]
-	var rows []Table3Row
+	var rows []table3Row
 	for _, name := range r.opts.Workloads {
 		ref, err := r.SerialReference(name)
 		if err != nil {
 			return nil, err
 		}
-		row := Table3Row{Benchmark: name, Err: make(map[string]float64)}
+		row := table3Row{Benchmark: name, Err: make(map[string]float64)}
 		for _, s := range table3Schemes {
 			run, err := r.RunOne(name, s, hc)
 			if err != nil {
@@ -356,9 +353,9 @@ func (r *Runner) Table3Data() ([]Table3Row, error) {
 	return rows, nil
 }
 
-// PrintTable3 renders Table3Data rows as text. hostCores is the host-core
+// printTable3 renders table3Data rows as text. hostCores is the host-core
 // count the rows were measured at.
-func PrintTable3(out io.Writer, rows []Table3Row, hostCores int) {
+func printTable3(out io.Writer, rows []table3Row, hostCores int) {
 	fmt.Fprintf(out, "Table 3: relative error in execution time due to slack (%d host cores)\n", hostCores)
 	var t stats.Table
 	t.AddRow("Benchmark", "S9", "S100", "SU")
@@ -374,50 +371,10 @@ func PrintTable3(out io.Writer, rows []Table3Row, hostCores int) {
 
 // Table3 measures and renders Table 3.
 func (r *Runner) Table3(out io.Writer) error {
-	rows, err := r.Table3Data()
+	rows, err := r.table3Data()
 	if err != nil {
 		return err
 	}
-	PrintTable3(out, rows, r.opts.HostCores[len(r.opts.HostCores)-1])
+	printTable3(out, rows, r.opts.HostCores[len(r.opts.HostCores)-1])
 	return nil
-}
-
-// HostInfo records the machine a report was measured on: scaling numbers
-// are meaningless without knowing how many CPUs the host really had (a
-// HostCores sweep past NumCPU is GOMAXPROCS oversubscription, not
-// parallelism).
-type HostInfo struct {
-	NumCPU     int
-	GOMAXPROCS int
-	GOOS       string
-	GOARCH     string
-	// Drivers records which execution engine produced each host-core
-	// column (0 = serial reference). A fused 1-host-core column and a
-	// parallel one are different experiments; CompareReports refuses to
-	// diff columns whose drivers disagree (see Runner.DriverNames).
-	Drivers map[int]string `json:",omitempty"`
-}
-
-// CollectHostInfo snapshots the current host for a report header.
-func CollectHostInfo() HostInfo {
-	return HostInfo{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-	}
-}
-
-// Report aggregates the evaluation's numbers for machine consumption
-// (slackbench -json). Sections not requested on the command line are nil.
-type Report struct {
-	TargetCores int
-	HostCores   []int
-	Scale       int
-	Host        HostInfo
-	Table2      []Table2Row  `json:",omitempty"`
-	Figure8     *Figure8Data `json:",omitempty"`
-	Figure9     *Figure9Data `json:",omitempty"`
-	Table3      []Table3Row  `json:",omitempty"`
-	Remote      *RemoteData  `json:",omitempty"`
 }

@@ -142,18 +142,6 @@ func (o *Options) DriverFor(hostCores int) string {
 	}
 }
 
-// DriverNames maps every swept host-core count (plus the serial reference
-// at 0) to the driver that produces its column — the Report.Host metadata
-// that keeps `slackbench -compare` from silently diffing fused numbers
-// against parallel ones.
-func (r *Runner) DriverNames() map[int]string {
-	out := map[int]string{0: "serial"}
-	for _, hc := range r.opts.HostCores {
-		out[hc] = r.opts.DriverFor(hc)
-	}
-	return out
-}
-
 // Run is one simulation outcome.
 type Run struct {
 	Workload  string

@@ -66,9 +66,6 @@ func TestDriverSelection(t *testing.T) {
 	if run.Driver != "fused" {
 		t.Errorf("Run.Driver = %q, want fused", run.Driver)
 	}
-	if names := r.DriverNames(); names[1] != "fused" || names[0] != "serial" {
-		t.Errorf("DriverNames() = %v", names)
-	}
 }
 
 func TestFigure8Tiny(t *testing.T) {

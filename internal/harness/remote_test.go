@@ -43,27 +43,3 @@ func TestRemoteSweepSmall(t *testing.T) {
 		t.Errorf("sweep output missing sections:\n%s", out.String())
 	}
 }
-
-func TestCompareRemoteSection(t *testing.T) {
-	mk := func(kips float64) *Report {
-		return &Report{Remote: &RemoteData{
-			Workloads: []string{"fft"},
-			Workers:   []int{1},
-			KIPS:      map[string]map[string]map[int]float64{"fft": {"CC": {1: kips}}},
-			HMeanKIPS: map[string]map[int]float64{"CC": {1: kips}},
-		}}
-	}
-	c := CompareReports(mk(100), mk(50), 0.10)
-	if c.Regressions == 0 {
-		t.Error("halved remote KIPS not flagged")
-	}
-	c = CompareReports(mk(100), mk(99), 0.10)
-	if c.Regressions != 0 {
-		t.Errorf("noise flagged: %+v", c.Cells)
-	}
-	// Present in only one report: skipped, not failed.
-	c = CompareReports(mk(100), &Report{}, 0.10)
-	if c.Regressions != 0 || len(c.Skipped) == 0 {
-		t.Errorf("one-sided remote section not skipped: %+v", c)
-	}
-}

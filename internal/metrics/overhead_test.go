@@ -23,7 +23,7 @@ import (
 // a disabled-path operation, and asserts that an over-generous per-cycle
 // site budget stays under 5% of the per-cycle cost. The paired
 // BenchmarkParallelObservability{Off,On} benchmarks give the end-to-end
-// numbers recorded in bench_results.txt.
+// numbers; bench/'s observe.overhead_pct is the same cost per workload.
 
 var (
 	overheadOnce sync.Once
@@ -167,8 +167,8 @@ func benchmarkParallel(b *testing.B, attach bool) {
 }
 
 // BenchmarkParallelObservabilityOff is the engine with the subsystem
-// compiled in but disabled — compare against the seed's BenchmarkParallel
-// numbers (bench_results.txt) for the cross-version check.
+// compiled in but disabled; run it against a build of the other revision
+// for a cross-version check.
 func BenchmarkParallelObservabilityOff(b *testing.B) { benchmarkParallel(b, false) }
 
 // BenchmarkParallelObservabilityOn measures the enabled-path cost.
