@@ -28,36 +28,33 @@ import (
 
 func main() {
 	var (
-		table2     = flag.Bool("table2", false, "reproduce Table 2 (benchmarks + baseline KIPS)")
-		figure8    = flag.Bool("figure8", false, "reproduce Figure 8 (speedup sweep + harmonic means + derived claims)")
-		figure9    = flag.Bool("figure9", false, "reproduce Figures 9-10 (KIPS and scale-up by host-core count)")
-		table3     = flag.Bool("table3", false, "reproduce Table 3 (relative execution-time errors)")
-		all        = flag.Bool("all", false, "run every experiment")
-		wls        = flag.String("workloads", "", "comma-separated workloads (default: the paper's four)")
-		schemes    = flag.String("schemes", "", "comma-separated schemes (default: CC,Q10,L10,S9,S9*,S100,SU)")
-		hostCores  = flag.String("hostcores", "", "comma-separated host-core counts, none above the host's CPU count (default: 1 plus 2,4,8 clipped to this host)")
-		scale      = flag.Int("scale", 1, "workload input scale factor")
-		cores      = flag.Int("cores", 8, "target CMP cores")
-		driver     = flag.String("driver", "auto", "execution driver: serial, parallel, sharded, fused, or auto (fused at 1 host core, parallel otherwise)")
-		repeat     = flag.Int("repeat", 1, "repetitions per configuration (best wall time kept)")
-		verify     = flag.Bool("verify", true, "verify workload results after every run")
-		progress   = flag.Bool("progress", true, "log each run as it completes")
-		breakdown  = flag.Bool("breakdown", false, "print the per-scheme sync-overhead breakdown (simulate/wait/manager)")
-		metricsOn  = flag.Bool("metrics", false, "attach a metrics registry to every run and log per-run breakdowns")
-		traceDir   = flag.String("tracedir", "", "write a Chrome trace-event JSON per run into this directory (named <workload>_<scheme>_<driver>_h<hostcores>.json)")
-		bundleDir  = flag.String("bundle-dir", "slackbench-bundles", "write a post-mortem crash bundle under this directory when a sweep run fails (empty disables)")
-		listen     = flag.String("listen", "", "serve live introspection (/metrics, /slack, /stallz, /debug/pprof) on this address during the sweep (implies -metrics)")
-		remoteF    = flag.Bool("remote", false, "sweep the distributed remote-shard backend by worker-process count (loopback TCP workers)")
-		remoteSh   = flag.Int("remote-shards", 2, "memory shards hosted by remote workers during -remote")
-		remoteWkrs = flag.String("remote-workers-list", "1,2", "comma-separated worker-process counts for -remote")
+		table2    = flag.Bool("table2", false, "reproduce Table 2 (benchmarks + baseline KIPS)")
+		figure8   = flag.Bool("figure8", false, "reproduce Figure 8 (speedup sweep + harmonic means + derived claims)")
+		figure9   = flag.Bool("figure9", false, "reproduce Figures 9-10 (KIPS and scale-up by host-core count)")
+		table3    = flag.Bool("table3", false, "reproduce Table 3 (relative execution-time errors)")
+		all       = flag.Bool("all", false, "run every experiment")
+		wls       = flag.String("workloads", "", "comma-separated workloads (default: the paper's four)")
+		schemes   = flag.String("schemes", "", "comma-separated schemes (default: CC,Q10,L10,S9,S9*,S100,SU)")
+		hostCores = flag.String("hostcores", "", "comma-separated host-core counts, none above the host's CPU count (default: 1 plus 2,4,8 clipped to this host)")
+		scale     = flag.Int("scale", 1, "workload input scale factor")
+		cores     = flag.Int("cores", 8, "target CMP cores")
+		driver    = flag.String("driver", "auto", "execution driver: serial, parallel, sharded, fused, or auto (fused at 1 host core, parallel otherwise)")
+		repeat    = flag.Int("repeat", 1, "repetitions per configuration (best wall time kept)")
+		verify    = flag.Bool("verify", true, "verify workload results after every run")
+		progress  = flag.Bool("progress", true, "log each run as it completes")
+		breakdown = flag.Bool("breakdown", false, "print the per-scheme sync-overhead breakdown (simulate/wait/manager)")
+		metricsOn = flag.Bool("metrics", false, "attach a metrics registry to every run and log per-run breakdowns")
+		traceDir  = flag.String("tracedir", "", "write a Chrome trace-event JSON per run into this directory (named <workload>_<scheme>_<driver>_h<hostcores>.json)")
+		bundleDir = flag.String("bundle-dir", "slackbench-bundles", "write a post-mortem crash bundle under this directory when a sweep run fails (empty disables)")
+		listen    = flag.String("listen", "", "serve live introspection (/metrics, /slack, /stallz, /debug/pprof) on this address during the sweep (implies -metrics)")
 	)
 	flag.Parse()
 
 	if *all {
 		*table2, *figure8, *figure9, *table3 = true, true, true, true
 	}
-	if !*table2 && !*figure8 && !*figure9 && !*table3 && !*breakdown && !*remoteF {
-		fmt.Fprintln(os.Stderr, "slackbench: nothing to do; pass -table2, -figure8, -figure9, -table3, -remote, -breakdown, or -all")
+	if !*table2 && !*figure8 && !*figure9 && !*table3 && !*breakdown {
+		fmt.Fprintln(os.Stderr, "slackbench: nothing to do; pass -table2, -figure8, -figure9, -table3, -breakdown, or -all")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -85,12 +82,6 @@ func main() {
 	}
 	if *wls != "" {
 		opts.Workloads = splitList(*wls)
-	} else if *remoteF && !*table2 && !*figure8 && !*figure9 && !*table3 && !*breakdown {
-		// A remote-only sweep defaults to a small workload: conservative
-		// gating pays a wire round trip per window advance, so the full
-		// paper set would take hours where one small kernel suffices to
-		// characterize the backend.
-		opts.Workloads = []string{"ocean"}
 	}
 	if *schemes != "" {
 		for _, s := range splitList(*schemes) {
@@ -159,20 +150,6 @@ func main() {
 	}
 	if *table3 {
 		if err := r.Table3(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-	}
-	if *remoteF {
-		var workerCounts []int
-		for _, s := range splitList(*remoteWkrs) {
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				fatal(fmt.Errorf("bad -remote-workers-list entry %q", s))
-			}
-			workerCounts = append(workerCounts, n)
-		}
-		if _, err := r.RemoteSweep(os.Stdout, *remoteSh, workerCounts); err != nil {
 			fatal(err)
 		}
 		fmt.Println()

@@ -69,19 +69,12 @@ func run(args []string, out, errw io.Writer) error {
 		bundleDir = fs.String("bundle-dir", "", "write a post-mortem crash bundle (trace, metrics, stall report, recovery state, MANIFEST) under this directory when the run fails")
 
 		remoteWorkers = fs.String("remote-workers", "", "comma-separated worker addresses (slackworker -listen) to host the memory shards over TCP")
-		remoteSpawn   = fs.Int("remote-spawn", 0, "spawn this many worker child processes (this binary, -worker-stdio) to host the memory shards")
+		remoteSpawn   = fs.Int("remote-spawn", 0, "serve this many in-process workers behind a loopback TCP listener to host the memory shards")
 		remoteShards  = fs.Int("remote-shards", 0, "memory-hierarchy shards for the remote backend (default: one per worker)")
 		remoteRetry   = fs.Int("remote-retry", 0, "redial attempts per worker failure before its shards migrate in-process (0 = 3, negative = no retries)")
-		remoteHB      = fs.Duration("remote-heartbeat", 0, "worker heartbeat interval for failure detection (0 = 1s, negative = disabled)")
-		remoteCkpt    = fs.Int("remote-checkpoint", 0, "worker checkpoint cadence in gates, bounding the recovery replay (0 = 64, negative = disabled)")
-		workerStdio   = fs.Bool("worker-stdio", false, "run as a remote shard worker over stdin/stdout (internal: used by -remote-spawn)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *workerStdio {
-		return runWorkerStdio(errw)
 	}
 
 	if *list {
@@ -212,7 +205,7 @@ func run(args []string, out, errw io.Writer) error {
 
 	// Graceful shutdown: SIGINT/SIGTERM interrupt the run instead of
 	// killing the process, so traces still flush, the introspection
-	// server still closes, and spawned workers are still reaped.
+	// server still closes, and spawned worker sessions still drain.
 	var interrupted atomic.Bool
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -239,18 +232,15 @@ func run(args []string, out, errw io.Writer) error {
 		if len(workerAddrs) > 0 {
 			fleet, terr = dialWorkers(workerAddrs)
 		} else {
-			fleet, terr = spawnWorkers(*remoteSpawn, errw)
+			fleet, terr = spawnWorkers(*remoteSpawn)
 		}
 		if terr != nil {
 			return terr
 		}
 		opts := &core.RemoteOptions{
-			Transports:      fleet.transports,
-			Redial:          fleet.redial,
-			Kill:            fleet.kill,
-			RetryBudget:     *remoteRetry,
-			Heartbeat:       *remoteHB,
-			CheckpointEvery: *remoteCkpt,
+			Transports:  fleet.transports,
+			Redial:      fleet.redial,
+			RetryBudget: *remoteRetry,
 		}
 		prev := runtime.GOMAXPROCS(*host)
 		res, err = m.RunRemoteShardedOpts(scheme, opts)

@@ -2,14 +2,8 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"net"
-	"os"
-	"os/exec"
-	"os/signal"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"slacksim/internal/core"
@@ -17,77 +11,15 @@ import (
 )
 
 // This file is slacksim's half of the distributed backend: turning
-// -remote-workers / -remote-spawn into the []remote.Transport that
-// core.RunRemoteSharded drives, and serving the child side of
-// -remote-spawn via -worker-stdio.
-
-// runWorkerStdio is the child side of -remote-spawn: serve one worker
-// session over stdin/stdout, then exit. SIGINT/SIGTERM close the
-// transport, which unblocks the session read and ends the process
-// cleanly (exit 0) instead of leaving an orphan; the parent sees the
-// closed stream as a contained worker-death SimError, not a hang.
-func runWorkerStdio(errw io.Writer) error {
-	// os.Stdin/os.Stdout are opened blocking, which keeps them off the
-	// runtime poller and makes SetDeadline fail with ErrNoDeadline.
-	// Pipes re-registered nonblocking are fully pollable, so deadlines —
-	// and with them the orphan-detection guarantees — work.
-	for _, fd := range []int{0, 1} {
-		if err := syscall.SetNonblock(fd, true); err != nil {
-			return fmt.Errorf("worker stdio fd %d: %w", fd, err)
-		}
-	}
-	t := stdioTransport{r: os.NewFile(0, "stdin"), w: os.NewFile(1, "stdout")}
-	var stopped atomic.Bool
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer func() {
-		signal.Stop(sigc)
-		close(sigc)
-	}()
-	go func() {
-		if _, ok := <-sigc; ok {
-			stopped.Store(true)
-			fmt.Fprintln(errw, "slacksim worker: signal — closing session")
-			t.Close()
-		}
-	}()
-	err := core.ServeRemoteShards(t)
-	if err != nil && stopped.Load() {
-		return nil
-	}
-	return err
-}
-
-// stdioTransport adapts a (read, write) file pair — a spawned worker's
-// stdin/stdout pipes — to the remote.Transport contract. Linux pipes are
-// pollable, so *os.File deadlines work and every liveness guarantee the
-// TCP path gives (bounded reads, contained timeouts) holds across the
-// process boundary too.
-type stdioTransport struct {
-	r, w *os.File
-}
-
-func (t stdioTransport) Read(p []byte) (int, error)         { return t.r.Read(p) }
-func (t stdioTransport) Write(p []byte) (int, error)        { return t.w.Write(p) }
-func (t stdioTransport) SetReadDeadline(d time.Time) error  { return t.r.SetReadDeadline(d) }
-func (t stdioTransport) SetWriteDeadline(d time.Time) error { return t.w.SetWriteDeadline(d) }
-
-func (t stdioTransport) Close() error {
-	err := t.w.Close()
-	if e := t.r.Close(); err == nil {
-		err = e
-	}
-	return err
-}
+// -remote-workers / -remote-spawn into the worker connections and redial
+// hook core.RunRemoteShardedOpts drives.
 
 // workerFleet is the CLI's view of its worker endpoints: the initial
-// transports plus the recovery hooks core.RemoteOptions wants — redial
-// (resume a session after a connection failure) and, where the fleet
-// owns the processes, kill (the WorkerKill chaos hook).
+// transports plus the redial hook core.RemoteOptions wants to resume a
+// session after a connection failure.
 type workerFleet struct {
 	transports []remote.Transport
 	redial     func(worker int) (remote.Transport, error)
-	kill       func(worker int) error
 	cleanup    func()
 }
 
@@ -131,85 +63,37 @@ func dialWorkers(addrs []string) (*workerFleet, error) {
 	return f, nil
 }
 
-// spawnWorkers launches n copies of this binary in -worker-stdio mode,
-// each wired up over two OS pipes (parent→stdin, stdout→parent). Redial
-// respawns a fresh child for the failed worker slot; kill SIGKILLs the
-// current child (the chaos hook). The cleanup closes every pipe ever
-// opened and reaps every child ever spawned. Workers exit 0 when the
-// parent's FFinish lands, so a clean run leaves no stray processes.
-func spawnWorkers(n int, errw io.Writer) (*workerFleet, error) {
-	exe, err := os.Executable()
+// spawnWorkers serves n in-process worker sessions behind one loopback
+// TCP listener and dials them as -remote-workers would, so every wire cost
+// is real and Redial resumes a session through the same listener. The
+// cleanup hangs up, closes the listener and waits for the sessions to end.
+func spawnWorkers(n int) (*workerFleet, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("locating own binary for -remote-spawn: %w", err)
+		return nil, fmt.Errorf("-remote-spawn listener: %w", err)
 	}
-	var mu sync.Mutex
-	var ts []remote.Transport
-	var cmds []*exec.Cmd
-	cur := make(map[int]*exec.Cmd)
-	f := &workerFleet{}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = core.ServeRemoteListener(ln, nil) // its error is only that ln closed
+	}()
+	stop := func() {
+		ln.Close()
+		<-served
+	}
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = ln.Addr().String()
+	}
+	f, err := dialWorkers(addrs)
+	if err != nil {
+		stop()
+		return nil, err
+	}
+	hangUp := f.cleanup
 	f.cleanup = func() {
-		mu.Lock()
-		allT := append([]remote.Transport(nil), ts...)
-		allC := append([]*exec.Cmd(nil), cmds...)
-		mu.Unlock()
-		for _, t := range allT {
-			t.Close()
-		}
-		for _, c := range allC {
-			c.Wait()
-		}
-	}
-	spawn := func(worker int) (remote.Transport, error) {
-		childIn, parentOut, err := os.Pipe()
-		if err != nil {
-			return nil, err
-		}
-		parentIn, childOut, err := os.Pipe()
-		if err != nil {
-			childIn.Close()
-			parentOut.Close()
-			return nil, err
-		}
-		cmd := exec.Command(exe, "-worker-stdio")
-		cmd.Stdin = childIn
-		cmd.Stdout = childOut
-		cmd.Stderr = errw
-		if err := cmd.Start(); err != nil {
-			childIn.Close()
-			childOut.Close()
-			parentIn.Close()
-			parentOut.Close()
-			return nil, fmt.Errorf("spawning worker %d: %w", worker, err)
-		}
-		// The child owns its ends now; keeping them open in the parent
-		// would defeat EOF detection when the child dies.
-		childIn.Close()
-		childOut.Close()
-		t := stdioTransport{r: parentIn, w: parentOut}
-		mu.Lock()
-		ts = append(ts, t)
-		cmds = append(cmds, cmd)
-		cur[worker] = cmd
-		mu.Unlock()
-		return t, nil
-	}
-	f.redial = spawn
-	f.kill = func(worker int) error {
-		mu.Lock()
-		cmd := cur[worker]
-		mu.Unlock()
-		if cmd == nil || cmd.Process == nil {
-			return fmt.Errorf("no live child for worker %d", worker)
-		}
-		return cmd.Process.Kill()
-	}
-	for i := 0; i < n; i++ {
-		t, err := spawn(i)
-		if err != nil {
-			f.cleanup()
-			return nil, err
-		}
-		f.transports = append(f.transports, t)
+		hangUp()
+		stop()
 	}
 	return f, nil
 }

@@ -10,60 +10,66 @@ import (
 	"slacksim/internal/core"
 )
 
-// startWorkerListener serves core.ServeRemoteShards on every accepted
-// connection until the test ends — an in-process stand-in for a
-// slackworker process, since the CLI's -remote-spawn path cannot be
-// exercised from a test binary (os.Executable is the test runner).
+// startWorkerListener serves worker sessions on a loopback listener until
+// the test ends — an in-process stand-in for a slackworker process.
 func startWorkerListener(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
+	served := make(chan struct{})
 	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go core.ServeRemoteShards(c.(*net.TCPConn))
-		}
+		defer close(served)
+		core.ServeRemoteListener(ln, nil)
 	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
 	return ln.Addr().String()
 }
 
 var simulatedLine = regexp.MustCompile(`simulated: \d+ cycles total`)
 
-// TestRunRemoteWorkers drives the full CLI against two TCP workers and
-// checks the simulated end time matches the in-process sharded engine.
-// (Committed counts a handful of host-timing-dependent post-exit commits,
-// so only the cycle count is compared — same standard as the core tests.)
+// TestRunRemoteWorkers drives the full CLI against two TCP workers, once
+// as -remote-workers addresses and once as -remote-spawn's in-process
+// loopback fleet, and checks the simulated end time matches the in-process
+// sharded engine. (Committed counts a handful of host-timing-dependent
+// post-exit commits, so only the cycle count is compared — same standard
+// as the core tests.)
 func TestRunRemoteWorkers(t *testing.T) {
-	addr := startWorkerListener(t)
-	var remoteOut, errw bytes.Buffer
-	args := []string{
-		"-workload", "fft", "-scheme", "CC", "-cores", "2", "-host", "2",
-		"-metrics", "-remote-workers", addr + "," + addr,
-	}
-	if err := run(args, &remoteOut, &errw); err != nil {
-		t.Fatalf("remote run: %v\nstdout:\n%s\nstderr:\n%s", err, remoteOut.String(), errw.String())
-	}
-	var localOut bytes.Buffer
-	args = []string{"-workload", "fft", "-scheme", "CC", "-cores", "2", "-host", "2", "-shards", "2"}
-	if err := run(args, &localOut, &errw); err != nil {
+	base := []string{"-workload", "fft", "-scheme", "CC", "-cores", "2", "-host", "2"}
+	var localOut, errw bytes.Buffer
+	if err := run(append(base, "-shards", "2"), &localOut, &errw); err != nil {
 		t.Fatalf("local run: %v", err)
 	}
-
-	rSim := simulatedLine.FindString(remoteOut.String())
 	lSim := simulatedLine.FindString(localOut.String())
-	if rSim == "" || rSim != lSim {
-		t.Errorf("remote end time diverges from in-process: %q vs %q", rSim, lSim)
-	}
-	for _, want := range []string{"verification: PASS", "wire: parent sent"} {
-		if !strings.Contains(remoteOut.String(), want) {
-			t.Errorf("remote stdout missing %q:\n%s", want, remoteOut.String())
-		}
+
+	addr := startWorkerListener(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"remote-workers", []string{"-remote-workers", addr + "," + addr}},
+		{"remote-spawn", []string{"-remote-spawn", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var remoteOut, errw bytes.Buffer
+			args := append(append(append([]string(nil), base...), "-metrics"), tc.args...)
+			if err := run(args, &remoteOut, &errw); err != nil {
+				t.Fatalf("remote run: %v\nstdout:\n%s\nstderr:\n%s", err, remoteOut.String(), errw.String())
+			}
+			rSim := simulatedLine.FindString(remoteOut.String())
+			if rSim == "" || rSim != lSim {
+				t.Errorf("remote end time diverges from in-process: %q vs %q", rSim, lSim)
+			}
+			for _, want := range []string{"verification: PASS", "wire: parent sent"} {
+				if !strings.Contains(remoteOut.String(), want) {
+					t.Errorf("remote stdout missing %q:\n%s", want, remoteOut.String())
+				}
+			}
+		})
 	}
 }
 

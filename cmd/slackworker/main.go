@@ -26,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"slacksim/internal/core"
 )
@@ -42,15 +41,8 @@ func run(args []string, errw io.Writer) error {
 	fs := flag.NewFlagSet("slackworker", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	listen := fs.String("listen", "127.0.0.1:0", "address to accept slacksim parent connections on")
-	heartbeat := fs.Duration("heartbeat", 0, "idle heartbeat interval when the parent's handshake doesn't set one (0 = 1s)")
-	sessionDir := fs.String("session-dir", "", "persist each session's latest checkpoint under this directory (crash forensics)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *sessionDir != "" {
-		if err := os.MkdirAll(*sessionDir, 0o755); err != nil {
-			return err
-		}
 	}
 	ln, err := listenReuse(*listen)
 	if err != nil {
@@ -73,8 +65,7 @@ func run(args []string, errw io.Writer) error {
 		}
 	}()
 
-	opts := core.WorkerOptions{Heartbeat: *heartbeat, SessionDir: *sessionDir}
-	err = serve(ln, errw, opts)
+	err = serve(ln, errw)
 	if stopping.Load() {
 		return nil
 	}
@@ -100,35 +91,12 @@ func listenReuse(addr string) (net.Listener, error) {
 	return lc.Listen(context.Background(), "tcp", addr)
 }
 
-// serve accepts sessions until the listener closes, then waits for every
-// in-flight session to finish — a drain, not an abandonment, so a worker
-// asked to stop mid-run still answers its parent's final frames.
-func serve(ln net.Listener, errw io.Writer, opts core.WorkerOptions) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
+// serve runs the accept loop, logging each session to errw.
+func serve(ln net.Listener, errw io.Writer) error {
 	var mu sync.Mutex
-	logf := func(format string, args ...any) {
+	return core.ServeRemoteListener(ln, func(format string, args ...any) {
 		mu.Lock()
 		fmt.Fprintf(errw, "slackworker: "+format+"\n", args...)
 		mu.Unlock()
-	}
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func(c *net.TCPConn) {
-			defer wg.Done()
-			addr := c.RemoteAddr()
-			start := time.Now()
-			so := opts
-			so.Logf = logf
-			if err := core.ServeRemoteShardsOpts(c, &so); err != nil {
-				logf("session %s: %v", addr, err)
-			} else {
-				logf("session %s: done (%v)", addr, time.Since(start).Round(time.Millisecond))
-			}
-		}(c.(*net.TCPConn))
-	}
+	})
 }

@@ -23,7 +23,7 @@ func TestServeSession(t *testing.T) {
 	}
 	var errw bytes.Buffer
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- serve(ln, &errw, core.WorkerOptions{}) }()
+	go func() { serveDone <- serve(ln, &errw) }()
 
 	wl, err := workloads.Get("fft")
 	if err != nil {

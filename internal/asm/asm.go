@@ -89,16 +89,6 @@ func Assemble(src string, opts Options) (*Program, error) {
 	return p, nil
 }
 
-// MustAssemble is Assemble but panics on error; for tests and built-in
-// workload sources which are compile-time constants.
-func MustAssemble(src string, opts Options) *Program {
-	p, err := Assemble(src, opts)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type assembler struct {
 	opts     Options
 	textSize uint64

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 
 	"slacksim/internal/asm"
@@ -92,9 +94,13 @@ func TestDriverAllocsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, werr := range join() {
-			if werr != nil {
-				t.Errorf("worker exit: %v", werr)
+		log := join()
+		if len(log) != 2 {
+			t.Errorf("worker log = %q, want one line per session", log)
+		}
+		for _, line := range log {
+			if !strings.Contains(line, ": done (") {
+				t.Errorf("worker exit: %s", line)
 			}
 		}
 		const budget = 4500
@@ -106,35 +112,35 @@ func TestDriverAllocsBounded(t *testing.T) {
 	})
 }
 
-// loopbackWorkers serves nw worker sessions behind a loopback TCP listener
-// and returns the parent's connections plus a join that collects each
-// session's exit error.
-func loopbackWorkers(t *testing.T, nw int) ([]remote.Transport, func() []error) {
+// loopbackWorkers serves worker sessions behind a loopback TCP listener
+// and returns nw parent connections to it plus a join that closes the
+// listener, waits for every session and returns the sessions' log lines.
+func loopbackWorkers(t *testing.T, nw int) ([]remote.Transport, func() []string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	errs := make(chan error, nw)
+	var mu sync.Mutex
+	var log []string
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		ServeRemoteListener(ln, func(format string, args ...any) {
+			mu.Lock()
+			log = append(log, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		})
+	}()
 	transports := make([]remote.Transport, nw)
 	for i := range transports {
-		c, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
+		if transports[i], err = net.Dial("tcp", ln.Addr().String()); err != nil {
 			t.Fatal(err)
 		}
-		s, err := ln.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		transports[i] = c
-		go func() { errs <- ServeRemoteShards(s) }()
 	}
-	return transports, func() []error {
-		out := make([]error, nw)
-		for i := range out {
-			out[i] = <-errs
-		}
-		return out
+	return transports, func() []string {
+		ln.Close()
+		<-served
+		return log
 	}
 }

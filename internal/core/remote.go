@@ -61,13 +61,15 @@ type RemoteOptions struct {
 	// (shards are distributed round-robin over them).
 	Transports []remote.Transport
 	// Redial, when set, reconnects to worker i after a connection
-	// failure (dial mode re-dials the address; spawn mode respawns the
-	// process). Nil disables recovery: the first failure abandons the
+	// failure (slacksim re-dials the worker's address, which a restarted
+	// slackworker or the -remote-spawn listener answers with a new
+	// session). Nil disables recovery: the first failure abandons the
 	// worker and migrates its shards in-process.
 	Redial func(worker int) (remote.Transport, error)
-	// Kill, when set, terminates worker i's process — the hook behind
-	// the faultinject.WorkerKill chaos fault. Nil falls back to severing
-	// the connection.
+	// Kill, when set, ends worker i from the worker side — the hook behind
+	// the faultinject.WorkerKill chaos fault (the chaos tests close the
+	// worker's end of its pipe). Nil falls back to severing the connection
+	// from the parent side.
 	Kill func(worker int) error
 	// Heartbeat is the idle interval after which a worker volunteers a
 	// heartbeat frame and the parent's staleness thresholds are scaled

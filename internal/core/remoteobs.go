@@ -40,38 +40,27 @@ func (m *Machine) noteWorkerClock(w *remoteWorker, epoch int, workerNS int64) {
 // storeTraceChunk keeps the latest ring snapshot for the chunk's
 // (worker, epoch) — each chunk is cumulative, so the newest supersedes —
 // refreshes the clock-offset estimate from the chunk's own sample, and
-// warns once per worker if the worker's rings wrapped.
+// warns if the worker's rings wrapped.
 func (m *Machine) storeTraceChunk(w *remoteWorker, tc *remote.TraceChunk) {
 	m.noteWorkerClock(w, tc.Epoch, tc.ClockNS)
-	var dropped int64
-	for _, cw := range tc.Writers {
-		dropped += cw.Dropped
-	}
 	r := m.remote
 	r.obsMu.Lock()
 	if r.chunks[w.id] == nil {
 		r.chunks[w.id] = make(map[int]*remote.TraceChunk)
 	}
 	r.chunks[w.id][tc.Epoch] = tc
-	warn := dropped > 0 && !r.dropWarn[w.id]
-	if warn {
-		r.dropWarn[w.id] = true
-	}
 	r.obsMu.Unlock()
-	if warn {
-		fmt.Fprintf(os.Stderr,
-			"warning: worker %d trace dropped %d event(s) — per-core rings wrapped, oldest events lost (see worker%d.trace.dropped metrics)\n",
-			w.id, dropped, w.id)
+	var dropped int64
+	for _, cw := range tc.Writers {
+		dropped += cw.Dropped
 	}
+	m.warnTraceDropped(w, dropped)
 }
 
 // warnWorkerDropped is the FStats-time fallback for satellite drop
 // reporting: publishes per-writer drop counters under the worker prefix
-// and emits the once-per-worker warning if no chunk already did.
+// and warns if no chunk already did.
 func (m *Machine) warnWorkerDropped(w *remoteWorker, dropped map[string]int64) {
-	if len(dropped) == 0 {
-		return
-	}
 	var total int64
 	for name, d := range dropped {
 		total += d
@@ -82,20 +71,24 @@ func (m *Machine) warnWorkerDropped(w *remoteWorker, dropped map[string]int64) {
 	if m.met != nil && total > 0 {
 		m.met.reg.Counter(fmt.Sprintf("worker%d.trace.dropped", w.id)).Add(total)
 	}
-	if total <= 0 {
+	m.warnTraceDropped(w, total)
+}
+
+// warnTraceDropped prints, once per worker, a stderr warning that the
+// worker's trace rings wrapped and lost n events.
+func (m *Machine) warnTraceDropped(w *remoteWorker, n int64) {
+	if n <= 0 {
 		return
 	}
 	r := m.remote
 	r.obsMu.Lock()
-	warn := !r.dropWarn[w.id]
-	if warn {
-		r.dropWarn[w.id] = true
-	}
+	warned := r.dropWarn[w.id]
+	r.dropWarn[w.id] = true
 	r.obsMu.Unlock()
-	if warn {
+	if !warned {
 		fmt.Fprintf(os.Stderr,
 			"warning: worker %d trace dropped %d event(s) — per-core rings wrapped, oldest events lost (see worker%d.trace.dropped metrics)\n",
-			w.id, total, w.id)
+			w.id, n, w.id)
 	}
 }
 
@@ -185,13 +178,6 @@ func (m *Machine) WriteTraceChrome(w io.Writer) error {
 		return m.tracer.WriteChrome(w) // handles the nil collector
 	}
 	return trace.WriteChromeMerged(w, procs, m.TraceIncidents())
-}
-
-// FleetTraceDropped sums ring wrap-around drops across the parent and
-// every collected worker chunk — the fleet-wide counterpart of
-// Collector.TotalDropped for post-run warnings.
-func (m *Machine) FleetTraceDropped() int64 {
-	return trace.MergedDropped(m.TraceProcs())
 }
 
 // sanitizeMetricWord makes a writer name usable inside a metric name

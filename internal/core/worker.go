@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"net"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"slacksim/internal/cache"
@@ -17,7 +17,7 @@ import (
 )
 
 // This file is the worker side of the distributed remote-shard backend:
-// the loop a slackworker process (or a slacksim -worker-stdio child)
+// the loop a slackworker process (or a slacksim -remote-spawn session)
 // runs per connection. It is deliberately in package core, not
 // internal/remote — the whole point is that a worker's timing path is
 // the in-process shard worker's, applied through the same applyMemEvent
@@ -42,45 +42,49 @@ type remoteShard struct {
 // returned error describes why the session ended when it did not end
 // with a clean FFinish exchange.
 func ServeRemoteShards(t remote.Transport) error {
-	return ServeRemoteShardsOpts(t, nil)
+	return serveRemoteShards(t, nil)
 }
 
-// ServeRemoteShardsLog is ServeRemoteShards with a session log sink
-// (slackworker's output); logf may be nil.
-func ServeRemoteShardsLog(t remote.Transport, logf func(format string, args ...any)) error {
-	return ServeRemoteShardsOpts(t, &WorkerOptions{Logf: logf})
-}
-
-// WorkerOptions configures a worker session beyond the transport.
-type WorkerOptions struct {
-	// Logf receives session log lines (handshakes, resumes, exits); nil
-	// discards them.
-	Logf func(format string, args ...any)
-	// Heartbeat overrides the 1s default idle-heartbeat interval used
-	// when the parent's handshake doesn't request a specific cadence
-	// (a parent that sets one always wins; < 0 is normalised to 0).
-	Heartbeat time.Duration
-	// SessionDir, when non-empty, persists the latest checkpoint of the
-	// session to <dir>/<session>-w<id>.ckpt after each checkpoint frame —
-	// a post-mortem artifact for diagnosing recovery bugs (the parent's
-	// stored copy dies with the parent). Write failures are logged, not
-	// fatal: persistence is forensics, never correctness.
-	SessionDir string
-}
-
-// ServeRemoteShardsOpts is ServeRemoteShards with worker-side options;
-// opts may be nil.
-func ServeRemoteShardsOpts(t remote.Transport, opts *WorkerOptions) error {
-	if opts == nil {
-		opts = &WorkerOptions{}
+// ServeRemoteListener serves one ServeRemoteShards session per connection
+// accepted on ln until ln closes, then waits for every in-flight session
+// to finish — a drain, not an abandonment, so a worker asked to stop
+// mid-run still answers its parent's final frames. It returns the error
+// that ended the accept loop. logf, which may be nil, receives the
+// sessions' log lines (handshakes, resumes) and one line per session end;
+// sessions run concurrently, so it must be safe for concurrent use.
+func ServeRemoteListener(ln net.Listener, logf func(format string, args ...any)) error {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			addr, start := c.RemoteAddr(), time.Now()
+			err := serveRemoteShards(c, logf)
+			if logf == nil {
+				return
+			}
+			if err != nil {
+				logf("session %s: %v", addr, err)
+			} else {
+				logf("session %s: done (%v)", addr, time.Since(start).Round(time.Millisecond))
+			}
+		}()
 	}
+}
+
+func serveRemoteShards(t remote.Transport, logf func(format string, args ...any)) error {
 	c := remote.NewConn(t)
 	hello, err := c.AcceptHello(time.Now().Add(30 * time.Second))
 	if err != nil {
 		c.Close()
 		return err
 	}
-	w := &remoteWorkerLoop{conn: c, hello: hello, opts: opts, logf: opts.Logf}
+	w := &remoteWorkerLoop{conn: c, hello: hello, logf: logf}
 	if hello.Observe {
 		w.enableObservability()
 	}
@@ -111,7 +115,6 @@ func ServeRemoteShardsOpts(t remote.Transport, opts *WorkerOptions) error {
 type remoteWorkerLoop struct {
 	conn    *remote.Conn
 	hello   *remote.Hello
-	opts    *WorkerOptions
 	shards  []*remoteShard
 	gate    int64
 	gates   int64 // FGate frames processed this session (checkpoint cadence)
@@ -149,7 +152,7 @@ const workerTraceCapacity = 1 << 12
 // behind checkpoints. Each snapshot supersedes its predecessor on the
 // parent, so shipping one per checkpoint under a tight CheckpointEvery
 // is pure wire overhead — a full ring snapshot costs a JSON encode, a
-// synchronous pipe transfer, and a decode, which must stay a small
+// synchronous wire transfer, and a decode, which must stay a small
 // fraction of the interval or the sim ends up feeding its own
 // instrumentation. One second bounds the trace/metrics staleness a
 // worker crash can leave behind; the unconditional pre-FStats chunk
@@ -244,9 +247,6 @@ func (w *remoteWorkerLoop) heartbeat() time.Duration {
 		return 0
 	}
 	if ms == 0 {
-		if w.opts != nil && w.opts.Heartbeat > 0 {
-			return w.opts.Heartbeat
-		}
 		return time.Second
 	}
 	return time.Duration(ms) * time.Millisecond
@@ -535,24 +535,7 @@ func (w *remoteWorkerLoop) sendCheckpoint() error {
 		return err
 	}
 	w.metCkpt.Inc()
-	w.persistCheckpoint()
 	return nil
-}
-
-// persistCheckpoint mirrors the latest checkpoint to -session-dir (crash
-// forensics; best effort by design).
-func (w *remoteWorkerLoop) persistCheckpoint() {
-	if w.opts == nil || w.opts.SessionDir == "" {
-		return
-	}
-	sid := w.hello.SessionID
-	if sid == "" {
-		sid = "session"
-	}
-	name := filepath.Join(w.opts.SessionDir, fmt.Sprintf("%s-w%d.ckpt", filepath.Base(sid), w.hello.WorkerID))
-	if err := os.WriteFile(name, w.ckptBuf, 0o644); err != nil {
-		w.logln("checkpoint persist: %v", err)
-	}
 }
 
 // sendStats answers FFinish with the session's counters and says

@@ -320,8 +320,7 @@ func (r *Runner) RunOne(name string, scheme core.Scheme, hostCores int) (*Run, e
 			bd.simPct(), bd.waitPct(), best.ManagerBusy.Round(time.Microsecond), best.EventsProcessed)
 	}
 	if bestTrace != nil {
-		if err := r.writeTrace(bestTrace.WriteChrome, bestTrace.TotalDropped(),
-			traceBase(name, scheme, driver, hostCores, "")); err != nil {
+		if err := r.writeTrace(bestTrace, traceBase(name, scheme, driver, hostCores, "")); err != nil {
 			return nil, err
 		}
 	}
@@ -352,16 +351,13 @@ func (r *Runner) flushFailedTrace(tc *trace.Collector, name string, scheme core.
 	if tc == nil {
 		return
 	}
-	if err := r.writeTrace(tc.WriteChrome, tc.TotalDropped(),
-		traceBase(name, scheme, driver, hostCores, "_failed")); err != nil {
+	if err := r.writeTrace(tc, traceBase(name, scheme, driver, hostCores, "_failed")); err != nil {
 		r.logf("           trace (failed run): %v\n", err)
 	}
 }
 
-// writeTrace dumps one run's trace into Options.TraceDir via write
-// (Collector.WriteChrome for local drivers, Machine.WriteTraceChrome for
-// a remote run's merged fleet timeline).
-func (r *Runner) writeTrace(write func(io.Writer) error, dropped int64, base string) error {
+// writeTrace dumps one run's trace into Options.TraceDir.
+func (r *Runner) writeTrace(tc *trace.Collector, base string) error {
 	if err := os.MkdirAll(r.opts.TraceDir, 0o755); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
@@ -371,11 +367,11 @@ func (r *Runner) writeTrace(write func(io.Writer) error, dropped int64, base str
 		return fmt.Errorf("harness: %w", err)
 	}
 	defer f.Close()
-	if err := write(f); err != nil {
+	if err := tc.WriteChrome(f); err != nil {
 		return fmt.Errorf("harness: writing %s: %w", path, err)
 	}
 	r.logf("           trace: %s\n", path)
-	if dropped > 0 {
+	if dropped := tc.TotalDropped(); dropped > 0 {
 		r.logf("           trace: %d event(s) dropped (ring wrapped; raise trace ring size)\n", dropped)
 	}
 	return nil

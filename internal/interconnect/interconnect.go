@@ -118,11 +118,6 @@ func (x *Crossbar) Latency(core, bank int) int64 {
 	return x.baseLat + x.hopLat*x.distance(core, bank)
 }
 
-// MinLatency returns the smallest unloaded traversal latency across all
-// core/bank pairs — the term this fabric contributes to the target's
-// critical latency.
-func (x *Crossbar) MinLatency() int64 { return x.baseLat }
-
 func (x *Crossbar) distance(core, bank int) int64 {
 	if len(x.ports) == 0 || x.numCores == 0 {
 		return 0
@@ -143,15 +138,6 @@ func (x *Crossbar) distance(core, bank int) int64 {
 // Ports exposes the per-bank input ports for shard checkpointing (their
 // occupancy state is part of a shard's timing state).
 func (x *Crossbar) Ports() []*Resource { return x.ports }
-
-// PortWaitCycles sums queueing cycles across all bank ports.
-func (x *Crossbar) PortWaitCycles() int64 {
-	var total int64
-	for _, p := range x.ports {
-		total += p.WaitCycles()
-	}
-	return total
-}
 
 // Reset clears all port occupancy and statistics.
 func (x *Crossbar) Reset() {

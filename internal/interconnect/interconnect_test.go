@@ -84,9 +84,6 @@ func TestCrossbarNUCADistance(t *testing.T) {
 	if got := x.Latency(7, 7); got != 2 {
 		t.Errorf("corner latency = %d", got)
 	}
-	if x.MinLatency() != 2 {
-		t.Errorf("min latency = %d", x.MinLatency())
-	}
 }
 
 func TestCrossbarBankScaling(t *testing.T) {
@@ -111,11 +108,12 @@ func TestCrossbarPortContention(t *testing.T) {
 	if c != 14 {
 		t.Errorf("uncontended traverse = %d, want 10+2+2*1", c)
 	}
-	if x.PortWaitCycles() != 3 {
-		t.Errorf("port wait cycles = %d", x.PortWaitCycles())
+	port := x.Ports()[1]
+	if port.WaitCycles() != 3 {
+		t.Errorf("port wait cycles = %d", port.WaitCycles())
 	}
 	x.Reset()
-	if x.PortWaitCycles() != 0 {
+	if port.WaitCycles() != 0 {
 		t.Error("reset did not clear port stats")
 	}
 }

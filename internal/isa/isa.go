@@ -318,9 +318,6 @@ func (in Inst) IsBranch() bool {
 // IsJump reports whether the instruction is an unconditional jump.
 func (in Inst) IsJump() bool { return in.Op == OpJAL || in.Op == OpJALR }
 
-// IsCTI reports whether the instruction may redirect control flow.
-func (in Inst) IsCTI() bool { return in.IsBranch() || in.IsJump() }
-
 // IsLoad reports whether the instruction reads data memory.
 func (in Inst) IsLoad() bool {
 	switch in.Op {
@@ -372,55 +369,6 @@ func (in Inst) FPDst() int {
 		return int(in.Rd)
 	}
 	return -1
-}
-
-// IntSrcs appends the integer source registers of in to dst and returns it.
-// r0 is never reported (it has no dependences).
-func (in Inst) IntSrcs(dst []int) []int {
-	add := func(r uint8) {
-		if r != RegZero {
-			dst = append(dst, int(r))
-		}
-	}
-	switch in.Op.Format() {
-	case FmtR:
-		add(in.Rs1)
-		add(in.Rs2)
-	case FmtI, FmtLoad, FmtFLoad, FmtJR, FmtFCvtIF:
-		add(in.Rs1)
-	case FmtStore:
-		add(in.Rs1)
-		add(in.Rs2)
-	case FmtFStore:
-		add(in.Rs1)
-	case FmtAMO:
-		add(in.Rs1)
-		add(in.Rs2)
-		if in.Op == OpCAS {
-			add(in.Rd) // CAS also reads rd as the swap value
-		}
-	case FmtB:
-		add(in.Rs1)
-		add(in.Rs2)
-	case FmtSys:
-		// Syscalls read a0..a3; modelled as serialising instead.
-	}
-	return dst
-}
-
-// FPSrcs appends the floating-point source registers of in to dst.
-func (in Inst) FPSrcs(dst []int) []int {
-	switch in.Op.Format() {
-	case FmtFR:
-		dst = append(dst, int(in.Rs1), int(in.Rs2))
-	case FmtF2, FmtFCvtFI:
-		dst = append(dst, int(in.Rs1))
-	case FmtFStore:
-		dst = append(dst, int(in.Rs2))
-	case FmtFCmp:
-		dst = append(dst, int(in.Rs1), int(in.Rs2))
-	}
-	return dst
 }
 
 // MemBytes returns the access width in bytes of a memory instruction (0 for

@@ -107,28 +107,6 @@ func TestDests(t *testing.T) {
 	}
 }
 
-func TestSources(t *testing.T) {
-	srcs := (Inst{Op: OpADD, Rs1: 1, Rs2: 2}).IntSrcs(nil)
-	if len(srcs) != 2 || srcs[0] != 1 || srcs[1] != 2 {
-		t.Errorf("add srcs = %v", srcs)
-	}
-	// r0 sources are omitted.
-	srcs = (Inst{Op: OpADD, Rs1: 0, Rs2: 2}).IntSrcs(nil)
-	if len(srcs) != 1 || srcs[0] != 2 {
-		t.Errorf("add with r0 srcs = %v", srcs)
-	}
-	// CAS also reads rd.
-	srcs = (Inst{Op: OpCAS, Rd: 3, Rs1: 1, Rs2: 2}).IntSrcs(nil)
-	if len(srcs) != 3 {
-		t.Errorf("cas srcs = %v", srcs)
-	}
-	// FP store reads the fp register as an fp source and the base as int.
-	fsrcs := (Inst{Op: OpFSD, Rs1: 1, Rs2: 9}).FPSrcs(nil)
-	if len(fsrcs) != 1 || fsrcs[0] != 9 {
-		t.Errorf("fsd fp srcs = %v", fsrcs)
-	}
-}
-
 func TestMemBytes(t *testing.T) {
 	for op, want := range map[Op]int{
 		OpLD: 8, OpSD: 8, OpFLD: 8, OpFSD: 8, OpAMOADD: 8, OpCAS: 8,

@@ -43,11 +43,10 @@ import (
 const MaxFrame = 16 << 20
 
 // Transport is the byte stream a Conn runs over. net.Conn satisfies it
-// (TCP peers, net.Pipe in tests), and so does *os.File on Linux pipes
-// (spawned-worker stdio), which is why deadlines are part of the
-// contract: every blocking read the parent issues is bounded by the
-// stall-watchdog timeout, so a dead worker surfaces as a contained
-// timeout error, never a parent hang.
+// (TCP peers, net.Pipe in tests). Deadlines are part of the contract:
+// every blocking read the parent issues is bounded by the stall-watchdog
+// timeout, so a dead worker surfaces as a contained timeout error, never
+// a parent hang.
 type Transport interface {
 	io.ReadWriteCloser
 	SetReadDeadline(t time.Time) error

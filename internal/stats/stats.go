@@ -1,6 +1,6 @@
 // Package stats provides the small numeric and formatting helpers the
 // experiment harness uses to reproduce the paper's tables and figures:
-// means, relative errors, and fixed-width ASCII tables/series.
+// means, relative errors, and fixed-width ASCII tables.
 package stats
 
 import (
@@ -36,21 +36,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (all must be positive).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Median returns the median of xs.
@@ -144,37 +129,6 @@ func (t *Table) String() string {
 			}
 			b.WriteByte('\n')
 		}
-	}
-	return b.String()
-}
-
-// Series renders an ASCII bar chart of labelled values, used for the
-// Figure 8 style speedup plots in terminal output.
-func Series(title string, labels []string, values []float64, maxWidth int) string {
-	if maxWidth <= 0 {
-		maxWidth = 50
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	maxV := 0.0
-	labW := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > labW {
-			labW = len(labels[i])
-		}
-	}
-	if maxV <= 0 {
-		maxV = 1
-	}
-	for i, v := range values {
-		n := int(v / maxV * float64(maxWidth))
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&b, "  %-*s %6.2f %s\n", labW, labels[i], v, strings.Repeat("#", n))
 	}
 	return b.String()
 }

@@ -17,9 +17,6 @@ func TestMeans(t *testing.T) {
 	if got := HarmonicMean(xs); !almost(got, 3/(1+0.5+0.25)) {
 		t.Errorf("harmonic mean = %v", got)
 	}
-	if got := GeoMean(xs); !almost(got, 2) {
-		t.Errorf("geo mean = %v", got)
-	}
 	if got := Median(xs); got != 2 {
 		t.Errorf("median = %v", got)
 	}
@@ -29,15 +26,11 @@ func TestMeans(t *testing.T) {
 }
 
 func TestMeansEdgeCases(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(HarmonicMean(nil)) ||
-		!math.IsNaN(GeoMean(nil)) || !math.IsNaN(Median(nil)) {
+	if !math.IsNaN(Mean(nil)) || !math.IsNaN(HarmonicMean(nil)) || !math.IsNaN(Median(nil)) {
 		t.Error("empty inputs must give NaN")
 	}
 	if !math.IsNaN(HarmonicMean([]float64{1, 0})) {
 		t.Error("harmonic mean of zero must be NaN")
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("geo mean of negatives must be NaN")
 	}
 }
 
@@ -95,15 +88,5 @@ func TestTable(t *testing.T) {
 	var empty Table
 	if empty.String() != "" {
 		t.Error("empty table non-empty")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	out := Series("title", []string{"a", "bb"}, []float64{1, 2}, 10)
-	if !strings.Contains(out, "title") || !strings.Contains(out, "##########") {
-		t.Errorf("series: %q", out)
-	}
-	if !strings.Contains(out, "#####\n") {
-		t.Errorf("series scaling: %q", out)
 	}
 }

@@ -192,18 +192,6 @@ func (c *Collector) ParentProc(name string) Proc {
 	return Proc{PID: 0, Name: name, Writers: c.Chunk()}
 }
 
-// MergedDropped sums the wrap-around drop counts across all processes,
-// the fleet-wide counterpart of Collector.TotalDropped.
-func MergedDropped(procs []Proc) int64 {
-	var total int64
-	for _, p := range procs {
-		for _, w := range p.Writers {
-			total += w.Dropped
-		}
-	}
-	return total
-}
-
 // String renders an incident one-line ("t=12.3ms worker 1 recovered").
 func (in Incident) String() string {
 	return fmt.Sprintf("t=%.1fms %s (%s)", float64(in.TS)/1e6, in.Name, in.Detail)

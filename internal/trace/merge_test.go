@@ -146,9 +146,6 @@ func TestCollectorChunkAndParentProc(t *testing.T) {
 	if p.PID != 0 || p.OffsetNS != 0 || len(p.Writers) != 1 {
 		t.Errorf("ParentProc = %+v", p)
 	}
-	if d := MergedDropped([]Proc{p, {Writers: []ChunkWriter{{Dropped: 3}}}}); d != 5 {
-		t.Errorf("MergedDropped = %d, want 5", d)
-	}
 }
 
 func TestIncidentString(t *testing.T) {
