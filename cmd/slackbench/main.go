@@ -38,7 +38,6 @@ func main() {
 		hostCores = flag.String("hostcores", "", "comma-separated host-core counts, none above the host's CPU count (default: 1 plus 2,4,8 clipped to this host)")
 		scale     = flag.Int("scale", 1, "workload input scale factor")
 		cores     = flag.Int("cores", 8, "target CMP cores")
-		driver    = flag.String("driver", "auto", "execution driver: serial, parallel, sharded, fused, or auto (fused at 1 host core, parallel otherwise)")
 		repeat    = flag.Int("repeat", 1, "repetitions per configuration (best wall time kept)")
 		verify    = flag.Bool("verify", true, "verify workload results after every run")
 		progress  = flag.Bool("progress", true, "log each run as it completes")
@@ -62,7 +61,6 @@ func main() {
 	opts := harness.Options{
 		Scale:       *scale,
 		TargetCores: *cores,
-		Driver:      *driver,
 		Repeat:      *repeat,
 		Verify:      *verify,
 		Metrics:     *metricsOn,

@@ -49,9 +49,8 @@ func run(args []string, out, errw io.Writer) error {
 		workload  = fs.String("workload", "", "built-in workload to run (see -list)")
 		progFile  = fs.String("prog", "", "assembly source file to run instead of a built-in workload")
 		schemeStr = fs.String("scheme", "S9", "slack scheme: CC, Q<n>, L<n>, S<n>, S<n>*, SU, or serial")
-		driverStr = fs.String("driver", "auto", "execution driver: serial, parallel, sharded, fused, or auto (fused when -host 1, else parallel)")
 		cores     = fs.Int("cores", 8, "number of target cores")
-		host      = fs.Int("host", runtime.NumCPU(), "host cores (GOMAXPROCS) for the parallel engine")
+		host      = fs.Int("host", runtime.NumCPU(), "host cores (GOMAXPROCS): the paced engine runs min(host, cores) core groups, 1 being the single-goroutine engine")
 		scale     = fs.Int("scale", 1, "workload input scale factor")
 		model     = fs.String("model", "ooo", "core timing model: ooo or inorder")
 		verbose   = fs.Bool("v", false, "print per-core statistics")
@@ -130,18 +129,12 @@ func run(args []string, out, errw io.Writer) error {
 		return fmt.Errorf("-remote-workers and -remote-spawn are mutually exclusive")
 	case nWorkers > 0 && serial:
 		return fmt.Errorf("the serial engine has no remote backend")
+	case serial && *shards > 1:
+		return fmt.Errorf("the serial engine has no sharded manager (-shards %d)", *shards)
 	case nWorkers == 0 && *remoteShards > 0:
 		return fmt.Errorf("-remote-shards needs -remote-workers or -remote-spawn")
 	case nWorkers > 0 && *remoteShards == 0:
 		*remoteShards = nWorkers
-	}
-
-	driver, err := resolveDriver(*driverStr, serial, nWorkers, *shards, *host)
-	if err != nil {
-		return err
-	}
-	if driver == "sharded" && *shards < 2 {
-		*shards = 2
 	}
 
 	cfg := core.Config{
@@ -223,10 +216,12 @@ func run(args []string, out, errw io.Writer) error {
 
 	start := time.Now()
 	var res *core.Result
+	driver := "serial"
 	switch {
-	case driver == "serial":
+	case serial:
 		res, err = m.RunSerial()
 	case nWorkers > 0:
+		driver = "remote"
 		var fleet *workerFleet
 		var terr error
 		if len(workerAddrs) > 0 {
@@ -246,11 +241,11 @@ func run(args []string, out, errw io.Writer) error {
 		res, err = m.RunRemoteShardedOpts(scheme, opts)
 		runtime.GOMAXPROCS(prev)
 		fleet.cleanup()
-	case driver == "fused":
-		prev := runtime.GOMAXPROCS(*host)
-		res, err = m.RunFused(scheme)
-		runtime.GOMAXPROCS(prev)
 	default:
+		driver = "parallel"
+		if *shards > 1 {
+			driver = "sharded"
+		}
 		prev := runtime.GOMAXPROCS(*host)
 		res, err = m.RunParallel(scheme)
 		runtime.GOMAXPROCS(prev)
@@ -278,7 +273,7 @@ func run(args []string, out, errw io.Writer) error {
 	case res.Aborted:
 		status = "ABORTED (cycle limit)"
 	}
-	fmt.Fprintf(out, "scheme %v, driver %s: %s, exit code %d\n", *schemeStr, driver, status, res.ExitCode)
+	fmt.Fprintf(out, "scheme %v, driver %s, groups %d: %s, exit code %d\n", *schemeStr, driver, res.Groups, status, res.ExitCode)
 	fmt.Fprintf(out, "simulated: %d cycles total, %d ROI cycles, %d ROI instructions\n",
 		res.EndTime, res.ROICycles(), res.Committed)
 	fmt.Fprintf(out, "host: %v wall, %.1f KIPS, %d time warps\n", res.Wall.Round(time.Millisecond), res.KIPS(), res.TimeWarps)
@@ -445,47 +440,6 @@ func pct(a, b int64) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-// resolveDriver maps the -driver flag onto an execution engine, honoring
-// the legacy "-scheme serial" spelling and the sharded/remote flags. Auto
-// picks fused when the host-core budget is 1 (goroutine fabric is pure
-// overhead there), sharded when -shards asks for it, remote when workers
-// are configured, and parallel otherwise.
-func resolveDriver(name string, serialScheme bool, nWorkers, shards, host int) (string, error) {
-	switch name {
-	case "auto":
-		switch {
-		case serialScheme:
-			return "serial", nil
-		case nWorkers > 0:
-			return "remote", nil
-		case shards > 1:
-			return "sharded", nil
-		case host == 1:
-			return "fused", nil
-		default:
-			return "parallel", nil
-		}
-	case "serial":
-		if nWorkers > 0 {
-			return "", fmt.Errorf("the serial engine has no remote backend")
-		}
-		return "serial", nil
-	case "parallel", "sharded", "fused":
-		if serialScheme {
-			return "", fmt.Errorf("-scheme serial conflicts with -driver %s", name)
-		}
-		if nWorkers > 0 {
-			return "", fmt.Errorf("-driver %s conflicts with the remote-backend flags", name)
-		}
-		if name == "fused" && shards > 1 {
-			return "", fmt.Errorf("-driver fused is a single-goroutine engine; it cannot host -shards %d", shards)
-		}
-		return name, nil
-	default:
-		return "", fmt.Errorf("unknown -driver %q (want serial, parallel, sharded, fused, or auto)", name)
-	}
 }
 
 // parseScheme parses a scheme name, plus "serial" for the reference engine.

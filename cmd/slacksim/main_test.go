@@ -75,39 +75,43 @@ func TestRunSerialScheme(t *testing.T) {
 	}
 }
 
-// TestRunFusedDriver drives the fused single-goroutine engine through the
-// CLI and checks the driver is reported in the output.
+// TestRunFusedDriver drives the engine on one host core through the CLI:
+// the run is grouped execution at K = 1 (what RunFused runs) and says so
+// on the driver line.
 func TestRunFusedDriver(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-workload", "fft", "-scheme", "CC", "-cores", "2", "-host", "1", "-driver", "fused"}
+	args := []string{"-workload", "fft", "-scheme", "CC", "-cores", "2", "-host", "1"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, errw.String())
 	}
-	for _, want := range []string{"driver fused", "verification: PASS"} {
+	for _, want := range []string{"driver parallel, groups 1", "verification: PASS"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
-// TestRunDriverAutoPicksFused checks -host 1 resolves to the fused engine
-// without an explicit -driver.
+// TestRunDriverAutoPicksFused checks -host 1 alone gives one group, with
+// no flag asking for it, for an optimistic scheme too.
 func TestRunDriverAutoPicksFused(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run([]string{"-workload", "fft", "-scheme", "S9", "-cores", "2", "-host", "1"}, &out, &errw); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, errw.String())
 	}
-	if !strings.Contains(out.String(), "driver fused") {
-		t.Errorf("auto at -host 1 did not pick fused:\n%s", out.String())
+	if !strings.Contains(out.String(), "groups 1") {
+		t.Errorf("-host 1 did not run one group:\n%s", out.String())
 	}
 }
 
-// TestRunDriverConflicts pins the flag-validation matrix.
+// TestRunDriverConflicts pins the flag-validation matrix: the
+// configurations with no engine to run them are refused, and -driver is
+// no longer a flag.
 func TestRunDriverConflicts(t *testing.T) {
 	for _, args := range [][]string{
-		{"-workload", "fft", "-driver", "warp"},
-		{"-workload", "fft", "-scheme", "serial", "-driver", "fused"},
-		{"-workload", "fft", "-driver", "fused", "-shards", "2"},
+		{"-workload", "fft", "-driver", "fused"},
+		{"-workload", "fft", "-scheme", "serial", "-shards", "2"},
+		{"-workload", "fft", "-scheme", "serial", "-remote-spawn", "1"},
+		{"-workload", "fft", "-shards", "2", "-remote-spawn", "2"},
 	} {
 		var out, errw bytes.Buffer
 		if err := run(args, &out, &errw); err == nil {

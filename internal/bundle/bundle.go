@@ -36,8 +36,8 @@ type Meta struct {
 	Reason string `json:"reason"`
 	// Session is the run's wire session id (empty for local drivers).
 	Session string `json:"session,omitempty"`
-	// Driver names the execution driver ("serial", "parallel", "sharded",
-	// "fused", "remote").
+	// Driver names the execution backend ("serial", "parallel", "sharded",
+	// "remote").
 	Driver string `json:"driver"`
 	// Scheme is the synchronization scheme's display string.
 	Scheme string `json:"scheme"`

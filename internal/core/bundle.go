@@ -6,7 +6,7 @@ package core
 // merged trace, metrics snapshot, stall report, recovery state, config —
 // with a checksummed MANIFEST.json (internal/bundle). The hook lives in
 // takeFault, the one choke point every driver (serial, parallel,
-// sharded, fused, remote) passes through after its goroutines joined, so
+// sharded, remote) passes through after its goroutines joined, so
 // the snapshot is taken when the single-owner structures are safe to
 // read.
 
@@ -33,14 +33,13 @@ func (m *Machine) SetBundleDir(dir string) { m.bundleDir = dir }
 // or "" if none was written.
 func (m *Machine) BundlePath() string { return m.bundlePath }
 
-// driverName names the execution driver for bundle metadata and
-// filenames, derived from the machine's run-mode flags.
+// driverName names the execution backend for bundle metadata and
+// filenames, derived from the machine's run-mode flags; the group count is
+// the run's K (Result.Groups), not a driver of its own.
 func (m *Machine) driverName() string {
 	switch {
 	case m.remote != nil:
 		return "remote"
-	case m.fused:
-		return "fused"
 	case m.shards != nil:
 		return "sharded"
 	case m.serialMode:

@@ -335,7 +335,7 @@ func (m *Machine) detectDeadlock() bool {
 				return false
 			}
 		}
-		// The fused driver's replies wait in plain slices, not rings.
+		// A lone runner's replies wait in plain slices, not rings.
 		if m.fused && len(m.fusedIn[i])+len(m.members[i].inbox) != 0 {
 			return false
 		}

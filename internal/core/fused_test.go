@@ -227,6 +227,38 @@ func TestFusedDeterminism(t *testing.T) {
 			}
 		})
 	}
+	// One K = 1 engine: RunFused and RunParallel on one host thread are the
+	// same run, optimistic schemes included, on the paper's 8-core target.
+	t.Run("ocean2/K=1", func(t *testing.T) {
+		prog, w := oceanProg(t, 2)
+		for _, s := range []Scheme{SchemeCC, SchemeS9x, SchemeS100} {
+			run := func(drive func(*Machine) (*Result, error)) *Result {
+				t.Helper()
+				m := paperMachine(t, prog, w, 2, 0)
+				var r *Result
+				var err error
+				withGOMAXPROCS(1, func() { r, err = drive(m) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Verify(m.Image(), r.Output, 2); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			fused := run(func(m *Machine) (*Result, error) { return m.RunFused(s) })
+			par := run(func(m *Machine) (*Result, error) { return m.RunParallel(s) })
+			label := fmt.Sprintf("%v fused-vs-parallel at K=1", s)
+			diffOutcomes(t, label, curatedOutcome(fused), curatedOutcome(par))
+			if fused.L2Stats != par.L2Stats {
+				t.Errorf("%s: L2 stats\n fused    %+v\n parallel %+v", label, fused.L2Stats, par.L2Stats)
+			}
+			if fused.Groups != 1 || par.Groups != 1 {
+				t.Errorf("%s: groups %d and %d, want 1", label, fused.Groups, par.Groups)
+			}
+			t.Logf("%-4v end=%d roi=%d warps=%d: identical", s, fused.EndTime, fused.ROICycles(), fused.TimeWarps)
+		}
+	})
 }
 
 // TestFusedZeroAlloc mirrors TestDriverAllocsBounded for the fused driver:

@@ -17,11 +17,11 @@ import (
 // This file is the core side of every paced driver: grouped execution. The
 // target cores are split into K = min(GOMAXPROCS, NumCores) contiguous
 // groups; one host goroutine per group gives its members their turns
-// round-robin (coreTurn, also the fused driver's core phase), and waits — as
-// a group, never per core — only when no member can move. On the unsharded
-// backend the groups run the manager's rounds themselves, between their
-// members' turns (the first group on the RunParallel caller), so a run is
-// exactly K goroutines. See docs/engine.md, "Grouped execution".
+// round-robin (coreTurn), and waits — as a group, never per core — only
+// when no member can move. On the unsharded backend the groups run the
+// manager's rounds themselves, between their members' turns (the first
+// group on the RunParallel caller), so a run is exactly K goroutines; at
+// K = 1 that is RunFused. See docs/engine.md, "Grouped execution".
 
 // optimisticBatch caps the batched inner loop for schemes with no safe
 // conservative horizon (the window may be unbounded). The batch also breaks
@@ -109,11 +109,11 @@ type coreGroup struct {
 	hostNS, waitNS int64
 }
 
-// formGroups splits the cores into K = min(GOMAXPROCS, N) contiguous groups
-// of ceil(N/K) and resets every member's run state. Part of beginRun.
-func (m *Machine) formGroups() {
+// formGroups splits the cores into K = min(k, N) contiguous groups of
+// ceil(N/K) and resets every member's run state. Part of beginRun.
+func (m *Machine) formGroups(k int) {
 	n := len(m.cores)
-	k := min(runtime.GOMAXPROCS(0), n)
+	k = min(k, n)
 	per := (n + k - 1) / k
 	m.nGroups = 0
 	for lo := 0; lo < n; lo += per {
@@ -284,7 +284,8 @@ func (m *Machine) coreTurn(mb *member, pace corePacing, g, edge int64) bool {
 // conservative scheme, so the round is run by the group that finished its
 // window first and would otherwise only wait; after every turn under an
 // optimistic one, so a request is answered before a sibling runs further
-// ahead of it.
+// ahead of it. A lone runner (K = 1 unsharded, Machine.fused) is always the
+// manager and never parks: no other goroutine would wake it.
 //
 // A panic is contained as a SimError naming whichever of the group's
 // members — or the manager — was running.
@@ -326,18 +327,29 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 		}
 		cur = faultinject.Manager
 		if !mgr.round() {
-			mgr.idle(mayPark)
+			mgr.idle(mayPark && !m.fused)
+			if m.fused {
+				runtime.Gosched() // stay polite to the host while nothing moves
+			}
 		}
 		m.mgrMu.Unlock()
 		return true
 	}
+	// A lone runner has no peer to yield to, and feeds no min-tree: the live
+	// /slack view reads the tree's leaves, refreshed now and then instead.
+	yield, refreshLeaves := !m.fused, m.fused && m.introOn
 	idle := false
 	for passes := 1; !m.done.Load(); passes++ {
 		// Yield now and then so an oversubscribed host (shard workers, a
 		// manager goroutine, wire goroutines) cannot be starved by groups
 		// that never wait — the optimistic schemes' normal state.
-		if passes&7 == 0 {
+		if yield && passes&7 == 0 {
 			runtime.Gosched()
+		}
+		if refreshLeaves && passes&63 == 0 {
+			for i := range m.cores {
+				m.refreshMinLeaf(i)
+			}
 		}
 		moved := false
 		for k := range g.members {

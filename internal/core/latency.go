@@ -74,17 +74,14 @@ func newStragglerState(n int) *stragglerState {
 	}
 }
 
-// noteStraggler charges the current manager round to the core whose leaf
-// holds the min-tree root. Called once per round from the manager loops
-// when metrics are enabled; the serial driver never calls it (its global
-// time is the loop induction variable, no core ever "holds it back").
-func (m *Machine) noteStraggler() {
+// noteStraggler charges the current manager round to core i, the one
+// that held the global-time candidate (globalMin; -1: none). Called once
+// per round from the manager loop when metrics are enabled; the serial
+// driver never calls it (its global time is the loop induction variable,
+// no core ever "holds it back").
+func (m *Machine) noteStraggler(i int) {
 	st := m.strag
-	if st == nil || m.fused {
-		return // (the fused driver keeps no min-tree to ask)
-	}
-	i := m.lt.argmin()
-	if i < 0 {
+	if st == nil || i < 0 {
 		return
 	}
 	st.held[i]++

@@ -226,12 +226,13 @@ type Machine struct {
 	gq evHeap
 	// serialMode marks a RunSerial drive.
 	serialMode bool
-	// fused marks a RunFused drive: the whole simulation runs on one
-	// goroutine, so Env.Send pushes straight into the GQ and manager
-	// replies append to fusedIn instead of the InQ rings (see fused.go).
+	// fused marks K = 1 on the unsharded backend (set by beginRun; see
+	// RunFused): the whole simulation runs on one goroutine, so Env.Send
+	// pushes straight into the GQ and manager replies append to fusedIn
+	// instead of the InQ rings.
 	fused bool
-	// fusedIn is the fused driver's per-core pending-reply slice — the
-	// plain-append replacement for the InQ ring + notify path.
+	// fusedIn is that run's per-core pending-reply slice — the plain-append
+	// replacement for the InQ ring + notify path.
 	fusedIn [][]event.Event
 
 	// shards holds the §2.2 sharded-manager plumbing (nil when unsharded).
@@ -451,9 +452,8 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		}
 		if m.fused {
 			// Single-goroutine drive: the grant is a plain append, and the
-			// fused loop recomputes the global minimum from the resume
-			// floor directly in its next manager phase — no min-tree, no
-			// wake-up.
+			// next round recomputes the global minimum from the resume
+			// floor directly (minLocal) — no min-tree, no wake-up.
 			m.fusedIn[core] = append(m.fusedIn[core], grant)
 			m.fusedNoteInDepth(core)
 			m.resumeFloor[core].v.Store(grantAt)

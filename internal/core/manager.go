@@ -122,9 +122,10 @@ func (m *Machine) processMem(ev event.Event) {
 }
 
 // pushReply delivers one manager-produced reply toward core i: a ring push
-// plus a (possibly coalesced) wake-up under the threaded drivers, a plain
-// slice append under the fused driver — where producer and consumer are
-// the same goroutine, so no ring, notify, or memory ordering is needed.
+// plus a (possibly coalesced) wake-up when several goroutines run, a plain
+// slice append on a lone runner (Machine.fused) — where producer and
+// consumer are the same goroutine, so no ring, notify, or memory ordering
+// is needed.
 func (m *Machine) pushReply(core int, ev event.Event) {
 	if m.fused {
 		m.fusedIn[core] = append(m.fusedIn[core], ev)
@@ -133,6 +134,17 @@ func (m *Machine) pushReply(core int, ev event.Event) {
 	}
 	m.inQ[core].MustPush(ev)
 	m.deferNotify(core)
+}
+
+// fusedNoteInDepth ratchets core i's inq high-water gauge after a lone
+// runner's pending-reply append. That run never touches the InQ/OutQ
+// rings, so the ring observers installed by EnableIntrospection would leave
+// /slack reporting zeros; the append sites record the equivalent depth
+// instead.
+func (m *Machine) fusedNoteInDepth(core int) {
+	if m.introOn && m.hwIn != nil {
+		m.hwIn[core].SetMax(int64(len(m.fusedIn[core])))
+	}
 }
 
 // deferNotify wakes core i for a freshly pushed reply — immediately, or,

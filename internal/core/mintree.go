@@ -168,26 +168,35 @@ func (m *Machine) publishLocal(i int, v int64) {
 	}
 }
 
-// globalMin returns the manager's global-time candidate: the tree root,
+// globalMin returns the manager's global-time candidate — the tree root,
 // or the current global time unchanged when every live core is blocked in
-// the kernel (minLocal's all-blocked fallback).
-func (m *Machine) globalMin() int64 {
+// the kernel (minLocal's all-blocked fallback) — and, when attribute is
+// set, the core that holds it (-1 when none: the straggler attribution's
+// argmin). A lone runner (Machine.fused) feeds no tree and takes both from
+// one minLocal scan.
+func (m *Machine) globalMin(attribute bool) (int64, int) {
 	if m.fused {
 		return m.minLocal()
 	}
-	if v := m.lt.root(); v != minTreeInf {
-		return v
+	held := -1
+	if attribute {
+		held = m.lt.argmin()
 	}
-	return m.global.Load()
+	if v := m.lt.root(); v != minTreeInf {
+		return v, held
+	}
+	return m.global.Load(), held
 }
 
-// minLocal is the naive O(N) scan the min-tree replaced. It remains the
-// reference oracle — the property test cross-checks the tree root against
-// it at every quiescent point — and it is the fused driver's global-time
-// candidate: a single runner publishes to no tree, and scanning the clocks
-// it just stored is cheaper than maintaining one.
-func (m *Machine) minLocal() int64 {
-	lo := int64(-1)
+// minLocal is the naive O(N) scan the min-tree replaced, returning the
+// minimum and the lowest-numbered core that holds it (-1 when every live
+// core is blocked). It remains the reference oracle — the property test
+// cross-checks the tree root against it at every quiescent point — and it
+// is a lone runner's global-time candidate: a single runner publishes to
+// no tree, and scanning the clocks it just stored is cheaper than
+// maintaining one.
+func (m *Machine) minLocal() (int64, int) {
+	lo, at := int64(-1), -1
 	for i := range m.local {
 		if m.blocked[i].v.Load() != 0 {
 			continue
@@ -198,12 +207,12 @@ func (m *Machine) minLocal() int64 {
 		if f := m.resumeFloor[i].v.Load(); f > v {
 			v = f
 		}
-		if lo < 0 || v < lo {
-			lo = v
+		if at < 0 || v < lo {
+			lo, at = v, i
 		}
 	}
-	if lo < 0 {
-		return m.global.Load()
+	if at < 0 {
+		return m.global.Load(), -1
 	}
-	return lo
+	return lo, at
 }

@@ -26,7 +26,7 @@ func BenchmarkMinLocalScan(b *testing.B) {
 			b.ResetTimer()
 			var sink int64
 			for k := 0; k < b.N; k++ {
-				sink = m.minLocal()
+				sink = scanMin(m)
 			}
 			_ = sink
 		})

@@ -49,6 +49,12 @@ func applyMinTreeOp(m *Machine, i int, op, arg byte) {
 	}
 }
 
+// scanMin is the reference scan's global-time candidate alone.
+func scanMin(m *Machine) int64 {
+	v, _ := m.minLocal()
+	return v
+}
+
 // TestMinTreeMatchesScanSequential drives random publish/block/grant
 // sequences through the engine entry points and checks the tree-backed
 // globalMin against the naive minLocal reference after every operation.
@@ -58,8 +64,9 @@ func TestMinTreeMatchesScanSequential(t *testing.T) {
 		m := bareMachine(n, 8)
 		for step := 0; step < 4000; step++ {
 			applyMinTreeOp(m, rng.Intn(n), byte(rng.Intn(4)), byte(rng.Intn(256)))
-			if got, want := m.globalMin(), m.minLocal(); got != want {
-				t.Fatalf("n=%d step=%d: globalMin=%d, minLocal scan=%d", n, step, got, want)
+			got, gotAt := m.globalMin(true)
+			if want, wantAt := m.minLocal(); got != want || gotAt != wantAt {
+				t.Fatalf("n=%d step=%d: globalMin=%d held by %d, minLocal scan=%d held by %d", n, step, got, gotAt, want, wantAt)
 			}
 		}
 	}
@@ -79,17 +86,17 @@ func TestMinTreeAllBlockedFallback(t *testing.T) {
 		t.Fatalf("all cores blocked, root = %d, want sentinel", m.lt.root())
 	}
 	m.global.Store(4242)
-	if got := m.globalMin(); got != 4242 {
-		t.Fatalf("all-blocked globalMin = %d, want current global 4242", got)
+	if got, at := m.globalMin(true); got != 4242 || at != -1 {
+		t.Fatalf("all-blocked globalMin = %d held by %d, want current global 4242 held by none", got, at)
 	}
-	if got, want := m.globalMin(), m.minLocal(); got != want {
-		t.Fatalf("fallback disagrees with scan: %d vs %d", got, want)
+	if want, at := m.minLocal(); want != 4242 || at != -1 {
+		t.Fatalf("fallback disagrees with scan: 4242 vs %d held by %d", want, at)
 	}
 	// One core granted back: the floor, not the frozen clock, must win.
 	m.resumeFloor[2].v.Store(9000)
 	m.blocked[2].v.Store(0)
 	m.refreshMinLeaf(2)
-	if got := m.globalMin(); got != 9000 {
+	if got, _ := m.globalMin(false); got != 9000 {
 		t.Fatalf("granted core counts at resume floor: got %d, want 9000", got)
 	}
 }
@@ -138,7 +145,7 @@ func TestMinTreeConcurrentAgreesWithScan(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-		if got, want := m.lt.root(), m.minLocal(); got != want {
+		if got, want := m.lt.root(), scanMin(m); got != want {
 			t.Fatalf("round %d: quiescent root=%d, scan=%d", round, got, want)
 		}
 		for i := 0; i < n; i++ {
@@ -160,8 +167,9 @@ func FuzzMinTreeMatchesScan(f *testing.F) {
 		m := bareMachine(n, 8)
 		for k := 0; k+1 < len(ops); k += 2 {
 			applyMinTreeOp(m, int(ops[k]>>2)%n, ops[k], ops[k+1])
-			if got, want := m.globalMin(), m.minLocal(); got != want {
-				t.Fatalf("op %d: globalMin=%d, minLocal=%d", k/2, got, want)
+			got, gotAt := m.globalMin(true)
+			if want, wantAt := m.minLocal(); got != want || gotAt != wantAt {
+				t.Fatalf("op %d: globalMin=%d held by %d, minLocal=%d held by %d", k/2, got, gotAt, want, wantAt)
 			}
 		}
 	})

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"slacksim/internal/asm"
+	"slacksim/internal/introspect"
 	"slacksim/internal/metrics"
 	"slacksim/internal/trace"
 )
@@ -38,19 +40,49 @@ func kindRecs(c *trace.Collector, writer string, k trace.Kind) int {
 // TestObservabilityParallel runs the threaded program under bounded slack
 // with tracing and metrics attached and checks every observable the
 // subsystem promises: slack samples, wait spans, global advances, the
-// sync-overhead breakdown, the metric registry, and both exporters.
+// sync-overhead breakdown, the metric registry, and both exporters. Two
+// groups exercise the rings and the window waits; one group (a lone
+// runner, which has neither) shows its in-queue depth on /slack instead.
 func TestObservabilityParallel(t *testing.T) {
+	for _, k := range []int{2, 1} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) { checkObservability(t, k) })
+	}
+}
+
+func checkObservability(t *testing.T, k int) {
 	m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
 	tc := trace.New()
 	reg := metrics.NewRegistry()
 	m.EnableTrace(tc)
 	m.EnableMetrics(reg)
-	res, err := m.RunParallel(SchemeS9)
+	if k == 1 {
+		srv, err := introspect.New("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if err := m.EnableIntrospection(srv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var res *Result
+	var err error
+	withGOMAXPROCS(k, func() { res, err = m.RunParallel(SchemeS9) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Output != expectTotal(4) {
 		t.Fatalf("output %q", res.Output)
+	}
+	if res.Groups != k {
+		t.Errorf("Groups = %d, want %d", res.Groups, k)
+	}
+	var held int64
+	for _, st := range res.Stragglers {
+		held += st.HeldRounds
+	}
+	if held == 0 {
+		t.Error("no round attributed to a straggler")
 	}
 
 	// Sync-overhead breakdown.
@@ -91,8 +123,14 @@ func TestObservabilityParallel(t *testing.T) {
 	if s.Histograms["engine.slack.sample"].Count == 0 {
 		t.Error("no slack samples in metrics")
 	}
-	if s.Histograms["event.outq.depth"].Count == 0 {
+	if s.Histograms["engine.group.turn_ns"].Count == 0 {
+		t.Error("no group turn samples")
+	}
+	if k > 1 && s.Histograms["event.outq.depth"].Count == 0 {
 		t.Error("no OutQ depth observations")
+	}
+	if inq := s.Gauges["event.c0.inq.high_water"]; k == 1 && inq == 0 {
+		t.Error("lone runner left core 0's in-queue high-water at zero")
 	}
 	var dump bytes.Buffer
 	if err := reg.Write(&dump); err != nil {
@@ -112,7 +150,7 @@ func TestObservabilityParallel(t *testing.T) {
 	if kindRecs(tc, "manager", trace.KProcess) == 0 {
 		t.Error("no manager processing spans")
 	}
-	if kindRecs(tc, "core", trace.KWait) == 0 {
+	if k > 1 && kindRecs(tc, "core", trace.KWait) == 0 {
 		t.Error("no core window-wait spans")
 	}
 
@@ -131,9 +169,13 @@ func TestObservabilityParallel(t *testing.T) {
 			names[n] = true
 		}
 	}
-	for _, want := range []string{"slack core 0", "global manager", "window_wait"} {
-		if !names[want] {
-			t.Errorf("chrome export missing %q events", want)
+	want := []string{"slack core 0", "global manager"}
+	if k > 1 {
+		want = append(want, "window_wait")
+	}
+	for _, w := range want {
+		if !names[w] {
+			t.Errorf("chrome export missing %q events", w)
 		}
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -414,7 +415,7 @@ func (m *Machine) RunRemoteShardedOpts(s Scheme, opts *RemoteOptions) (*Result, 
 		return nil, err
 	}
 	start := time.Now()
-	p := m.beginRun(s)
+	p := m.beginRun(s, runtime.GOMAXPROCS(0))
 
 	m.remote.opts = opts
 	if err := m.remoteConnect(opts.Transports); err != nil {

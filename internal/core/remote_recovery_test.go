@@ -224,9 +224,12 @@ func TestRemoteFrameCorruptRecovery(t *testing.T) {
 // TestRemoteHeartbeatStallRecovery simulates a silent hang: the worker
 // keeps talking but the parent stops crediting its frames as liveness,
 // so the supervisor's staleness detector must escalate to dead and tear
-// the connection down itself within ~4 heartbeat intervals.
+// the connection down itself within ~4 heartbeat intervals. The interval
+// is short enough for that to fit well inside the run after the stall: on
+// one host thread the whole run takes ~150 ms, and at 30 ms intervals it
+// often ended before the detector's 120 ms were up.
 func TestRemoteHeartbeatStallRecovery(t *testing.T) {
-	rec := runChaos(t, SchemeCC, &RemoteOptions{Heartbeat: 30 * time.Millisecond},
+	rec := runChaos(t, SchemeCC, &RemoteOptions{Heartbeat: 10 * time.Millisecond},
 		faultinject.Fault{Kind: faultinject.HeartbeatStall, Core: faultinject.ShardWorker(0), At: 5000},
 	)
 	if rec.Reconnects < 1 {

@@ -26,6 +26,9 @@ type Result struct {
 	Committed int64
 	// Wall is the host wall-clock duration of the run.
 	Wall time.Duration
+	// Groups is the run's K: how many host goroutines drove the target
+	// cores (group.go); 0 on the serial engine.
+	Groups int
 	// Aborted reports the MaxCycles safety abort.
 	Aborted bool
 	// Forensics is the engine-state snapshot captured when the run
@@ -146,6 +149,7 @@ func (m *Machine) result(wall time.Duration) *Result {
 		ExitCode:     m.exitCode,
 		EndTime:      m.endTime,
 		Wall:         wall,
+		Groups:       m.nGroups,
 		Aborted:      m.aborted,
 		Output:       m.kernel.Output(),
 		TimeWarps:    m.kernel.TimeWarps,

@@ -5,18 +5,18 @@ import (
 	"runtime"
 	"time"
 
+	"slacksim/internal/event"
 	"slacksim/internal/faultinject"
 	"slacksim/internal/metrics"
 	"slacksim/internal/trace"
 )
 
 // This file is the simulation manager's round (§2.1), written once. The
-// three threaded drivers — unsharded, sharded, remote — run the same loop
+// three paced backends — unsharded, sharded, remote — run the same loop
 // (mgrLoop.round) over a mgrBackend that supplies only where requests go and
-// how their processors are gated; the fused driver keeps its own loop
-// skeleton (plain locals instead of rings, a min-tree and parks) but takes
-// the visibility step, the window slide and the progress watch from here. See
-// docs/engine.md, "The manager round", for why each step sits where it does.
+// how their processors are gated; a lone unsharded group (K = 1) runs it
+// over a backend with nothing to drain. See docs/engine.md, "The manager
+// round", for why each step sits where it does.
 
 // mgrBackend is what genuinely differs between the threaded managers. Both
 // funcs run once per round on the manager goroutine — never per event.
@@ -102,8 +102,10 @@ type pacing struct {
 }
 
 // beginRun installs the scheme for a paced run, opens every core's initial
-// window, forms the core groups and returns the manager's pacing state.
-func (m *Machine) beginRun(s Scheme) pacing {
+// window, forms at most k core groups and returns the manager's pacing
+// state. One group on the unsharded backend is a lone runner (Machine.fused)
+// and takes the single-runner plumbing.
+func (m *Machine) beginRun(s Scheme, k int) pacing {
 	m.scheme = s
 	m.schemeLive.Store(&s)
 	m.captureHostMem()
@@ -111,7 +113,13 @@ func (m *Machine) beginRun(s Scheme) pacing {
 	for i := range m.maxLocal {
 		m.maxLocal[i].v.Store(p.edge)
 	}
-	m.formGroups()
+	m.formGroups(k)
+	if m.fused = m.nGroups == 1 && m.shards == nil && m.remote == nil; m.fused {
+		m.fusedIn = make([][]event.Event, m.cfg.NumCores)
+		for i := range m.fusedIn {
+			m.fusedIn[i] = make([]event.Event, 0, m.cfg.RingCap)
+		}
+	}
 	return p
 }
 
@@ -218,11 +226,11 @@ func (l *mgrLoop) round() bool {
 	// so the drain below is guaranteed to contain it. Draining first
 	// would let cores advance between the drain and the minimum,
 	// overstating the bound past events still sitting in their OutQs.
-	g := m.globalMin()
+	g, held := m.globalMin(measure)
 	if measure {
-		// Straggler attribution: charge the round to the core whose
-		// leaf holds the min-tree root (latency.go).
-		m.noteStraggler()
+		// Straggler attribution: charge the round to the core that holds
+		// the candidate (latency.go).
+		m.noteStraggler(held)
 	}
 	lt.lap()
 	if l.fi != nil {

@@ -193,8 +193,8 @@ func (m *Machine) deliverInbox(i int, inbox *[]event.Event, local int64) bool {
 }
 
 // drainRing moves all queued reply events for core i into its inbox (the
-// main manager's ring plus, when sharded, every shard's ring; the fused
-// driver's plain pending-reply slice instead).
+// main manager's ring plus, when sharded, every shard's ring; a lone
+// runner's plain pending-reply slice instead).
 func (m *Machine) drainRing(i int, inbox *[]event.Event) {
 	if m.fused {
 		if pend := m.fusedIn[i]; len(pend) > 0 {

@@ -38,13 +38,6 @@ type Options struct {
 	HostCores []int
 	// TargetCores is the simulated CMP size; defaults to 8 (§4.1).
 	TargetCores int
-	// Driver selects the execution engine: "serial", "parallel",
-	// "sharded", "fused", or "auto" (the default). Auto picks the fused
-	// single-goroutine driver when a run's host-core budget is 1 — the
-	// threaded fabric is pure overhead there (ROADMAP item 5) —
-	// and the parallel driver otherwise. hostCores == 0 (the serial
-	// reference) always runs serial regardless of Driver.
-	Driver string
 	// Model selects the core timing model; defaults to the OoO target.
 	Model core.CoreModel
 	// Repeat runs each configuration this many times and keeps the best
@@ -60,11 +53,9 @@ type Options struct {
 	Metrics bool
 	// TraceDir, when non-empty, writes a Chrome trace-event JSON per run
 	// into this directory (created if missing), named
-	// <workload>_<scheme>_<driver>_h<hostcores>.json — the driver is in
-	// the name so sweep columns sharing a host-core count cannot
-	// overwrite each other. A run that dies (SimError, stall abort) still
-	// flushes its trace, suffixed _failed, so the forensic record is not
-	// lost with the run.
+	// <workload>_<scheme>_<driver>_h<hostcores>.json. A run that dies
+	// (SimError, stall abort) still flushes its trace, suffixed _failed, so
+	// the forensic record is not lost with the run.
 	TraceDir string
 	// Introspect, when non-nil, attaches every run to the live
 	// introspection server (implies Metrics: the live views are built from
@@ -118,28 +109,6 @@ func (o *Options) fillDefaults() {
 	if o.Introspect != nil {
 		o.Metrics = true
 	}
-	if o.Driver == "" {
-		o.Driver = "auto"
-	}
-}
-
-// DriverFor resolves the driver name that will execute a run at the given
-// host-core count under these options. hostCores == 0 is the serial
-// reference engine; "auto" maps a 1-host-core budget to the fused driver
-// and everything else to the parallel driver.
-func (o *Options) DriverFor(hostCores int) string {
-	if hostCores == 0 {
-		return "serial"
-	}
-	switch o.Driver {
-	case "", "auto":
-		if hostCores == 1 {
-			return "fused"
-		}
-		return "parallel"
-	default:
-		return o.Driver
-	}
 }
 
 // Run is one simulation outcome.
@@ -147,7 +116,7 @@ type Run struct {
 	Workload  string
 	Scheme    core.Scheme
 	HostCores int    // 0 = serial reference engine
-	Driver    string // engine that produced the result (serial/parallel/sharded/fused)
+	Driver    string // engine that produced the result: serial or parallel (its K is Result.Groups)
 	Result    *core.Result
 }
 
@@ -177,11 +146,6 @@ func (r *Runner) Interrupt() {
 // NewRunner pre-assembles the selected workloads.
 func NewRunner(opts Options) (*Runner, error) {
 	opts.fillDefaults()
-	switch opts.Driver {
-	case "auto", "serial", "parallel", "sharded", "fused":
-	default:
-		return nil, fmt.Errorf("harness: unknown driver %q (want serial, parallel, sharded, fused, or auto)", opts.Driver)
-	}
 	r := &Runner{opts: opts, progs: make(map[string]*asm.Program)}
 	for _, name := range opts.Workloads {
 		w, err := workloads.Get(name)
@@ -206,7 +170,7 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-func (r *Runner) machine(name, driver string) (*core.Machine, *workloads.Workload, error) {
+func (r *Runner) machine(name string) (*core.Machine, *workloads.Workload, error) {
 	w, err := workloads.Get(name)
 	if err != nil {
 		return nil, nil, err
@@ -219,9 +183,6 @@ func (r *Runner) machine(name, driver string) (*core.Machine, *workloads.Workloa
 		Cache:      cache.DefaultConfig(r.opts.TargetCores),
 		MaxCycles:  r.opts.MaxCycles,
 	}
-	if driver == "sharded" {
-		cfg.ManagerShards = 2
-	}
 	m, err := core.NewMachine(r.progs[name], cfg)
 	if err != nil {
 		return nil, nil, err
@@ -233,20 +194,25 @@ func (r *Runner) machine(name, driver string) (*core.Machine, *workloads.Workloa
 }
 
 // RunOne executes workload name under scheme with the given host-core
-// count (GOMAXPROCS). hostCores == 0 selects the serial reference engine.
+// count (GOMAXPROCS), which the parallel engine runs as min(hostCores,
+// TargetCores) core groups. hostCores == 0 selects the serial reference
+// engine.
 // The best of Repeat wall times is kept. With Options.Metrics set, each
 // run carries a metrics registry and the kept result's sync-overhead
 // breakdown is appended to the progress log; with Options.TraceDir set,
 // the kept run's Chrome trace is written there.
 func (r *Runner) RunOne(name string, scheme core.Scheme, hostCores int) (*Run, error) {
-	driver := r.opts.DriverFor(hostCores)
+	driver := "parallel"
+	if hostCores == 0 {
+		driver = "serial"
+	}
 	var best *core.Result
 	var bestTrace *trace.Collector
 	for rep := 0; rep < r.opts.Repeat; rep++ {
 		if r.stop.Load() {
 			return nil, ErrInterrupted
 		}
-		m, w, err := r.machine(name, driver)
+		m, w, err := r.machine(name)
 		if err != nil {
 			return nil, err
 		}
@@ -269,17 +235,9 @@ func (r *Runner) RunOne(name string, scheme core.Scheme, hostCores int) (*Run, e
 		var res *core.Result
 		start := time.Now()
 		r.current.Store(m)
-		switch driver {
-		case "serial":
+		if hostCores == 0 {
 			res, err = m.RunSerial()
-		case "fused":
-			// The fused driver is single-goroutine by construction, but
-			// GOMAXPROCS still bounds the host budget it is measured under
-			// (GC workers, the OS), same as the parallel drivers.
-			prev := runtime.GOMAXPROCS(hostCores)
-			res, err = m.RunFused(scheme)
-			runtime.GOMAXPROCS(prev)
-		default: // parallel; sharded is the parallel driver with ManagerShards > 1
+		} else {
 			prev := runtime.GOMAXPROCS(hostCores)
 			res, err = m.RunParallel(scheme)
 			runtime.GOMAXPROCS(prev)
@@ -335,10 +293,8 @@ func (r *Runner) logBundle(m *core.Machine) {
 }
 
 // traceBase builds a run's trace file base name. The driver is part of
-// the name: an "auto" sweep runs different drivers at different
-// host-core columns, and two columns that happen to share a host-core
-// count (or a re-run under another driver) must not overwrite each
-// other's traces.
+// the name, so the serial reference column's trace and a parallel
+// column's never overwrite each other.
 func traceBase(name string, scheme core.Scheme, driver string, hostCores int, suffix string) string {
 	// "S9*" must survive as a file name.
 	sname := strings.ReplaceAll(scheme.String(), "*", "x")

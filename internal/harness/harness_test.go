@@ -28,28 +28,9 @@ func TestTable2Small(t *testing.T) {
 	t.Logf("\n%s", out)
 }
 
+// TestDriverSelection: the reference column runs the serial engine, and
+// the paper's one-host-core baseline is the parallel engine at K = 1.
 func TestDriverSelection(t *testing.T) {
-	auto := Options{}
-	auto.fillDefaults()
-	for hc, want := range map[int]string{0: "serial", 1: "fused", 2: "parallel", 8: "parallel"} {
-		if got := auto.DriverFor(hc); got != want {
-			t.Errorf("auto DriverFor(%d) = %q, want %q", hc, got, want)
-		}
-	}
-	forced := Options{Driver: "parallel"}
-	forced.fillDefaults()
-	if got := forced.DriverFor(1); got != "parallel" {
-		t.Errorf("forced DriverFor(1) = %q, want parallel", got)
-	}
-	if got := forced.DriverFor(0); got != "serial" {
-		t.Errorf("forced DriverFor(0) = %q, want serial (reference engine)", got)
-	}
-	if _, err := NewRunner(Options{Driver: "warp"}); err == nil {
-		t.Error("NewRunner accepted driver \"warp\"")
-	}
-
-	// A 1-host-core run under auto must execute (and record) the fused
-	// driver end to end.
 	r, err := NewRunner(Options{
 		Workloads:   []string{"ocean"},
 		HostCores:   []int{1},
@@ -59,12 +40,19 @@ func TestDriverSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := r.RunOne("ocean", core.SchemeCC, 1)
+	ref, err := r.SerialReference("ocean")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Driver != "fused" {
-		t.Errorf("Run.Driver = %q, want fused", run.Driver)
+	if ref.Driver != "serial" || ref.Result.Groups != 0 {
+		t.Errorf("reference column: driver %q, %d groups; want serial, 0", ref.Driver, ref.Result.Groups)
+	}
+	base, err := r.Baseline("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Result.Groups != 1 {
+		t.Errorf("1-host-core column ran %d groups, want 1", base.Result.Groups)
 	}
 }
 

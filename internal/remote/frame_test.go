@@ -51,6 +51,44 @@ func TestFrameCRCRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameResumesAfterTimeout: a read deadline that passes between a
+// frame's header and its payload costs nothing — the next ReadFrame
+// returns the whole frame. A worker polls its connection under a deadline,
+// and used to lose the header, read the payload as the next header and
+// stop answering.
+func TestReadFrameResumesAfterTimeout(t *testing.T) {
+	a, b := net.Pipe()
+	t.Cleanup(func() { a.Close(); b.Close() })
+	var wire bytes.Buffer
+	w := NewConn(nopTransport{w: &wire})
+	payload := bytes.Repeat([]byte{0xFF}, 32)
+	if err := w.WriteFrame(FGate, payload); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	raw := wire.Bytes()
+	timedOut := make(chan struct{})
+	go func() {
+		a.Write(raw[:frameHeader])
+		<-timedOut
+		a.Write(raw[frameHeader:])
+	}()
+
+	r := NewConn(b)
+	r.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, err := r.ReadFrame(); !IsTimeout(err) {
+		t.Fatalf("payload-less read: %v, want a timeout", err)
+	}
+	close(timedOut)
+	f, err := readOne(t, r)
+	if err != nil {
+		t.Fatalf("resumed read: %v", err)
+	}
+	if f.Type != FGate || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("resumed frame: type %s, %d-byte payload", FrameName(f.Type), len(f.Payload))
+	}
+}
+
 // TestFrameCorruptionDetected flips one payload byte on the wire and
 // asserts the reader returns a structured CorruptFrameError naming the
 // frame type and the stream offset of the corrupt frame.

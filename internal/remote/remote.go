@@ -120,8 +120,10 @@ type Conn struct {
 	tbuf    [8]byte // SendTime payload (sender goroutine)
 
 	// rOff is the stream offset of the next frame to read (receiver
-	// goroutine only); CorruptFrameError reports it.
+	// goroutine only); CorruptFrameError reports it. rGot counts the bytes
+	// of that frame an earlier ReadFrame already took before it failed.
 	rOff int64
+	rGot int
 	// corruptRecv, when armed, flips the next received frame's checksum
 	// check — the deterministic hook behind the FrameCorrupt injected
 	// fault (internal/faultinject), equivalent to a bit flip on the wire.
@@ -217,9 +219,13 @@ type Frame struct {
 
 // ReadFrame blocks for the next frame (subject to the read deadline) and
 // verifies its payload checksum; a mismatch returns a *CorruptFrameError.
+// A call that fails part-way through a frame keeps what it read and the
+// next call resumes there, so a reader that polls under a read deadline (a
+// worker waiting for work) never loses its framing when the deadline falls
+// between a frame's header and its payload.
 func (c *Conn) ReadFrame() (Frame, error) {
 	off := c.rOff
-	if _, err := io.ReadFull(c.t, c.rhdr[:]); err != nil {
+	if err := c.fill(c.rhdr[:], 0); err != nil {
 		return Frame{}, err
 	}
 	n := binary.LittleEndian.Uint32(c.rhdr[1:])
@@ -231,9 +237,10 @@ func (c *Conn) ReadFrame() (Frame, error) {
 		c.readBuf = make([]byte, n)
 	}
 	buf := c.readBuf[:n]
-	if _, err := io.ReadFull(c.t, buf); err != nil {
+	if err := c.fill(buf, frameHeader); err != nil {
 		return Frame{}, err
 	}
+	c.rGot = 0
 	c.rOff = off + int64(frameHeader) + int64(n)
 	c.bytesRecv.Add(int64(frameHeader) + int64(n))
 	c.framesRecv.Add(1)
@@ -245,6 +252,23 @@ func (c *Conn) ReadFrame() (Frame, error) {
 		return Frame{}, &CorruptFrameError{FrameType: c.rhdr[0], Offset: off, Want: want, Got: got}
 	}
 	return Frame{Type: c.rhdr[0], Payload: buf}, nil
+}
+
+// fill reads the current frame's bytes [at, at+len(b)) into b, skipping
+// what an earlier call already took (rGot): io.ReadFull that survives a
+// failed call.
+func (c *Conn) fill(b []byte, at int) error {
+	for c.rGot < at+len(b) {
+		k, err := c.t.Read(b[c.rGot-at:])
+		c.rGot += k
+		if err != nil && c.rGot < at+len(b) {
+			if err == io.EOF && c.rGot > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // SendBatch encodes one shard's batch (timed) and frames it under typ
