@@ -111,6 +111,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewMachine(prog, bad); err == nil {
 		t.Error("mismatched cache core count accepted")
 	}
+	bad = smallConfig(1, ModelOoO)
+	bad.CPU.ROBSize = 65 // the issue queue's slot masks are one word
+	if _, err := NewMachine(prog, bad); err == nil {
+		t.Error("ROBSize 65 accepted")
+	}
 }
 
 func TestInvalidSchemeRejected(t *testing.T) {

@@ -58,6 +58,21 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFetchQueueBounded: under a window that stays full, dispatch never
+// drains the fetch queue, and fetch must reuse its array rather than let
+// append grow it by an entry per fetched instruction (too slowly for
+// TestStepZeroAlloc's per-step average to see).
+func TestFetchQueueBounded(t *testing.T) {
+	b := newBenchTB(t, missBoundProg(1<<30), false)
+	for i := 0; i < 20000; i++ {
+		b.step()
+	}
+	c := b.core.(*OoO)
+	if got, want := cap(c.fetchQ), c.cfg.FetchQSize; got != want {
+		t.Fatalf("fetch queue capacity %d after 20000 cycles, want %d", got, want)
+	}
+}
+
 // dispatchMix assembles a representative instruction mix and returns both
 // the decoded instructions (for the legacy switch path) and their
 // predecoded records (for the threaded-dispatch path), so the two

@@ -27,6 +27,9 @@ type bench struct {
 	sys    int
 	done   bool
 	code   int64
+	// checkIQ runs the issue-queue invariant check after every tick
+	// (tests only: benchmarks time step without it).
+	checkIQ bool
 }
 
 func newBench(t *testing.T, src string, inorder bool) *bench {
@@ -53,7 +56,8 @@ func newBenchTB(t fataler, src string, inorder bool) *bench {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &bench{t: t}
+	_, isTest := t.(*testing.T)
+	b := &bench{t: t, checkIQ: isTest}
 	b.mem = mem.New(4 << 20)
 	if err := b.mem.WriteBytes(prog.TextBase, prog.TextBytes()); err != nil {
 		t.Fatal(err)
@@ -136,6 +140,11 @@ func (b *bench) step() {
 	}
 	b.inbox = kept
 	progressed := b.core.Tick(b.now)
+	if c, ok := b.core.(*OoO); ok && b.checkIQ {
+		if err := checkIQ(c); err != nil {
+			b.t.Fatalf("cycle %d: issue queue: %v", b.now, err)
+		}
+	}
 	b.now++
 	b.manage()
 	if !progressed && len(b.inbox) == 0 {

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -11,7 +12,7 @@ func (c *OoO) DebugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "core %d active=%v fetchPC=%#x fetchMiss=%v(line %#x) fetchQ=%d rob=%d iq=%d lq=%d sq=%d serialize=%d sysIssued=%v sysDone=%v retryAt=%d pending=%d\n",
 		c.env.ID, c.active, c.fetchPC, c.fetchMiss, c.fetchMissLn, c.fetchQLen(),
-		c.robCount, len(c.iq), c.lqCount, c.sqCount, c.serializeSeq, c.sysIssued, c.sysDone, c.sysRetryAt, len(c.pending))
+		c.robCount, bits.OnesCount64(c.queuedSlots), c.lqCount, c.sqCount, c.serializeSeq, c.sysIssued, c.sysDone, c.sysRetryAt, len(c.pending))
 	if c.robCount > 0 {
 		h := c.robHead
 		fl := c.rob.flags[h]

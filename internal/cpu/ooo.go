@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/event"
@@ -11,8 +12,9 @@ import (
 
 // OoO is the detailed out-of-order core model: 4-wide fetch/dispatch/
 // issue/commit, a 64-entry ROB, physical register files with rename-map
-// checkpoints for branch recovery, a unified issue queue, a load/store
-// queue with store-to-load forwarding, and non-blocking L1 caches with
+// checkpoints for branch recovery, a unified issue queue with writeback
+// wakeup lists and age-ordered select, a load/store queue with
+// store-to-load forwarding, and non-blocking L1 caches with
 // MSHRs. As in the paper's NetBurst-like target, operand values are read
 // from the physical register file just before execution (§2.2), and loads
 // read the shared functional memory when their access completes — which is
@@ -52,24 +54,27 @@ type OoO struct {
 	fetchMiss    bool  // waiting for an instruction fill
 	fetchMissLn  uint64
 	fetchQ       []fetched
-	fetchHead    int // consumed prefix of fetchQ (compacted when drained)
+	fetchHead    int // consumed prefix of fetchQ (compacted when drained or full)
 
 	// Window.
 	rob      robSoA
 	robHead  int
 	robCount int
-	// iq holds waiting instructions in dispatch (= seq) order: dispatch
-	// appends, issue compacts in place, recovery truncates the squashed
-	// suffix. Order is invariant, which lets issue run a single in-order
-	// pass instead of IssueWidth oldest-ready scans.
-	iq []iqEntry
-	// iqUnready short-circuits issue while no queued entry has all source
-	// operands ready. Readiness only changes through writeback/writebackAt,
-	// dispatch of a new entry, recovery, or Start — each of which clears the
-	// flag. (Source physical registers of a waiting entry cannot be
-	// reallocated before it issues: the next definer of the same
-	// architectural register commits after this entry does.)
-	iqUnready bool
+	// The issue queue. A waiting instruction sits in iqSlot at its ROB
+	// index; queuedSlots and readySlots are bitmasks over ROB slots (so
+	// ROBSize <= 64), readySlots a subset of queuedSlots. waitInt/waitFP
+	// hold, per physical register, the slots that dispatched while it was
+	// unready; writeback drains that mask and re-checks only those slots.
+	// Readiness is monotone while queued (a source physical register cannot
+	// be reallocated before its reader issues: the next definer of the same
+	// architectural register commits after the reader does), and squashed
+	// slots leave both masks in recover, so a set ready bit stays true until
+	// issue clears it. Waiter masks may keep stale bits of squashed slots;
+	// a wake masks them with queuedSlots and re-checks, so they only ever
+	// cost a spurious re-check.
+	iqSlot                  []iqEntry
+	queuedSlots, readySlots uint64
+	waitInt, waitFP         []uint64
 
 	lq                      lqSoA
 	lqHead, lqTail, lqCount int
@@ -297,6 +302,9 @@ type mshr struct {
 // NewOoO builds an out-of-order core. A bad cache geometry is reported as
 // an error so machine construction fails fast instead of panicking.
 func NewOoO(cfg Config, env Env) (*OoO, error) {
+	if cfg.ROBSize < 1 || cfg.ROBSize > 64 {
+		return nil, fmt.Errorf("cpu: ROBSize %d outside 1..64", cfg.ROBSize)
+	}
 	l1d, err := cache.NewL1(env.CacheCfg)
 	if err != nil {
 		return nil, err
@@ -318,10 +326,12 @@ func NewOoO(cfg Config, env Env) (*OoO, error) {
 		physFPReady:  make([]bool, cfg.PhysFP),
 		freeInt:      make([]int16, 0, cfg.PhysInt),
 		freeFP:       make([]int16, 0, cfg.PhysFP),
+		waitInt:      make([]uint64, cfg.PhysInt),
+		waitFP:       make([]uint64, cfg.PhysFP),
 
 		fetchQ: make([]fetched, 0, cfg.FetchQSize),
 		rob:    newROBSoA(cfg.ROBSize),
-		iq:     make([]iqEntry, 0, cfg.IQSize),
+		iqSlot: make([]iqEntry, cfg.ROBSize),
 		lq:     newLQSoA(cfg.LQSize),
 		sq:     newSQSoA(cfg.SQSize),
 		ckpts:  make([]checkpoint, cfg.MaxBranches),
@@ -403,7 +413,6 @@ func (c *OoO) Start(pc, sp uint64, arg int64) {
 	c.active = true
 	c.fetchMiss = false
 	c.fetchBlocked = 0
-	c.iqUnready = false
 }
 
 // Stop implements Core.
@@ -416,8 +425,9 @@ func (c *OoO) Stop() {
 		c.rob.flags[i] = 0
 	}
 	c.robHead, c.robCount = 0, 0
-	c.iq = c.iq[:0]
-	c.iqUnready = false
+	c.queuedSlots, c.readySlots = 0, 0
+	clear(c.waitInt)
+	clear(c.waitFP)
 	for i := range c.lq.flags {
 		c.lq.flags[i] = 0
 	}
@@ -501,7 +511,7 @@ func (c *OoO) NextWork(now int64) int64 {
 	// An unpipelined divider can be busy with no corresponding pending op
 	// (a squash purges the op but not the busy horizon); a ready divide in
 	// the issue queue then becomes grantable only once the unit frees.
-	if len(c.iq) > 0 {
+	if c.queuedSlots != 0 {
 		consider(c.divBusy)
 		consider(c.fpDivBusy)
 	}
@@ -579,6 +589,12 @@ func (c *OoO) fetch(now int64) {
 		if pp.Flags&pfCTI != 0 {
 			npc, taken = c.pred.predict(pp, c.fetchPC)
 		}
+		if len(c.fetchQ) == cap(c.fetchQ) {
+			// Slide the live entries down instead of letting append grow
+			// the array behind a queue that never drains (a full window).
+			c.fetchQ = c.fetchQ[:copy(c.fetchQ, c.fetchQ[c.fetchHead:])]
+			c.fetchHead = 0
+		}
 		c.fetchQ = append(c.fetchQ, fetched{pre: *pp, pc: c.fetchPC, npc: npc, rasTop: rasTop})
 		if c.dbgOn() {
 			c.dbg(now, "fetch pc=%#x %s npc=%#x", c.fetchPC, pp.Inst().Disassemble(c.fetchPC), npc)
@@ -631,7 +647,7 @@ func (c *OoO) dispatch(now int64) {
 		fl := p.Flags
 
 		needsIQ := fl&pfNeedsIQ != 0
-		if needsIQ && len(c.iq) >= c.cfg.IQSize {
+		if needsIQ && bits.OnesCount64(c.queuedSlots) >= c.cfg.IQSize {
 			return
 		}
 		isLoad, isStore := fl&pfLoad != 0, fl&pfStore != 0
@@ -658,12 +674,15 @@ func (c *OoO) dispatch(now int64) {
 		c.prog = true
 		c.seqCounter++
 		seq := c.seqCounter
+		robIdx := int16((c.robHead + c.robCount) % c.cfg.ROBSize)
+		if needsIQ {
+			// Capture source renames before updating the destination
+			// mapping (an instruction may read the register it writes).
+			c.enqueue(p, seq, robIdx)
+		}
 
 		var flags robFlag = rfValid
 		dst, old := int16(-1), int16(-1)
-		// Capture source renames before updating the destination mapping
-		// (an instruction may read the register it writes).
-		iqe := c.captureOperands(p)
 
 		switch {
 		case p.IntDst >= 0:
@@ -694,8 +713,6 @@ func (c *OoO) dispatch(now int64) {
 		} else if p.Op == isa.OpJAL {
 			c.stats.Branches++
 		}
-
-		robIdx := int16((c.robHead + c.robCount) % c.cfg.ROBSize)
 
 		lqIdx, sqIdx := int16(-1), int16(-1)
 		if isLoad {
@@ -757,48 +774,63 @@ func (c *OoO) dispatch(now int64) {
 			c.fetchQ = c.fetchQ[:0]
 			c.fetchHead = 0
 		}
-
-		if needsIQ {
-			iqe.seq = seq
-			iqe.robIdx = robIdx
-			iqe.class = p.Class
-			c.iq = append(c.iq, iqe)
-			c.iqUnready = false
-		}
 	}
 }
 
-// captureOperands records the dispatch-time physical register of each
-// operand role, following the predecoded capture plan. Integer r0 maps to
-// -1 (constant zero).
-func (c *OoO) captureOperands(p *Pre) iqEntry {
-	e := iqEntry{ps1: -1, ps2: -1, pf1: -1, pf2: -1}
+// enqueue puts p, dispatched as seq, into ROB slot robIdx of the issue
+// queue. It records the dispatch-time physical register of each operand
+// role, following the predecoded capture plan (integer r0 maps to -1,
+// constant zero), and registers the slot as a waiter on each operand not
+// yet ready; with none, the entry is ready at once.
+func (c *OoO) enqueue(p *Pre, seq int64, robIdx int16) {
+	e := &c.iqSlot[robIdx]
+	*e = iqEntry{seq: seq, robIdx: robIdx, ps1: -1, ps2: -1, pf1: -1, pf2: -1, class: p.Class}
+	bit := uint64(1) << robIdx
 	fl := p.Flags
 	if fl&pfReadInt1 != 0 && p.Rs1 != isa.RegZero {
 		e.ps1 = c.mapInt[p.Rs1]
 		if !c.physIntReady[e.ps1] {
 			e.need |= needPs1
+			c.waitInt[e.ps1] |= bit
 		}
 	}
 	if fl&pfReadInt2 != 0 && p.Rs2 != isa.RegZero {
 		e.ps2 = c.mapInt[p.Rs2]
 		if !c.physIntReady[e.ps2] {
 			e.need |= needPs2
+			c.waitInt[e.ps2] |= bit
 		}
 	}
 	if fl&pfReadFP1 != 0 {
 		e.pf1 = c.mapFP[p.Rs1]
 		if !c.physFPReady[e.pf1] {
 			e.need |= needPf1
+			c.waitFP[e.pf1] |= bit
 		}
 	}
 	if fl&pfReadFP2 != 0 {
 		e.pf2 = c.mapFP[p.Rs2]
 		if !c.physFPReady[e.pf2] {
 			e.need |= needPf2
+			c.waitFP[e.pf2] |= bit
 		}
 	}
-	return e
+	c.queuedSlots |= bit
+	if e.need == 0 {
+		c.readySlots |= bit
+	}
+}
+
+// wake drains *waiters, the slots waiting on a register just written, and
+// marks the queued ones whose operands are now all ready.
+func (c *OoO) wake(waiters *uint64) {
+	for m := *waiters & c.queuedSlots; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		if c.iqReady(&c.iqSlot[s]) {
+			c.readySlots |= 1 << s
+		}
+	}
+	*waiters = 0
 }
 
 // ---------------------------------------------------------------- issue --
@@ -828,63 +860,36 @@ func (c *OoO) iqReady(e *iqEntry) bool {
 	return n == 0
 }
 
-// issue grants up to IssueWidth ready instructions, oldest first, in one
-// in-order pass over the seq-sorted queue, compacting granted entries out
-// in place. This selects exactly the same instructions as repeated
-// oldest-ready-first scans: within a cycle operand readiness never changes
-// (writebacks happen in completePending) and FU availability only
-// decreases, so an entry skipped at its queue position would be skipped by
-// every later scan of this cycle too.
+// issue grants up to IssueWidth ready instructions, oldest first: it walks
+// the ready mask in age order, slots from robHead upward and then the
+// wrapped low slots. This selects exactly the same instructions as
+// repeated oldest-ready-first scans: within a cycle operand readiness never
+// changes (writebacks happen in commit and completePending) and FU
+// availability only decreases, so an entry skipped at its age position
+// would be skipped by every later scan of this cycle too.
 func (c *OoO) issue(now int64) {
-	if len(c.iq) == 0 || c.iqUnready {
+	if c.readySlots == 0 {
 		return
 	}
 	intALU, intMul, fpAdd, fpMul, memPorts := c.cfg.IntALUs, c.cfg.IntMuls, c.cfg.FPAdds, c.cfg.FPMuls, c.cfg.MemPorts
 	budget := c.cfg.IssueWidth
-	// leftover marks a ready entry that stayed queued: FU-blocked, or in
-	// the unexamined tail after the budget ran out. Only such an entry can
-	// become grantable by time alone (per-cycle FU budgets refresh, the
-	// unpipelined dividers free); everything else needs a writeback,
-	// dispatch, recovery, or restart first — all of which clear iqUnready.
-	leftover := false
-	w := -1 // compaction write cursor; entries before the first grant stay put
-	for k := 0; k < len(c.iq); k++ {
-		e := &c.iq[k]
-		if c.iqReady(e) {
-			if c.fuAvailable(e.class, now, intALU, intMul, fpAdd, fpMul, memPorts) {
-				c.prog = true
-				ev := *e
-				c.consumeFU(ev.class, now, &intALU, &intMul, &fpAdd, &fpMul, &memPorts)
-				c.execute(&ev, now)
-				if w < 0 {
-					w = k
-				}
-				if budget--; budget == 0 {
-					w += copy(c.iq[w:], c.iq[k+1:])
-					if k+1 < len(c.iq) {
-						leftover = true
-					}
-					break
-				}
+	older := c.readySlots >> c.robHead << c.robHead
+	for _, m := range [2]uint64{older, c.readySlots &^ older} {
+		for ; m != 0; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
+			e := &c.iqSlot[s]
+			if !c.fuAvailable(e.class, now, intALU, intMul, fpAdd, fpMul, memPorts) {
 				continue
 			}
-			leftover = true
+			c.prog = true
+			c.consumeFU(e.class, now, &intALU, &intMul, &fpAdd, &fpMul, &memPorts)
+			c.queuedSlots &^= 1 << s
+			c.readySlots &^= 1 << s
+			c.execute(e, now)
+			if budget--; budget == 0 {
+				return
+			}
 		}
-		if w >= 0 {
-			c.iq[w] = *e
-			w++
-		}
-	}
-	if w >= 0 {
-		c.iq = c.iq[:w]
-	}
-	if !leftover {
-		// Every entry still queued was examined and found not ready: skip
-		// issue scans until a writeback, a dispatch, a recovery, or a
-		// restart can change operand readiness. (A skipped scan would have
-		// granted nothing and has no side effects, so this is invisible to
-		// the simulated machine.)
-		c.iqUnready = true
 	}
 }
 
@@ -1074,11 +1079,12 @@ func (c *OoO) writeback(robIdx int16, vi int64, vf float64) {
 	if c.rob.flags[ri]&rfDstFP != 0 {
 		c.physFPVal[dst] = vf
 		c.physFPReady[dst] = true
+		c.wake(&c.waitFP[dst])
 	} else {
 		c.physIntVal[dst] = vi
 		c.physIntReady[dst] = true
+		c.wake(&c.waitInt[dst])
 	}
-	c.iqUnready = false
 }
 
 func (c *OoO) resolveCTI(op pendingOp, now int64) {
@@ -1149,16 +1155,13 @@ func (c *OoO) recover(brIdx int16, ckpt int8, target uint64, now int64) {
 			c.sysHoldFetch = false
 		}
 		c.rob.flags[ti] = 0
+		c.queuedSlots &^= 1 << ti
+		c.readySlots &^= 1 << ti
 		c.robCount--
 		c.stats.Squashed++
 	}
 
-	// Purge younger IQ entries (a seq-ordered suffix) and scheduled
-	// completions.
-	for len(c.iq) > 0 && c.iq[len(c.iq)-1].seq > brSeq {
-		c.iq = c.iq[:len(c.iq)-1]
-	}
-	c.iqUnready = false
+	// Purge younger scheduled completions.
 	kept := c.pending[:0]
 	for _, op := range c.pending {
 		if op.seq <= brSeq {

@@ -244,7 +244,7 @@ func (c *OoO) writebackAt(h int, v int64) {
 	if dst := c.rob.dst[h]; dst >= 0 && c.rob.flags[h]&rfDstFP == 0 {
 		c.physIntVal[dst] = v
 		c.physIntReady[dst] = true
-		c.iqUnready = false
+		c.wake(&c.waitInt[dst])
 	}
 }
 
