@@ -73,10 +73,10 @@ func (m *Machine) auditCore(i int, local, gSnap int64) {
 	// call (excluded from the global minimum), before it has jumped to a
 	// pending resume grant (local <= resumeFloor), and while it is still
 	// catching up to the post-sleep global time (local < settleG).
-	if m.blocked[i].v.Load() != 0 {
+	if m.blocked[i].Load() != 0 {
 		return
 	}
-	if flo := m.resumeFloor[i].v.Load(); local <= flo || local < a.settleG[i] {
+	if flo := m.resumeFloor[i].Load(); local <= flo || local < a.settleG[i] {
 		return
 	}
 	if gSnap > local {

@@ -335,10 +335,6 @@ func (m *Machine) detectDeadlock() bool {
 				return false
 			}
 		}
-		// A lone runner's replies wait in plain slices, not rings.
-		if m.fused && len(m.fusedIn[i])+len(m.members[i].inbox) != 0 {
-			return false
-		}
 	}
 	return m.kernel.Deadlocked()
 }
@@ -377,8 +373,8 @@ func (m *Machine) coreReports() []CoreReport {
 			ID:          i,
 			Local:       m.local[i].v.Load(),
 			MaxLocal:    m.maxLocal[i].v.Load(),
-			ResumeFloor: m.resumeFloor[i].v.Load(),
-			Blocked:     m.blocked[i].v.Load() != 0,
+			ResumeFloor: m.resumeFloor[i].Load(),
+			Blocked:     m.blocked[i].Load() != 0,
 			Parked:      m.members[i].wait.Load() == memberAtEdge,
 			Frozen:      m.members[i].wait.Load() == memberFrozen,
 			InQ:         in,

@@ -91,11 +91,13 @@ type member struct {
 	_ [64]byte
 }
 
-// coreGroup is one host goroutine's block of target cores and the one
-// condition variable the whole block parks on.
+// coreGroup is one host goroutine's block of target cores, the one
+// condition variable the whole block parks on, and the min-tree leaf that
+// publishes the block's clock (mintree.go).
 type coreGroup struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	leaf int // index of the group's min-tree leaf
 	// waiting is the Dekker flag of the park protocol: non-zero while the
 	// group is (about to be) parked, holding the wait* reasons. A waker
 	// changes the state first and reads the flag second; the group sets the
@@ -118,6 +120,7 @@ func (m *Machine) formGroups(k int) {
 	m.nGroups = 0
 	for lo := 0; lo < n; lo += per {
 		m.groups[m.nGroups].members = m.members[lo:min(lo+per, n)]
+		m.groups[m.nGroups].leaf = m.nGroups
 		m.nGroups++
 	}
 	for i := range m.members {
@@ -266,7 +269,7 @@ func (m *Machine) coreTurn(mb *member, pace corePacing, g, edge int64) bool {
 
 	// Fully stalled: fast-forward to the next actionable time, or hold the
 	// clock still until an event arrives (see corePacing.skipTarget).
-	next, freeze := pace.skipTarget(limit, g, c.NextWork(local), mb.inbox, c.Active(), m.blocked[i].v.Load() != 0)
+	next, freeze := pace.skipTarget(limit, g, c.NextWork(local), mb.inbox, c.Active(), m.blocked[i].Load() != 0)
 	if freeze {
 		m.setWait(mb, memberFrozen)
 	} else if next > local {
@@ -284,8 +287,9 @@ func (m *Machine) coreTurn(mb *member, pace corePacing, g, edge int64) bool {
 // conservative scheme, so the round is run by the group that finished its
 // window first and would otherwise only wait; after every turn under an
 // optimistic one, so a request is answered before a sibling runs further
-// ahead of it. A lone runner (K = 1 unsharded, Machine.fused) is always the
-// manager and never parks: no other goroutine would wake it.
+// ahead of it. A lone group (K = 1 unsharded) is always the manager: it
+// never parks, since no other goroutine would wake it, and never yields
+// every 8 passes, since it has no peer to yield to.
 //
 // A panic is contained as a SimError naming whichever of the group's
 // members — or the manager — was running.
@@ -302,6 +306,7 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	}()
 	pace := corePacing{conservative: m.scheme.Conservative(), critical: m.cfg.Cache.CriticalLatency(), shared: len(g.members) > 1}
 	roundPerTurn := mgr != nil && !pace.conservative
+	lone := mgr != nil && m.nGroups == 1
 	var idleSince time.Time
 	var turnH, yieldH, parkH *metrics.Histogram // nil (and inert) unless metrics are on
 	if m.met != nil {
@@ -327,29 +332,21 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 		}
 		cur = faultinject.Manager
 		if !mgr.round() {
-			mgr.idle(mayPark && !m.fused)
-			if m.fused {
+			mgr.idle(mayPark && !lone)
+			if lone {
 				runtime.Gosched() // stay polite to the host while nothing moves
 			}
 		}
 		m.mgrMu.Unlock()
 		return true
 	}
-	// A lone runner has no peer to yield to, and feeds no min-tree: the live
-	// /slack view reads the tree's leaves, refreshed now and then instead.
-	yield, refreshLeaves := !m.fused, m.fused && m.introOn
 	idle := false
 	for passes := 1; !m.done.Load(); passes++ {
 		// Yield now and then so an oversubscribed host (shard workers, a
 		// manager goroutine, wire goroutines) cannot be starved by groups
 		// that never wait — the optimistic schemes' normal state.
-		if yield && passes&7 == 0 {
+		if !lone && passes&7 == 0 {
 			runtime.Gosched()
-		}
-		if refreshLeaves && passes&63 == 0 {
-			for i := range m.cores {
-				m.refreshMinLeaf(i)
-			}
 		}
 		moved := false
 		for k := range g.members {
@@ -367,13 +364,11 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			if sample {
 				turnH.Observe(time.Since(t0).Nanoseconds())
 			}
-			// The per-turn round, unless a core of this very group holds the
+			// The per-turn round, unless this very group's leaf holds the
 			// global time back: everybody is waiting for this group, so one
 			// that is ahead (and would wait anyway) takes the round.
-			if roundPerTurn {
-				if a := m.lt.argmin(); m.nGroups == 1 || a < 0 || m.groupOf[a] != g {
-					manage(false)
-				}
+			if roundPerTurn && (lone || m.lt.argmin() != g.leaf) {
+				manage(false)
 			}
 		}
 		switch {

@@ -103,7 +103,7 @@ func (m *Machine) slackSnapshot() introspect.SlackSnapshot {
 			ID:       i,
 			Local:    m.local[i].v.Load(),
 			MaxLocal: ml,
-			Blocked:  m.blocked[i].v.Load() != 0,
+			Blocked:  m.blocked[i].Load() != 0,
 			Parked:   m.members[i].wait.Load() == memberAtEdge,
 			Frozen:   m.members[i].wait.Load() == memberFrozen,
 			InQ:      m.inQ[i].Len(),

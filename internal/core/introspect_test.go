@@ -139,10 +139,10 @@ func TestIntrospectionLive(t *testing.T) {
 	}
 }
 
-// TestIntrospectionLiveFused is the fused-driver counterpart: the single
-// goroutine mirrors its plain clocks into the shared atomics once per
-// round, so /slack, /metrics, and /stallz must answer from another
-// goroutine while the fused loop runs.
+// TestIntrospectionLiveFused is the K = 1 counterpart: the lone group
+// stores the same per-core clock atomics and feeds the same min-tree as K
+// groups, so /slack, /metrics, and /stallz must answer from another
+// goroutine while RunFused runs.
 func TestIntrospectionLiveFused(t *testing.T) {
 	srv, err := introspect.New("127.0.0.1:0")
 	if err != nil {
@@ -216,12 +216,9 @@ func TestIntrospectionLiveFused(t *testing.T) {
 	}
 }
 
-// TestFusedSlackHighWaters guards the fused driver's ring-depth mirror:
-// the fused loop never touches the InQ/OutQ rings (pending replies live
-// in fusedIn, undelivered events in round inboxes), so the ring
-// observers installed by EnableIntrospection would leave /slack showing
-// zero high-waters forever. The driver mirrors its pending-queue depths
-// into the gauges instead — on attach and on the sampled rounds — and a
+// TestFusedSlackHighWaters guards the ring high-water gauges at K = 1: the
+// lone group's replies travel through the per-core InQ rings, whose
+// observers (installed by EnableIntrospection) feed the gauges, so a
 // client must see a nonzero inq high-water from the memory replies core
 // 0's fetch misses park across rounds.
 func TestFusedSlackHighWaters(t *testing.T) {

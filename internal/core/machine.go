@@ -189,33 +189,35 @@ type Machine struct {
 	// system call (the kernel holds it on a wait queue). Blocked cores are
 	// excluded from the global-time minimum — their clocks are frozen and
 	// meaningless until the grant, whose timestamp they then jump to.
-	blocked []padded
+	blocked []atomic.Int64
 	// resumeFloor[i] is the timestamp of core i's most recent blocking-
 	// syscall grant. From the instant the grant is pushed, the core
 	// rejoins the global minimum at this time (its frozen clock will jump
 	// there), so the global time cannot race past the core's resume point
 	// while its goroutine is waiting to be scheduled — which would let it
 	// inject events into the manager's past and break the conservative
-	// schemes' determinism.
-	resumeFloor []padded
+	// schemes' determinism. Only the manager writes blocked and
+	// resumeFloor, on syscall transitions, so neither is padded: a group's
+	// leaf refresh (mintree.go) reads each for eight cores from one line.
+	resumeFloor []atomic.Int64
 	global      atomic.Int64
 	done        atomic.Bool
 	intr        atomic.Bool  // Interrupt() requested (signal handler)
 	roiTime     atomic.Int64 // simulated time the ROI began (-1 until then)
 
-	// lt is the tournament min-tree over the cores' effective local times
-	// (see mintree.go): cores update their leaf on clock publication, the
-	// manager reads the root in O(1) instead of scanning N clocks.
+	// lt is the tournament min-tree with one leaf per core group (see
+	// mintree.go): a group updates its leaf when a clock publication moves
+	// the group's minimum, the manager reads the root in O(1).
 	lt *minTree
 	// outDirty marks OutQs that received a push since the manager's last
 	// drain (one bit per core), so the drain touches only active rings.
 	outDirty []paddedU64
-	// mgrEpoch counts core-side activity (clock publications, OutQ pushes,
-	// kernel grants); the manager records it at the start of a round and
-	// parks when a round was idle and the epoch did not move. mgrParked
-	// flags a manager waiting on mgrWake so the bump path can skip the
-	// channel when the manager is running (same Dekker pattern as the
-	// groups' waiting flag).
+	// mgrEpoch counts core-side activity (leaf moves, OutQ pushes, remote
+	// reply batches); the manager records it at the
+	// start of a round and parks when a round was idle and the epoch did
+	// not move. mgrParked flags a manager waiting on mgrWake so the bump
+	// path can skip the channel when the manager is running (same Dekker
+	// pattern as the groups' waiting flag).
 	mgrEpoch  padded
 	mgrParked atomic.Int32
 	mgrWake   chan struct{}
@@ -226,14 +228,6 @@ type Machine struct {
 	gq evHeap
 	// serialMode marks a RunSerial drive.
 	serialMode bool
-	// fused marks K = 1 on the unsharded backend (set by beginRun; see
-	// RunFused): the whole simulation runs on one goroutine, so Env.Send
-	// pushes straight into the GQ and manager replies append to fusedIn
-	// instead of the InQ rings.
-	fused bool
-	// fusedIn is that run's per-core pending-reply slice — the plain-append
-	// replacement for the InQ ring + notify path.
-	fusedIn [][]event.Event
 
 	// shards holds the §2.2 sharded-manager plumbing (nil when unsharded).
 	shards *shardState
@@ -369,15 +363,15 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		inQ:         make([]*event.Ring, cfg.NumCores),
 		local:       make([]padded, cfg.NumCores),
 		maxLocal:    make([]padded, cfg.NumCores),
-		blocked:     make([]padded, cfg.NumCores),
-		resumeFloor: make([]padded, cfg.NumCores),
+		blocked:     make([]atomic.Int64, cfg.NumCores),
+		resumeFloor: make([]atomic.Int64, cfg.NumCores),
 		members:     make([]member, cfg.NumCores),
 		groups:      make([]coreGroup, cfg.NumCores),
 		groupOf:     make([]*coreGroup, cfg.NumCores),
 		waitCycles:  make([]int64, cfg.NumCores),
 		lastEvKind:  make([]padded, cfg.NumCores),
 		lastEvTime:  make([]padded, cfg.NumCores),
-		lt:          newMinTree(cfg.NumCores),
+		lt:          new(minTree),
 		outDirty:    make([]paddedU64, (cfg.NumCores+63)/64),
 		notifyPend:  make([]uint64, (cfg.NumCores+63)/64),
 		mgrWake:     make(chan struct{}, 1),
@@ -408,13 +402,6 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 					ev.ReqTime = ev.Time
 					ev.SendNS = m.hostNS()
 				}
-				if m.fused {
-					// Single-goroutine drive: push straight into the GQ.
-					// The heap's (Time, Core, Seq) order makes processing
-					// order independent of push order, so this is exact.
-					m.gq.Push(ev)
-					return
-				}
 				m.outQ[i].MustPush(ev)
 				m.markOutDirty(i)
 				m.bumpMgrEpoch()
@@ -434,9 +421,14 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("core: %w", cerr)
 		}
 		m.cores[i] = c
+		// Until beginRun forms the run's groups, each core is a group of
+		// one with a leaf of its own.
 		m.groups[i].cond = sync.NewCond(&m.groups[i].mu)
-		m.groupOf[i] = &m.groups[i] // until beginRun forms the run's groups
+		m.groups[i].members, m.groups[i].leaf = m.members[i:i+1], i
+		m.members[i].id = i
+		m.groupOf[i] = &m.groups[i]
 	}
+	m.sizeTree(cfg.NumCores)
 	// Deferred grants for blocked syscalls (lock handoff, barrier release,
 	// semaphore signal, join) come back through the same InQ reply path.
 	m.kernel.Notify = func(core int, t int64, ret int64) {
@@ -450,25 +442,15 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			Time: grantAt,
 			Aux:  ret,
 		}
-		if m.fused {
-			// Single-goroutine drive: the grant is a plain append, and the
-			// next round recomputes the global minimum from the resume
-			// floor directly (minLocal) — no min-tree, no wake-up.
-			m.fusedIn[core] = append(m.fusedIn[core], grant)
-			m.fusedNoteInDepth(core)
-			m.resumeFloor[core].v.Store(grantAt)
-			m.blocked[core].v.Store(0)
-			return
-		}
 		m.inQ[core].MustPush(grant)
-		m.resumeFloor[core].v.Store(grantAt)
-		m.blocked[core].v.Store(0)
+		m.resumeFloor[core].Store(grantAt)
+		m.blocked[core].Store(0)
 		// Rejoin the min-tree at the resume floor. Notify runs on the
-		// manager goroutine (inside a processing pass), so the leaf is
-		// exact — lowered from the blocked sentinel to the grant time —
-		// before the manager's next globalMin read, which keeps the global
-		// time from racing past the core's resume point.
-		m.refreshMinLeaf(core)
+		// manager goroutine (inside a processing pass), and the refresh
+		// leaves the root at most the grant time before the manager's next
+		// globalMin read (mintree.go), which keeps the global time from
+		// racing past the core's resume point.
+		m.refreshLeaf(m.groupOf[core], true)
 		m.deferNotify(core)
 	}
 	if cfg.ManagerShards > 1 {
@@ -521,8 +503,8 @@ func (m *Machine) DebugState() string {
 	fmt.Fprintf(&b, "global=%d gq=%d\n", m.global.Load(), m.gq.Len())
 	for i := range m.cores {
 		fmt.Fprintf(&b, "core %d: local=%d maxLocal=%d blocked=%d floor=%d inQ=%d outQ=%d\n",
-			i, m.local[i].v.Load(), m.maxLocal[i].v.Load(), m.blocked[i].v.Load(),
-			m.resumeFloor[i].v.Load(), m.inQ[i].Len(), m.outQ[i].Len())
+			i, m.local[i].v.Load(), m.maxLocal[i].v.Load(), m.blocked[i].Load(),
+			m.resumeFloor[i].Load(), m.inQ[i].Len(), m.outQ[i].Len())
 		if d, ok := m.cores[i].(interface{ DebugState() string }); ok {
 			b.WriteString("  " + d.DebugState())
 		}

@@ -122,29 +122,10 @@ func (m *Machine) processMem(ev event.Event) {
 }
 
 // pushReply delivers one manager-produced reply toward core i: a ring push
-// plus a (possibly coalesced) wake-up when several goroutines run, a plain
-// slice append on a lone runner (Machine.fused) — where producer and
-// consumer are the same goroutine, so no ring, notify, or memory ordering
-// is needed.
+// plus a (possibly coalesced) wake-up.
 func (m *Machine) pushReply(core int, ev event.Event) {
-	if m.fused {
-		m.fusedIn[core] = append(m.fusedIn[core], ev)
-		m.fusedNoteInDepth(core)
-		return
-	}
 	m.inQ[core].MustPush(ev)
 	m.deferNotify(core)
-}
-
-// fusedNoteInDepth ratchets core i's inq high-water gauge after a lone
-// runner's pending-reply append. That run never touches the InQ/OutQ
-// rings, so the ring observers installed by EnableIntrospection would leave
-// /slack reporting zeros; the append sites record the equivalent depth
-// instead.
-func (m *Machine) fusedNoteInDepth(core int) {
-	if m.introOn && m.hwIn != nil {
-		m.hwIn[core].SetMax(int64(len(m.fusedIn[core])))
-	}
 }
 
 // deferNotify wakes core i for a freshly pushed reply — immediately, or,
@@ -287,14 +268,11 @@ func (m *Machine) processSyscall(ev event.Event) {
 		// The kernel queued the caller; the grant arrives via Notify when
 		// another thread releases it. Until then the core's frozen clock
 		// must not hold back the global time (the releaser could never
-		// reach its releasing operation otherwise). The leaf refresh
-		// installs the blocked sentinel in the min-tree; it runs on the
-		// manager goroutine, so the next globalMin read already excludes
-		// this core, exactly as the old minLocal scan did.
-		m.blocked[core].v.Store(1)
-		if !m.fused {
-			m.refreshMinLeaf(core)
-		}
+		// reach its releasing operation otherwise). The refresh of its
+		// group's leaf runs on the manager goroutine, so the next globalMin
+		// read already excludes this core.
+		m.blocked[core].Store(1)
+		m.refreshLeaf(m.groupOf[core], true)
 		return
 	}
 	m.pushReply(core, event.Event{

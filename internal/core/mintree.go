@@ -1,104 +1,133 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
-// This file is the manager-scalability core of PR 4: a cache-line-aware
-// tournament min-tree over the per-core effective local times. The old
-// manager recomputed the global time by scanning all N per-core clock
-// atomics every round (minLocal), touching N contended cache lines even
-// when nothing had changed. With the tree, a core updates its own leaf on
-// local-time publication — O(log N) stores, and only when its clock
-// actually moved — and the manager reads the root in O(1). The per-round
-// manager cost becomes proportional to activity, not core count.
+// This file is the manager's global-time candidate (§2.1): a cache-line-
+// padded tournament min-tree with one leaf per core group (group.go), the
+// unit that runs cores and so the unit that publishes a clock. The manager
+// reads the root in O(1).
 //
-// Leaf semantics mirror minLocal exactly: a core asleep in a blocking
-// system call contributes the +inf sentinel (excluded from the minimum);
-// otherwise it contributes max(local, resumeFloor), so a core granted out
-// of a blocking wait counts at its resume time until its frozen clock
-// catches up. When every leaf is the sentinel the root is the sentinel and
-// the caller falls back to the current global time (all-blocked workload
-// deadlock; the watchdog handles it).
+// Leaf k is the minimum over group k's members of their effective local
+// times (groupMin): +inf for a core asleep in a blocking system call,
+// otherwise max(local, resumeFloor), so a core granted out of a blocking
+// wait counts at its resume time until its frozen clock catches up. An
+// all-+inf root leaves the global time where it is (an all-blocked
+// deadlock, which the watchdog handles). The per-core atomics (local,
+// blocked, resumeFloor) are the inputs, and the mirrors the auditor,
+// forensics, /slack and the trace hook read.
 //
-// Concurrency: leaves are written by their owning core goroutine (clock
-// publication) and by the manager goroutine (blocked/resumeFloor
-// transitions); internal nodes are recomputed by whichever updater passes
-// through. Every node write uses a store-then-verify loop: store the min
-// of the children, re-read the children, and repeat if they changed. With
-// Go's sequentially consistent atomics this makes the tree eventually
-// exact after any quiescent point: consider the last store to a node in
-// the total order of atomic operations — either its writer read both
-// children's final values, or a child changed after that read, and the
-// child's updater (which always stores the parent after storing the
-// child) would have produced a later parent store, a contradiction. The
-// property/fuzz test (mintree_test.go) checks the tree against the naive
-// minLocal scan under concurrent publishes, blocked flips and floor
-// updates, with and without the race detector.
+// Writers. A refresh recomputes a leaf and its holder — the highest-
+// numbered member at the minimum, in a round-robin the last of a tie to
+// move — and rebuilds the path to the root, all under the tree's mutex;
+// readers take no lock. The group goroutine refreshes after storing a
+// member's clock only if the member is the holder or lands at or below the
+// leaf (publishLocal): about once per pass, even when every member stands
+// at the same cycle, as under CC. The manager refreshes after every blocked
+// or resume-floor store (processSyscall, kernel.Notify), re-reading the
+// atomics after its store until they agree.
 //
-// All nodes are padded to a cache line (the padded type), so a core
-// hammering its leaf never false-shares with a sibling's leaf, and the
-// frequently-read root sits alone on its line.
+// Protocol. Sibling members keep publishing while one is blocked, so
+// without the lock a group refresh computed before a grant could land
+// after the manager's and hide the grant's resume floor — as could another
+// group's path rebuild, since internal nodes are shared — and the global
+// time could pass a core about to resume, which would then inject events
+// into the manager's past. With every store computed under the lock:
+//
+//  1. When the manager's grant refresh returns, the root is at most the
+//     granted core's max(local, floor), and nothing raises it past that
+//     before the core's own clock does.
+//  2. A skipped refresh loses nothing: a non-holder landing above the leaf
+//     leaves the minimum with the holder, and every change to the holder's
+//     inputs is followed by a refresh. The one stale leaf a group can read
+//     comes from a manager refresh that read a clock before the group
+//     stored it and stored the leaf after the group read it; its re-read
+//     then follows the group's store, and it stores again. A group's own
+//     refresh reads clocks it owns, and a manager store it misses is
+//     followed by the manager's refresh.
+//  3. At any quiescent point every leaf is its members' minimum and the
+//     root the leaves' (mintree_test.go checks 1 and 3 against a scan).
+//
+// The lock is uncontended at K = 1 and taken about once per group pass.
 
 // minTreeInf is the blocked-core sentinel: such cores never win the
-// tournament, exactly as minLocal's skip of blocked cores.
+// tournament.
 const minTreeInf = math.MaxInt64
 
 // minTree is a 1-based implicit binary tree: nodes[1] is the root, leaves
-// occupy nodes[base : base+n], and unused leaves hold the sentinel.
+// occupy nodes[base : base+n], and unused leaves hold the sentinel. mu
+// serialises every store; see the protocol above.
 type minTree struct {
+	mu    sync.Mutex
 	n     int
 	base  int
-	nodes []padded
+	nodes []treeNode
 }
 
-func newMinTree(n int) *minTree {
-	base := 1
-	for base < n {
-		base <<= 1
+// treeNode is one cache line: a node's value and, in a leaf, its holder,
+// which publishLocal reads with the value.
+type treeNode struct {
+	v      atomic.Int64
+	holder atomic.Int64
+	_      [6]int64
+}
+
+// reset sizes the tree to n leaves, every node the sentinel until the
+// leaves are refreshed (sizeTree). It allocates only when growing, which
+// only NewMachine's sizing does, so a live /slack reader of the root never
+// sees the node slice change.
+func (t *minTree) reset(n int) {
+	t.n, t.base = n, 1
+	for t.base < n {
+		t.base <<= 1
 	}
-	t := &minTree{n: n, base: base, nodes: make([]padded, 2*base)}
+	if len(t.nodes) < 2*t.base {
+		t.nodes = make([]treeNode, 2*t.base)
+	}
 	for i := range t.nodes {
 		t.nodes[i].v.Store(minTreeInf)
 	}
-	for i := 0; i < n; i++ {
-		t.nodes[base+i].v.Store(0)
+}
+
+// sizeTree gives the min-tree one leaf per group of groups[:n] and derives
+// each leaf and holder from the pacing atomics.
+func (m *Machine) sizeTree(n int) {
+	m.lt.reset(n)
+	for k := 0; k < n; k++ {
+		m.refreshLeaf(&m.groups[k], false)
 	}
-	for idx := base - 1; idx >= 1; idx-- {
-		t.nodes[idx].v.Store(min(t.nodes[2*idx].v.Load(), t.nodes[2*idx+1].v.Load()))
-	}
-	return t
 }
 
 // root returns the current tournament minimum (minTreeInf when every live
 // leaf is blocked). O(1): a single atomic load.
 func (t *minTree) root() int64 { return t.nodes[1].v.Load() }
 
-// setLeaf stores leaf i without propagating (callers follow with
-// propagate; split so the machine's leaf refresh can store-then-verify
-// against the pacing atomics before paying for the upward pass).
-func (t *minTree) setLeaf(i int, v int64) { t.nodes[t.base+i].v.Store(v) }
-
-// propagate recomputes every ancestor of leaf i with the store-then-verify
-// loop described above. O(log n) on the quiet path; a handful of extra
-// iterations under contention.
-func (t *minTree) propagate(i int) {
-	for idx := (t.base + i) >> 1; idx >= 1; idx >>= 1 {
-		for {
-			v := min(t.nodes[2*idx].v.Load(), t.nodes[2*idx+1].v.Load())
-			t.nodes[idx].v.Store(v)
-			if min(t.nodes[2*idx].v.Load(), t.nodes[2*idx+1].v.Load()) == v {
-				break
-			}
-		}
+// set stores leaf i's holder and value, each only if it changed, and
+// reports whether the value did, after rebuilding its path to the root.
+// The caller holds mu, so an unchanged leaf's path is already exact.
+func (t *minTree) set(i int, v int64, holder int) bool {
+	n := &t.nodes[t.base+i]
+	if n.holder.Load() != int64(holder) {
+		n.holder.Store(int64(holder))
 	}
+	if n.v.Load() == v {
+		return false
+	}
+	n.v.Store(v)
+	for idx := (t.base + i) >> 1; idx >= 1; idx >>= 1 {
+		t.nodes[idx].v.Store(min(t.nodes[2*idx].v.Load(), t.nodes[2*idx+1].v.Load()))
+	}
+	return true
 }
 
-// argmin walks from the root toward the leaf that (currently) holds the
-// tournament minimum and returns its index in [0, n). Under concurrent
-// updates the walk is advisory — a child may change between the read that
-// chose it and the next level — which is exactly the accuracy straggler
-// attribution needs: the manager charges the round to whichever core's
-// leaf held the root at the moment it looked. Returns -1 when the root is
-// the all-blocked sentinel.
+// argmin walks from the root toward the leftmost leaf holding the minimum
+// and returns its index in [0, n), or -1 when the root is the all-blocked
+// sentinel. Lock-free, so a concurrent refresh can steer the walk — which is
+// the accuracy straggler attribution needs: the round is charged to the
+// group that held the root when the manager looked.
 func (t *minTree) argmin() int {
 	if t.root() == minTreeInf {
 		return -1
@@ -116,103 +145,83 @@ func (t *minTree) argmin() int {
 		return i
 	}
 	// A concurrent update steered the walk into the unused sentinel
-	// padding; clamp to the last live core rather than report nonsense.
+	// padding; clamp to the last live leaf rather than report nonsense.
 	return t.n - 1
 }
 
-// minLeafVal computes core i's effective local time from the pacing
-// atomics — the value its tree leaf must converge to. Identical to one
-// iteration of the reference minLocal scan.
-func (m *Machine) minLeafVal(i int) int64 {
-	if m.blocked[i].v.Load() != 0 {
-		return minTreeInf
+// groupMin returns the lowest effective local time, max(local, floor),
+// among g's members not blocked in the kernel, and the lowest- and
+// highest-numbered members holding it (minTreeInf and -1: all blocked).
+func (m *Machine) groupMin(g *coreGroup) (lo int64, first, last int) {
+	lo, first, last = minTreeInf, -1, -1
+	for k := range g.members {
+		id := g.members[k].id
+		if m.blocked[id].Load() != 0 {
+			continue
+		}
+		switch v := max(m.local[id].v.Load(), m.resumeFloor[id].Load()); {
+		case v < lo:
+			lo, first, last = v, id, id
+		case v == lo:
+			last = id
+		}
 	}
-	v := m.local[i].v.Load()
-	if f := m.resumeFloor[i].v.Load(); f > v {
-		v = f
-	}
-	return v
+	return lo, first, last
 }
 
-// refreshMinLeaf re-derives core i's leaf from the pacing atomics and
-// propagates. The store-then-verify loop at the leaf closes the race
-// between a core publishing its clock and the manager flipping the same
-// core's blocked flag: whichever write lands last in the total atomic
-// order re-reads the inputs after its store and either confirms the leaf
-// or fixes it, and then propagates to the root. Without the verify, a
-// stale max(local, floor) could overwrite the blocked sentinel and wedge
-// the global time on a frozen clock (the deadlock blocked-exclusion
-// exists to prevent).
-func (m *Machine) refreshMinLeaf(i int) {
+// refreshLeaf re-derives g's leaf and holder from its members' atomics,
+// under the tree's lock, and reports whether the leaf moved. A manager
+// refresh (verify) repeats until a re-read after the store agrees; a
+// group's own refresh cannot have read a clock older than its group's, so
+// it stores once (protocol above).
+func (m *Machine) refreshLeaf(g *coreGroup, verify bool) (moved bool) {
+	t := m.lt
+	t.mu.Lock()
 	for {
-		v := m.minLeafVal(i)
-		m.lt.setLeaf(i, v)
-		if m.minLeafVal(i) == v {
+		v, _, h := m.groupMin(g)
+		moved = t.set(g.leaf, v, h) || moved
+		if !verify {
+			break
+		}
+		if w, _, h2 := m.groupMin(g); w == v && h2 == h {
 			break
 		}
 	}
-	m.lt.propagate(i)
+	t.mu.Unlock()
+	return moved
 }
 
-// publishLocal publishes core i's local clock: the authoritative per-core
-// atomic (read by forensics, audits and the reference scan), the tree
-// leaf, and the manager wake epoch. Called from the owning core goroutine
-// at batch boundaries, fast-forwards and injected clock warps — already
-// amortised sites, so the O(log N) leaf path replaces the manager's
-// every-round O(N) scan at no per-cycle cost.
+// publishLocal publishes core i's local clock: the per-core atomic (read by
+// forensics, audits and the reference scan) and, when the core is its
+// group's holder or lands at or below the leaf, the group's leaf — and, if
+// the leaf moved, the manager wake epoch: the root can move only then.
+// Called from the group goroutine at batch boundaries, fast-forwards and
+// injected clock warps.
 func (m *Machine) publishLocal(i int, v int64) {
+	// Address the leaf before the store: its fence then holds back only the
+	// two loads, of one line, that the protocol orders after it.
+	g := m.groupOf[i]
+	leaf := &m.lt.nodes[m.lt.base+g.leaf]
 	m.local[i].v.Store(v)
-	if !m.fused { // a single runner has no tree to feed, no manager to wake
-		m.refreshMinLeaf(i)
+	if (leaf.holder.Load() == int64(i) || v <= leaf.v.Load()) && m.refreshLeaf(g, false) {
 		m.bumpMgrEpoch()
 	}
 }
 
 // globalMin returns the manager's global-time candidate — the tree root,
 // or the current global time unchanged when every live core is blocked in
-// the kernel (minLocal's all-blocked fallback) — and, when attribute is
-// set, the core that holds it (-1 when none: the straggler attribution's
-// argmin). A lone runner (Machine.fused) feeds no tree and takes both from
-// one minLocal scan.
+// the kernel — and, when attribute is set, the core that holds it (-1 when
+// none): the lowest-numbered core at the minimum of the group whose leaf
+// argmin finds, for straggler attribution.
 func (m *Machine) globalMin(attribute bool) (int64, int) {
-	if m.fused {
-		return m.minLocal()
-	}
 	held := -1
 	if attribute {
-		held = m.lt.argmin()
+		if k := m.lt.argmin(); k >= 0 {
+			_, held, _ = m.groupMin(&m.groups[k])
+		}
 	}
 	if v := m.lt.root(); v != minTreeInf {
 		return v, held
 	}
 	return m.global.Load(), held
-}
-
-// minLocal is the naive O(N) scan the min-tree replaced, returning the
-// minimum and the lowest-numbered core that holds it (-1 when every live
-// core is blocked). It remains the reference oracle — the property test
-// cross-checks the tree root against it at every quiescent point — and it
-// is a lone runner's global-time candidate: a single runner publishes to
-// no tree, and scanning the clocks it just stored is cheaper than
-// maintaining one.
-func (m *Machine) minLocal() (int64, int) {
-	lo, at := int64(-1), -1
-	for i := range m.local {
-		if m.blocked[i].v.Load() != 0 {
-			continue
-		}
-		v := m.local[i].v.Load()
-		// A core granted out of a blocking wait counts at its resume time
-		// until its (possibly still frozen) clock catches up.
-		if f := m.resumeFloor[i].v.Load(); f > v {
-			v = f
-		}
-		if at < 0 || v < lo {
-			lo, at = v, i
-		}
-	}
-	if at < 0 {
-		return m.global.Load(), -1
-	}
-	return lo, at
 }

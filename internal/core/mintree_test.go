@@ -1,22 +1,28 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slacksim/internal/event"
 )
 
 // bareMachine builds a Machine with just the pacing state the min-tree and
-// dirty-set tests exercise — no cores, no kernel, no cache hierarchy.
+// dirty-set tests exercise — no cores, no kernel, no cache hierarchy. Like
+// a fresh NewMachine, each core is a group of one until groupBare runs.
 func bareMachine(n, ringCap int) *Machine {
 	m := &Machine{
 		local:       make([]padded, n),
-		blocked:     make([]padded, n),
-		resumeFloor: make([]padded, n),
-		lt:          newMinTree(n),
+		blocked:     make([]atomic.Int64, n),
+		resumeFloor: make([]atomic.Int64, n),
+		members:     make([]member, n),
+		groups:      make([]coreGroup, n),
+		groupOf:     make([]*coreGroup, n),
+		lt:          new(minTree),
 		outQ:        make([]*event.Ring, n),
 		outDirty:    make([]paddedU64, (n+63)/64),
 		notifyPend:  make([]uint64, (n+63)/64),
@@ -25,28 +31,51 @@ func bareMachine(n, ringCap int) *Machine {
 	for i := range m.outQ {
 		m.outQ[i] = event.NewRing(ringCap)
 	}
+	groupBare(m, n)
 	return m
 }
 
-// applyMinTreeOp decodes one operation against core i from two bytes and
-// applies it through the same entry points the engine uses. Shared by the
-// property test and the fuzz target.
-func applyMinTreeOp(m *Machine, i int, op, arg byte) {
-	switch op % 4 {
-	case 0: // core publishes a (monotone) local-clock advance
-		m.publishLocal(i, m.local[i].v.Load()+int64(arg))
-	case 1: // manager blocks the core in the kernel
-		m.blocked[i].v.Store(1)
-		m.refreshMinLeaf(i)
-	case 2: // manager grants the core out of a blocking wait
-		m.resumeFloor[i].v.Store(m.local[i].v.Load() + int64(arg))
-		m.blocked[i].v.Store(0)
-		m.refreshMinLeaf(i)
-	case 3: // global time advances (feeds the all-blocked fallback)
-		if g := m.global.Load() + int64(arg); g > m.global.Load() {
-			m.global.Store(g)
+// groupBare splits a bare machine's cores into k contiguous groups of
+// ceil(n/k), as formGroups does (k = 3 is uneven for most n), and sizes the
+// tree to them, as beginRun does.
+func groupBare(m *Machine, k int) {
+	n := len(m.local)
+	per := (n + k - 1) / k
+	m.nGroups = 0
+	for lo := 0; lo < n; lo += per {
+		m.groups[m.nGroups].members, m.groups[m.nGroups].leaf = m.members[lo:min(lo+per, n)], m.nGroups
+		m.nGroups++
+	}
+	for i := range m.members {
+		m.members[i].id, m.groupOf[i] = i, &m.groups[i/per]
+	}
+	m.sizeTree(m.nGroups)
+}
+
+// minLocal is the reference oracle the min-tree replaced: the naive O(N)
+// scan of every core's clock, returning the minimum and the lowest-numbered
+// core that holds it (the current global time and -1 when every core is
+// blocked).
+func (m *Machine) minLocal() (int64, int) {
+	lo, at := int64(-1), -1
+	for i := range m.local {
+		if m.blocked[i].Load() != 0 {
+			continue
+		}
+		v := m.local[i].v.Load()
+		// A core granted out of a blocking wait counts at its resume time
+		// until its (possibly still frozen) clock catches up.
+		if f := m.resumeFloor[i].Load(); f > v {
+			v = f
+		}
+		if at < 0 || v < lo {
+			lo, at = v, i
 		}
 	}
+	if at < 0 {
+		return m.global.Load(), -1
+	}
+	return lo, at
 }
 
 // scanMin is the reference scan's global-time candidate alone.
@@ -55,18 +84,80 @@ func scanMin(m *Machine) int64 {
 	return v
 }
 
+// blockCore and grantCore are the manager's two leaf transitions, as
+// processSyscall and kernel.Notify make them.
+func blockCore(m *Machine, i int) {
+	m.blocked[i].Store(1)
+	m.refreshLeaf(m.groupOf[i], true)
+}
+
+func grantCore(m *Machine, i int, floor int64) {
+	m.resumeFloor[i].Store(floor)
+	m.blocked[i].Store(0)
+	m.refreshLeaf(m.groupOf[i], true)
+}
+
+// applyMinTreeOp decodes one operation against core i from two bytes and
+// applies it through the same entry points the engine uses.
+func applyMinTreeOp(m *Machine, i int, op, arg byte) {
+	switch op % 4 {
+	case 0: // core publishes a (monotone) local-clock advance
+		m.publishLocal(i, m.local[i].v.Load()+int64(arg))
+	case 1: // manager blocks the core in the kernel
+		blockCore(m, i)
+	case 2: // manager grants the core out of a blocking wait
+		grantCore(m, i, m.local[i].v.Load()+int64(arg))
+	case 3: // global time advances (feeds the all-blocked fallback)
+		if g := m.global.Load() + int64(arg); g > m.global.Load() {
+			m.global.Store(g)
+		}
+	}
+}
+
+// groupCounts are the group counts the tests run every core count at: one
+// lone group, three uneven ones, and a group per core.
+func groupCounts(n int) []int { return []int{1, min(3, n), n} }
+
+// checkQuiescent asserts, with no writer running, that every leaf is its
+// group's minimum and that globalMin agrees with the reference scan on both
+// the value and the holding core.
+func checkQuiescent(t *testing.T, m *Machine, what string) {
+	t.Helper()
+	for k := 0; k < m.nGroups; k++ {
+		if got, want := m.lt.leaf(k), groupScan(m, &m.groups[k]); got != want {
+			t.Fatalf("%s: leaf %d = %d, its members' minimum is %d", what, k, got, want)
+		}
+	}
+	got, gotAt := m.globalMin(true)
+	if want, wantAt := m.minLocal(); got != want || gotAt != wantAt {
+		t.Fatalf("%s: globalMin=%d held by %d, minLocal scan=%d held by %d", what, got, gotAt, want, wantAt)
+	}
+}
+
+// groupScan is the reference for one leaf: the minimum over g's members of
+// max(local, floor), blocked members excluded.
+func groupScan(m *Machine, g *coreGroup) int64 {
+	lo := int64(minTreeInf)
+	for k := range g.members {
+		if i := g.members[k].id; m.blocked[i].Load() == 0 {
+			lo = min(lo, max(m.local[i].v.Load(), m.resumeFloor[i].Load()))
+		}
+	}
+	return lo
+}
+
 // TestMinTreeMatchesScanSequential drives random publish/block/grant
 // sequences through the engine entry points and checks the tree-backed
 // globalMin against the naive minLocal reference after every operation.
 func TestMinTreeMatchesScanSequential(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 9, 64, 65} {
-		rng := rand.New(rand.NewSource(int64(n) * 7919))
-		m := bareMachine(n, 8)
-		for step := 0; step < 4000; step++ {
-			applyMinTreeOp(m, rng.Intn(n), byte(rng.Intn(4)), byte(rng.Intn(256)))
-			got, gotAt := m.globalMin(true)
-			if want, wantAt := m.minLocal(); got != want || gotAt != wantAt {
-				t.Fatalf("n=%d step=%d: globalMin=%d held by %d, minLocal scan=%d held by %d", n, step, got, gotAt, want, wantAt)
+		for _, k := range groupCounts(n) {
+			rng := rand.New(rand.NewSource(int64(n*k) * 7919))
+			m := bareMachine(n, 8)
+			groupBare(m, k)
+			for step := 0; step < 4000; step++ {
+				applyMinTreeOp(m, rng.Intn(n), byte(rng.Intn(4)), byte(rng.Intn(256)))
+				checkQuiescent(t, m, fmt.Sprintf("n=%d K=%d step=%d", n, k, step))
 			}
 		}
 	}
@@ -77,10 +168,10 @@ func TestMinTreeMatchesScanSequential(t *testing.T) {
 // current global time, exactly like minLocal's empty-scan fallback.
 func TestMinTreeAllBlockedFallback(t *testing.T) {
 	m := bareMachine(4, 8)
+	groupBare(m, 2)
 	for i := 0; i < 4; i++ {
 		m.publishLocal(i, int64(100+i))
-		m.blocked[i].v.Store(1)
-		m.refreshMinLeaf(i)
+		blockCore(m, i)
 	}
 	if m.lt.root() != minTreeInf {
 		t.Fatalf("all cores blocked, root = %d, want sentinel", m.lt.root())
@@ -93,85 +184,99 @@ func TestMinTreeAllBlockedFallback(t *testing.T) {
 		t.Fatalf("fallback disagrees with scan: 4242 vs %d held by %d", want, at)
 	}
 	// One core granted back: the floor, not the frozen clock, must win.
-	m.resumeFloor[2].v.Store(9000)
-	m.blocked[2].v.Store(0)
-	m.refreshMinLeaf(2)
-	if got, _ := m.globalMin(false); got != 9000 {
-		t.Fatalf("granted core counts at resume floor: got %d, want 9000", got)
+	grantCore(m, 2, 9000)
+	if got, at := m.globalMin(true); got != 9000 || at != 2 {
+		t.Fatalf("granted core counts at resume floor: got %d held by %d, want 9000 held by 2", got, at)
 	}
 }
 
-// TestMinTreeConcurrentAgreesWithScan is the race-closure property test: one
-// goroutine per core hammers monotone publishLocal while a "manager"
-// goroutine concurrently flips blocked flags and resume floors on random
-// cores (the exact write race refreshMinLeaf's store-then-verify closes).
-// After the join — a quiescent point — the root must equal the naive scan.
-// Run under -race in CI.
+// runGroupedRace is the race-closure property both the concurrent test and
+// the fuzz target check. One goroutine per group publishes monotone clocks
+// for its members in turn, pubs[k] holding group k's clock steps, while the
+// calling goroutine — the manager — applies mgr: blocks and grants of
+// members whose siblings keep publishing. After every grant it asserts the
+// protocol's promise (mintree.go): globalMin is at most the granted core's
+// max(local, floor), so the global time cannot pass a core about to resume.
+// After the join, a quiescent point, the tree must agree with the scan.
+func runGroupedRace(t *testing.T, m *Machine, pubs [][]int64, mgr []byte) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for k := 0; k < m.nGroups; k++ {
+		wg.Add(1)
+		go func(g *coreGroup, steps []int64) {
+			defer wg.Done()
+			for s, d := range steps {
+				i := g.members[s%len(g.members)].id
+				m.publishLocal(i, m.local[i].v.Load()+d)
+			}
+		}(&m.groups[k], pubs[k])
+	}
+	n := len(m.local)
+	for j := 0; j+1 < len(mgr); j += 2 {
+		i := int(mgr[j]>>1) % n
+		if mgr[j]&1 == 0 {
+			blockCore(m, i)
+			continue
+		}
+		grantCore(m, i, m.local[i].v.Load()+int64(mgr[j+1]))
+		got, _ := m.globalMin(false)
+		if bound := max(m.local[i].v.Load(), m.resumeFloor[i].Load()); got > bound {
+			t.Errorf("grant %d of core %d: globalMin=%d passes its max(local, floor)=%d", j/2, i, got, bound)
+			break
+		}
+	}
+	wg.Wait()
+	checkQuiescent(t, m, "after the join")
+}
+
+// TestMinTreeConcurrentAgreesWithScan runs runGroupedRace at K = 1, 3
+// (uneven) and N on 16 cores. Run under -race in CI.
 func TestMinTreeConcurrentAgreesWithScan(t *testing.T) {
 	const n = 16
 	for round := 0; round < 8; round++ {
-		m := bareMachine(n, 8)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				local := int64(0)
-				for k := 0; k < 2000; k++ {
-					local += int64(k%7) + 1
-					m.publishLocal(i, local)
-				}
-			}(i)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(round)))
-			for k := 0; k < 2000; k++ {
-				i := rng.Intn(n)
-				if k%3 == 0 {
-					m.blocked[i].v.Store(1)
-					m.refreshMinLeaf(i)
-				} else {
-					m.resumeFloor[i].v.Store(int64(rng.Intn(5000)))
-					m.blocked[i].v.Store(0)
-					m.refreshMinLeaf(i)
+		for _, k := range groupCounts(n) {
+			rng := rand.New(rand.NewSource(int64(round*n + k)))
+			m := bareMachine(n, 8)
+			groupBare(m, k)
+			pubs := make([][]int64, k)
+			for g := range pubs {
+				for s := 0; s < 2000; s++ {
+					pubs[g] = append(pubs[g], int64(s%7)+1)
 				}
 			}
-			// Leave every core unblocked so the final minimum is non-trivial.
-			for i := 0; i < n; i++ {
-				m.blocked[i].v.Store(0)
-				m.refreshMinLeaf(i)
-			}
-		}()
-		wg.Wait()
-		if got, want := m.lt.root(), scanMin(m); got != want {
-			t.Fatalf("round %d: quiescent root=%d, scan=%d", round, got, want)
-		}
-		for i := 0; i < n; i++ {
-			if got, want := m.lt.leaf(i), m.minLeafVal(i); got != want {
-				t.Fatalf("round %d: leaf %d=%d, pacing atomics say %d", round, i, got, want)
+			mgr := make([]byte, 4000)
+			rng.Read(mgr)
+			runGroupedRace(t, m, pubs, mgr)
+			if t.Failed() {
+				t.Fatalf("round %d, K=%d", round, k)
 			}
 		}
 	}
 }
 
-// FuzzMinTreeMatchesScan feeds arbitrary op streams through the engine entry
-// points; the tree must agree with the reference scan after every single op.
+// FuzzMinTreeMatchesScan runs runGroupedRace on op streams: the first byte
+// picks K, the rest alternates a publish step (to the group it names) with
+// a manager block or grant.
 func FuzzMinTreeMatchesScan(f *testing.F) {
-	f.Add([]byte{0, 10, 1, 0, 2, 5})
-	f.Add([]byte{1, 0, 1, 0, 1, 0, 3, 100})
-	f.Add([]byte{0, 255, 2, 255, 0, 1, 3, 1})
+	f.Add([]byte{0, 0, 10, 1, 0, 2, 5})
+	f.Add([]byte{1, 1, 0, 1, 0, 1, 0, 3, 100})
+	f.Add([]byte{2, 0, 255, 2, 255, 0, 1, 3, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const n = 5
-		m := bareMachine(n, 8)
-		for k := 0; k+1 < len(ops); k += 2 {
-			applyMinTreeOp(m, int(ops[k]>>2)%n, ops[k], ops[k+1])
-			got, gotAt := m.globalMin(true)
-			if want, wantAt := m.minLocal(); got != want || gotAt != wantAt {
-				t.Fatalf("op %d: globalMin=%d held by %d, minLocal=%d held by %d", k/2, got, gotAt, want, wantAt)
-			}
+		if len(ops) == 0 {
+			return
 		}
+		k := groupCounts(n)[int(ops[0])%3]
+		m := bareMachine(n, 8)
+		groupBare(m, k)
+		pubs := make([][]int64, m.nGroups)
+		var mgr []byte
+		for j := 1; j+3 < len(ops); j += 4 {
+			g := int(ops[j]) % m.nGroups
+			pubs[g] = append(pubs[g], int64(ops[j+1]))
+			mgr = append(mgr, ops[j+2], ops[j+3])
+		}
+		runGroupedRace(t, m, pubs, mgr)
 	})
 }
 
@@ -255,13 +360,5 @@ func TestQuantumBarrierCrossedByJump(t *testing.T) {
 	// boundary, exactly on one — is tabled in TestVisibleBound.)
 }
 
-// leaf returns leaf i's current value (tests and forensics).
+// leaf returns leaf i's current value.
 func (t *minTree) leaf(i int) int64 { return t.nodes[t.base+i].v.Load() }
-
-// update is the one-call form: set leaf i to v and rebuild its path to the
-// root. The engine goes through Machine.refreshMinLeaf, which derives v
-// from the pacing atomics.
-func (t *minTree) update(i int, v int64) {
-	t.setLeaf(i, v)
-	t.propagate(i)
-}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"slacksim/internal/event"
 	"slacksim/internal/faultinject"
 	"slacksim/internal/metrics"
 	"slacksim/internal/trace"
@@ -14,8 +13,7 @@ import (
 // This file is the simulation manager's round (§2.1), written once. The
 // three paced backends — unsharded, sharded, remote — run the same loop
 // (mgrLoop.round) over a mgrBackend that supplies only where requests go and
-// how their processors are gated; a lone unsharded group (K = 1) runs it
-// over a backend with nothing to drain. See docs/engine.md, "The manager
+// how their processors are gated. See docs/engine.md, "The manager
 // round", for why each step sits where it does.
 
 // mgrBackend is what genuinely differs between the threaded managers. Both
@@ -102,9 +100,8 @@ type pacing struct {
 }
 
 // beginRun installs the scheme for a paced run, opens every core's initial
-// window, forms at most k core groups and returns the manager's pacing
-// state. One group on the unsharded backend is a lone runner (Machine.fused)
-// and takes the single-runner plumbing.
+// window, forms at most k core groups, sizes the min-tree to one leaf per
+// group and returns the manager's pacing state.
 func (m *Machine) beginRun(s Scheme, k int) pacing {
 	m.scheme = s
 	m.schemeLive.Store(&s)
@@ -114,12 +111,7 @@ func (m *Machine) beginRun(s Scheme, k int) pacing {
 		m.maxLocal[i].v.Store(p.edge)
 	}
 	m.formGroups(k)
-	if m.fused = m.nGroups == 1 && m.shards == nil && m.remote == nil; m.fused {
-		m.fusedIn = make([][]event.Event, m.cfg.NumCores)
-		for i := range m.fusedIn {
-			m.fusedIn[i] = make([]event.Event, 0, m.cfg.RingCap)
-		}
-	}
+	m.sizeTree(m.nGroups)
 	return p
 }
 
@@ -200,7 +192,7 @@ func (lt *lapTimer) lap() {
 // the run's end (MaxCycles, a certain deadlock) is left in done.
 //
 // Its cost is proportional to activity, not core count: the global-time
-// candidate is the min-tree root (O(1); cores pay O(log N) on publication),
+// candidate is the min-tree root (O(1); groups pay O(log K) on publication),
 // the drain touches only OutQs with new requests (the dirty set), replies
 // are pushed with one coalesced notify per group, and a quiescent machine
 // parks the manager on its wake channel (idle).
@@ -221,7 +213,7 @@ func (l *mgrLoop) round() bool {
 	l.epoch = m.mgrEpoch.v.Load()
 	// Snapshot the global-time candidate BEFORE draining: every event
 	// with a timestamp below this minimum was pushed before its core's
-	// clock passed it — the push precedes the core's leaf update in the
+	// clock passed it — the push precedes the group's leaf update in the
 	// total order of atomic operations, which precedes this root read —
 	// so the drain below is guaranteed to contain it. Draining first
 	// would let cores advance between the drain and the minimum,

@@ -193,16 +193,8 @@ func (m *Machine) deliverInbox(i int, inbox *[]event.Event, local int64) bool {
 }
 
 // drainRing moves all queued reply events for core i into its inbox (the
-// main manager's ring plus, when sharded, every shard's ring; a lone
-// runner's plain pending-reply slice instead).
+// main manager's ring plus, when sharded, every shard's ring).
 func (m *Machine) drainRing(i int, inbox *[]event.Event) {
-	if m.fused {
-		if pend := m.fusedIn[i]; len(pend) > 0 {
-			*inbox = append(*inbox, pend...)
-			m.fusedIn[i] = pend[:0]
-		}
-		return
-	}
 	for _, r := range m.coreRings[i] {
 		*inbox = r.PopBatch(*inbox)
 	}
@@ -210,9 +202,6 @@ func (m *Machine) drainRing(i int, inbox *[]event.Event) {
 
 // coreHasEvents reports whether any queued reply for core i is pending.
 func (m *Machine) coreHasEvents(i int) bool {
-	if m.fused {
-		return len(m.fusedIn[i]) > 0
-	}
 	for _, r := range m.coreRings[i] {
 		if r.Len() > 0 {
 			return true

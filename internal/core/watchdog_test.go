@@ -24,12 +24,24 @@ main:
 lk: .dword 0
 `
 
+// TestWatchdogAbortsDeadlock runs deadlockProg on RunParallel and on
+// RunFused, so certain-deadlock detection at K = 1 is checked whatever
+// GOMAXPROCS the suite runs at.
 func TestWatchdogAbortsDeadlock(t *testing.T) {
+	for _, d := range []struct {
+		name string
+		run  func(*Machine, Scheme) (*Result, error)
+	}{{"parallel", (*Machine).RunParallel}, {"fused", (*Machine).RunFused}} {
+		t.Run(d.name, func(t *testing.T) { checkDeadlockAbort(t, d.run) })
+	}
+}
+
+func checkDeadlockAbort(t *testing.T, run func(*Machine, Scheme) (*Result, error)) {
 	cfg := smallConfig(2, ModelOoO)
 	cfg.StallTimeout = 2 * time.Second
 	m := mustMachine(t, deadlockProg, cfg)
 	start := time.Now()
-	_, err := m.RunParallel(SchemeS9)
+	_, err := run(m, SchemeS9)
 	var stall *StallError
 	if !errors.As(err, &stall) {
 		t.Fatalf("want StallError, got %v", err)
