@@ -6,7 +6,7 @@
 //	slacksim -workload fft -scheme S9
 //	slacksim -workload lu -scheme Q10 -cores 8 -host 2 -v
 //	slacksim -prog examples/quickstart/hello.s -scheme CC
-//	slacksim -workload water -scheme SU -model inorder
+//	slacksim -workload water -scheme SU
 //	slacksim -workload fft -scheme S9 -trace out.json -metrics -timeline
 package main
 
@@ -52,7 +52,6 @@ func run(args []string, out, errw io.Writer) error {
 		cores     = fs.Int("cores", 8, "number of target cores")
 		host      = fs.Int("host", runtime.NumCPU(), "host cores (GOMAXPROCS): the paced engine runs min(host, cores) core groups, 1 being the single-goroutine engine")
 		scale     = fs.Int("scale", 1, "workload input scale factor")
-		model     = fs.String("model", "ooo", "core timing model: ooo or inorder")
 		verbose   = fs.Bool("v", false, "print per-core statistics")
 		verify    = fs.Bool("verify", true, "verify workload results against the Go reference")
 		maxCycles = fs.Int64("max-cycles", 0, "abort after this many simulated cycles (0 = default)")
@@ -146,9 +145,6 @@ func run(args []string, out, errw io.Writer) error {
 		RemoteShards:  *remoteShards,
 		StallTimeout:  *stallTO,
 		Audit:         *audit,
-	}
-	if *model == "inorder" {
-		cfg.Model = core.ModelInOrder
 	}
 	m, err := core.NewMachine(prog, cfg)
 	if err != nil {

@@ -7,7 +7,7 @@
 // The library lives under internal/:
 //
 //	internal/core         the slack engine (schemes, manager, drivers)
-//	internal/cpu          out-of-order and in-order target core models
+//	internal/cpu          the out-of-order target core model
 //	internal/cache        L1/MESI-directory/NUCA-L2 hierarchy
 //	internal/interconnect crossbar and occupancy contention models
 //	internal/isa,asm      the SSA target ISA and its assembler

@@ -23,7 +23,7 @@ func TestAdaptiveScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func() *Machine {
-		cfg := smallConfig(4, ModelOoO)
+		cfg := smallConfig(4)
 		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 100_000_000
 		m, err := NewMachine(prog, cfg)

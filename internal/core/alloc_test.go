@@ -13,7 +13,7 @@ import (
 )
 
 // allocLoopProg runs long enough (~400k committed instructions) that any
-// per-instruction allocation in the engine or core models dominates the
+// per-instruction allocation in the engine or core model dominates the
 // run's fixed setup allocations by orders of magnitude.
 const allocLoopProg = `
 main:
@@ -37,40 +37,37 @@ loop:
 // internals allocate a little nondeterministically; a per-instruction
 // allocation regression blows through it by 100x or more.
 func TestDriverAllocsBounded(t *testing.T) {
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		for _, parallel := range []bool{false, true} {
-			name := fmt.Sprintf("model%d/parallel=%v", model, parallel)
-			t.Run(name, func(t *testing.T) {
-				m := mustMachine(t, allocLoopProg, smallConfig(1, model))
-				var res *Result
-				var err error
-				if parallel {
-					res, err = m.RunParallel(SchemeS9)
-				} else {
-					res, err = m.RunSerial()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Aborted {
-					t.Fatalf("aborted after %d cycles", res.EndTime)
-				}
-				if res.Committed < 300_000 {
-					t.Fatalf("committed = %d, want a long run", res.Committed)
-				}
-				// Fixed budget: setup, goroutines, parks, kernel, result
-				// assembly. Per-kinstr budget: < 1 alloc per 1000 committed
-				// instructions. A single alloc on the per-instruction path
-				// would add ~400k allocations here.
-				budget := uint64(20_000) + uint64(res.Committed/1000)
-				if res.HostAllocs > budget {
-					t.Errorf("HostAllocs = %d over %d instrs (%.2f/kinstr), budget %d",
-						res.HostAllocs, res.Committed, res.AllocsPerKInstr(), budget)
-				}
-				t.Logf("HostAllocs=%d (%.3f/kinstr) GCs=%d pause=%v",
-					res.HostAllocs, res.AllocsPerKInstr(), res.HostGCs, res.HostGCPauses)
-			})
-		}
+	for _, parallel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			m := mustMachine(t, allocLoopProg, smallConfig(1))
+			var res *Result
+			var err error
+			if parallel {
+				res, err = m.RunParallel(SchemeS9)
+			} else {
+				res, err = m.RunSerial()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Aborted {
+				t.Fatalf("aborted after %d cycles", res.EndTime)
+			}
+			if res.Committed < 300_000 {
+				t.Fatalf("committed = %d, want a long run", res.Committed)
+			}
+			// Fixed budget: setup, goroutines, parks, kernel, result
+			// assembly. Per-kinstr budget: < 1 alloc per 1000 committed
+			// instructions. A single alloc on the per-instruction path
+			// would add ~400k allocations here.
+			budget := uint64(20_000) + uint64(res.Committed/1000)
+			if res.HostAllocs > budget {
+				t.Errorf("HostAllocs = %d over %d instrs (%.2f/kinstr), budget %d",
+					res.HostAllocs, res.Committed, res.AllocsPerKInstr(), budget)
+			}
+			t.Logf("HostAllocs=%d (%.3f/kinstr) GCs=%d pause=%v",
+				res.HostAllocs, res.AllocsPerKInstr(), res.HostGCs, res.HostGCPauses)
+		})
 	}
 	// The remote driver's steady state allocates per routed batch (the
 	// journal's copy of it), not per instruction. Its row runs the remote

@@ -48,7 +48,7 @@ func TestBatchedSteppingDeterminism(t *testing.T) {
 		t.Helper()
 		batchDisabled = disable
 		defer func() { batchDisabled = false }()
-		cfg := smallConfig(4, ModelOoO)
+		cfg := smallConfig(4)
 		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 200_000_000
 		m, err := NewMachine(prog, cfg)

@@ -57,10 +57,9 @@ r:
 arr: .space 128
 `
 
-func smallConfig(n int, model CoreModel) Config {
+func smallConfig(n int) Config {
 	cfg := Config{
 		NumCores:  n,
-		Model:     model,
 		CPU:       cpu.DefaultConfig(),
 		Cache:     cache.DefaultConfig(n),
 		MemSize:   16 << 20,
@@ -94,46 +93,41 @@ func runSerial(t testing.TB, m *Machine) *Result {
 	return res
 }
 
-func TestSerialSumBothModels(t *testing.T) {
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		model := model
-		t.Run(fmt.Sprintf("model%d", model), func(t *testing.T) {
-			m := mustMachine(t, sumProg, smallConfig(1, model))
-			res := runSerial(t, m)
-			if res.Aborted {
-				t.Fatalf("aborted after %d cycles", res.EndTime)
-			}
-			if res.Output != "5050" {
-				t.Fatalf("output = %q, want 5050", res.Output)
-			}
-			if res.ExitCode != 7 {
-				t.Fatalf("exit code = %d, want 7", res.ExitCode)
-			}
-			if res.EndTime <= 0 {
-				t.Fatalf("end time = %d", res.EndTime)
-			}
-		})
-	}
+func TestSerialSum(t *testing.T) {
+	t.Run(fmt.Sprintf("model%d", ModelOoO), func(t *testing.T) {
+		m := mustMachine(t, sumProg, smallConfig(1))
+		res := runSerial(t, m)
+		if res.Aborted {
+			t.Fatalf("aborted after %d cycles", res.EndTime)
+		}
+		if res.Output != "5050" {
+			t.Fatalf("output = %q, want 5050", res.Output)
+		}
+		if res.ExitCode != 7 {
+			t.Fatalf("exit code = %d, want 7", res.ExitCode)
+		}
+		if res.EndTime <= 0 {
+			t.Fatalf("end time = %d", res.EndTime)
+		}
+	})
 }
 
 func TestSerialMemProgram(t *testing.T) {
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		m := mustMachine(t, memProg, smallConfig(1, model))
-		res := runSerial(t, m)
-		if res.Aborted {
-			t.Fatalf("model %d: aborted", model)
-		}
-		if res.Output != "285" {
-			t.Fatalf("model %d: output = %q, want 285", model, res.Output)
-		}
+	m := mustMachine(t, memProg, smallConfig(1))
+	res := runSerial(t, m)
+	if res.Aborted {
+		t.Fatal("aborted")
+	}
+	if res.Output != "285" {
+		t.Fatalf("output = %q, want 285", res.Output)
 	}
 }
 
 func TestParallelCCMatchesSerial(t *testing.T) {
-	serial := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+	serial := mustMachine(t, sumProg, smallConfig(2))
 	sres := runSerial(t, serial)
 
-	par := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+	par := mustMachine(t, sumProg, smallConfig(2))
 	pres, err := par.RunParallel(SchemeCC)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +144,7 @@ func TestParallelSchemesRunSum(t *testing.T) {
 	for _, s := range []Scheme{SchemeQ10, SchemeL10, SchemeS9, SchemeS9x, SchemeS100, SchemeSU} {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			m := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+			m := mustMachine(t, sumProg, smallConfig(2))
 			res, err := m.RunParallel(s)
 			if err != nil {
 				t.Fatal(err)

@@ -62,7 +62,7 @@ func settleGoroutines(before int) int {
 
 func TestFaultPanicContainmentNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, sumProg, smallConfig(2))
 	if err := m.EnableFaults(faultinject.NewPlan(faultinject.Fault{
 		Kind: faultinject.Panic, Core: 0, At: 1,
 	})); err != nil {
@@ -98,7 +98,7 @@ func TestFaultPanicContainmentNoLeak(t *testing.T) {
 
 func TestFaultManagerPanicContainment(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, sumProg, smallConfig(2))
 	if err := m.EnableFaults(faultinject.NewPlan(faultinject.Fault{
 		Kind: faultinject.Panic, Core: faultinject.Manager, At: 1,
 	})); err != nil {
@@ -118,7 +118,7 @@ func TestFaultManagerPanicContainment(t *testing.T) {
 }
 
 func TestFaultShardWorkerPanicContainment(t *testing.T) {
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.ManagerShards = 2
 	m := mustMachine(t, pingPongProg, cfg)
 	if err := m.EnableFaults(faultinject.NewPlan(faultinject.Fault{
@@ -137,7 +137,7 @@ func TestFaultShardWorkerPanicContainment(t *testing.T) {
 }
 
 func TestFaultRingOverflowContainment(t *testing.T) {
-	cfg := smallConfig(1, ModelOoO)
+	cfg := smallConfig(1)
 	cfg.RingCap = 64
 	m := mustMachine(t, sumProg, cfg)
 	if err := m.EnableFaults(faultinject.NewPlan(faultinject.Fault{
@@ -170,7 +170,7 @@ func TestFaultRingOverflowContainment(t *testing.T) {
 // checks the watchdog's forensic report: per-core clocks, flags, and the
 // kernel's held-lock owner.
 func TestWatchdogStallReportForensics(t *testing.T) {
-	cfg := smallConfig(1, ModelOoO)
+	cfg := smallConfig(1)
 	cfg.StallTimeout = 2 * time.Second
 	m := mustMachine(t, deadlockProg, cfg)
 	start := time.Now()
@@ -235,7 +235,7 @@ func TestWatchdogStallReportForensics(t *testing.T) {
 // stall; the global time can never pass it, so the watchdog must fire and
 // the report must name the stalled core.
 func TestFaultStallTriggersWatchdog(t *testing.T) {
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.StallTimeout = 2 * time.Second
 	m := mustMachine(t, sumProg, cfg)
 	if err := m.EnableFaults(faultinject.NewPlan(faultinject.Fault{
@@ -257,7 +257,7 @@ func TestFaultStallTriggersWatchdog(t *testing.T) {
 }
 
 func TestFaultAuditorCatchesClockWarp(t *testing.T) {
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.Audit = true
 	cfg.AuditEvery = 1
 	m := mustMachine(t, sumProg, cfg)
@@ -281,7 +281,7 @@ func TestFaultAuditorCatchesClockWarp(t *testing.T) {
 
 func TestFaultAuditorCatchesLateDelivery(t *testing.T) {
 	for _, serial := range []bool{false, true} {
-		cfg := smallConfig(2, ModelOoO)
+		cfg := smallConfig(2)
 		cfg.Audit = true
 		cfg.AuditEvery = 1
 		m := mustMachine(t, pingPongProg, cfg)
@@ -319,7 +319,7 @@ func TestFaultAuditorCatchesLateDelivery(t *testing.T) {
 // syscall resume transients).
 func TestFaultAuditorCleanRun(t *testing.T) {
 	for _, s := range []Scheme{SchemeCC, SchemeS9, SchemeSU} {
-		cfg := smallConfig(2, ModelOoO)
+		cfg := smallConfig(2)
 		cfg.Audit = true
 		cfg.AuditEvery = 1
 		m := mustMachine(t, pingPongProg, cfg)
@@ -331,7 +331,7 @@ func TestFaultAuditorCleanRun(t *testing.T) {
 			t.Fatalf("%v: aborted", s)
 		}
 	}
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.Audit = true
 	cfg.AuditEvery = 1
 	if _, err := runSerialErr(mustMachine(t, pingPongProg, cfg)); err != nil {
@@ -342,7 +342,7 @@ func TestFaultAuditorCleanRun(t *testing.T) {
 func runSerialErr(m *Machine) (*Result, error) { return m.RunSerial() }
 
 func TestFaultPlanValidation(t *testing.T) {
-	m := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, sumProg, smallConfig(2))
 	bad := []faultinject.Fault{
 		{Kind: faultinject.Panic, Core: 7},                              // core out of range
 		{Kind: faultinject.Stall, Core: faultinject.Manager},            // non-panic on manager
@@ -362,7 +362,7 @@ func TestFaultPlanValidation(t *testing.T) {
 }
 
 // TestContainmentRealPanicPath drives a real (not injected) panic through
-// containment: an invalid instruction executed by the in-order core.
+// containment: the core commits an invalid instruction and panics.
 func TestContainmentRealPanicPath(t *testing.T) {
 	// Jump into the data section: the core fetches a non-instruction word.
 	prog := `
@@ -373,7 +373,7 @@ main:
 .align 8
 blob: .dword -1
 `
-	m := mustMachine(t, prog, smallConfig(1, ModelInOrder))
+	m := mustMachine(t, prog, smallConfig(1))
 	_, err := m.RunParallel(SchemeCC)
 	var se *SimError
 	if !errors.As(err, &se) {
@@ -381,5 +381,8 @@ blob: .dword -1
 	}
 	if se.Core != 0 {
 		t.Fatalf("fault attributed to %s, want core 0", goroutineName(se.Core))
+	}
+	if !strings.Contains(se.Detail, "committed invalid instruction") {
+		t.Fatalf("detail %q, want the core's invalid-instruction panic", se.Detail)
 	}
 }

@@ -37,7 +37,7 @@ func BenchmarkRunFused(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m, err := NewMachine(prog, Config{
-					NumCores: 8, NumThreads: 8, Model: ModelOoO,
+					NumCores: 8, NumThreads: 8,
 					CPU: cpu.DefaultConfig(), Cache: cache.DefaultConfig(8),
 					MemSize: 32 << 20,
 				})

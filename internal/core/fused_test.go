@@ -10,31 +10,28 @@ import (
 	"slacksim/internal/workloads"
 )
 
-// TestFusedSumBothModels is the quick smoke for the fused driver: a short
-// arithmetic workload on one and four target cores must produce the same
-// output, exit code, and end time as the serial reference under every
-// core model.
-func TestFusedSumBothModels(t *testing.T) {
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		for _, n := range []int{1, 4} {
-			ref := runSerial(t, mustMachine(t, sumProg, smallConfig(n, model)))
-			m := mustMachine(t, sumProg, smallConfig(n, model))
-			res, err := m.RunFused(SchemeCC)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Aborted {
-				t.Fatalf("model %d n=%d: aborted at %d", model, n, res.EndTime)
-			}
-			if res.Output != "5050" || res.ExitCode != 7 {
-				t.Fatalf("model %d n=%d: output=%q exit=%d, want 5050/7", model, n, res.Output, res.ExitCode)
-			}
-			if res.EndTime != ref.EndTime {
-				t.Fatalf("model %d n=%d: end time fused=%d serial=%d", model, n, res.EndTime, ref.EndTime)
-			}
-			if res.TimeWarps != 0 || res.CoherenceWarps != 0 {
-				t.Fatalf("model %d n=%d: fused CC saw warps (%d,%d)", model, n, res.TimeWarps, res.CoherenceWarps)
-			}
+// TestFusedSum is the quick smoke for the fused driver: a short arithmetic
+// workload on one and four target cores must produce the same output, exit
+// code, and end time as the serial reference.
+func TestFusedSum(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		ref := runSerial(t, mustMachine(t, sumProg, smallConfig(n)))
+		m := mustMachine(t, sumProg, smallConfig(n))
+		res, err := m.RunFused(SchemeCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Aborted {
+			t.Fatalf("n=%d: aborted at %d", n, res.EndTime)
+		}
+		if res.Output != "5050" || res.ExitCode != 7 {
+			t.Fatalf("n=%d: output=%q exit=%d, want 5050/7", n, res.Output, res.ExitCode)
+		}
+		if res.EndTime != ref.EndTime {
+			t.Fatalf("n=%d: end time fused=%d serial=%d", n, res.EndTime, ref.EndTime)
+		}
+		if res.TimeWarps != 0 || res.CoherenceWarps != 0 {
+			t.Fatalf("n=%d: fused CC saw warps (%d,%d)", n, res.TimeWarps, res.CoherenceWarps)
 		}
 	}
 }
@@ -49,7 +46,7 @@ func TestFusedThreadsAllSchemes(t *testing.T) {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
+			m := mustMachine(t, threadsProg, smallConfig(4))
 			res, err := m.RunFused(s)
 			if err != nil {
 				t.Fatal(err)
@@ -74,20 +71,18 @@ func TestFusedThreadsAllSchemes(t *testing.T) {
 // reference for every conservative scheme on the multi-threaded workload:
 // same schedule-invariant semantics, so bit-identical end times.
 func TestFusedConservativeExact(t *testing.T) {
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		ref := runSerial(t, mustMachine(t, threadsProg, smallConfig(4, model)))
-		for _, s := range []Scheme{SchemeCC, SchemeQ10, SchemeL10, SchemeS9x} {
-			m := mustMachine(t, threadsProg, smallConfig(4, model))
-			res, err := m.RunFused(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.EndTime != ref.EndTime {
-				t.Errorf("model %d %v: fused end %d != serial %d", model, s, res.EndTime, ref.EndTime)
-			}
-			if want := expectTotal(4); res.Output != want {
-				t.Errorf("model %d %v: output %q, want %q", model, s, res.Output, want)
-			}
+	ref := runSerial(t, mustMachine(t, threadsProg, smallConfig(4)))
+	for _, s := range []Scheme{SchemeCC, SchemeQ10, SchemeL10, SchemeS9x} {
+		m := mustMachine(t, threadsProg, smallConfig(4))
+		res, err := m.RunFused(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.EndTime != ref.EndTime {
+			t.Errorf("%v: fused end %d != serial %d", s, res.EndTime, ref.EndTime)
+		}
+		if want := expectTotal(4); res.Output != want {
+			t.Errorf("%v: output %q, want %q", s, res.Output, want)
 		}
 	}
 }
@@ -180,53 +175,50 @@ func TestFusedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		model := model
-		t.Run(fmt.Sprintf("model%d", model), func(t *testing.T) {
-			mk := func() *Machine {
-				cfg := smallConfig(4, model)
-				cfg.MemSize = 64 << 20
-				cfg.MaxCycles = 200_000_000
-				m, err := NewMachine(prog, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Init(m.Image(), 1); err != nil {
-					t.Fatal(err)
-				}
-				return m
+	t.Run("fft1", func(t *testing.T) {
+		mk := func() *Machine {
+			cfg := smallConfig(4)
+			cfg.MemSize = 64 << 20
+			cfg.MaxCycles = 200_000_000
+			m, err := NewMachine(prog, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			run := func(drive func(*Machine) (*Result, error)) fusedOutcome {
-				t.Helper()
-				m := mk()
-				r, err := drive(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.Aborted {
-					t.Fatalf("run aborted at %d cycles", r.EndTime)
-				}
-				if err := w.Verify(m.Image(), r.Output, 1); err != nil {
-					t.Fatal(err)
-				}
-				return curatedOutcome(r)
+			if err := w.Init(m.Image(), 1); err != nil {
+				t.Fatal(err)
 			}
-			serial := run(func(m *Machine) (*Result, error) { return m.RunSerial() })
-			for _, s := range []Scheme{SchemeCC, SchemeQ10, SchemeL10, SchemeS9x} {
-				s := s
-				fused := run(func(m *Machine) (*Result, error) { return m.RunFused(s) })
-				par := run(func(m *Machine) (*Result, error) { return m.RunParallel(s) })
-				diffOutcomes(t, fmt.Sprintf("%v fused-vs-parallel", s), fused, par)
-				if s == SchemeCC {
-					diffOutcomes(t, "CC fused-vs-serial", fused, serial)
-				} else if fused.endTime != serial.endTime || fused.roiCycles != serial.roiCycles {
-					t.Errorf("%v fused-vs-serial: end %d roi %d != serial end %d roi %d",
-						s, fused.endTime, fused.roiCycles, serial.endTime, serial.roiCycles)
-				}
-				t.Logf("%-4v end=%d roi=%d: fused, parallel identical; serial time equal", s, fused.endTime, fused.roiCycles)
+			return m
+		}
+		run := func(drive func(*Machine) (*Result, error)) fusedOutcome {
+			t.Helper()
+			m := mk()
+			r, err := drive(m)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if r.Aborted {
+				t.Fatalf("run aborted at %d cycles", r.EndTime)
+			}
+			if err := w.Verify(m.Image(), r.Output, 1); err != nil {
+				t.Fatal(err)
+			}
+			return curatedOutcome(r)
+		}
+		serial := run(func(m *Machine) (*Result, error) { return m.RunSerial() })
+		for _, s := range []Scheme{SchemeCC, SchemeQ10, SchemeL10, SchemeS9x} {
+			s := s
+			fused := run(func(m *Machine) (*Result, error) { return m.RunFused(s) })
+			par := run(func(m *Machine) (*Result, error) { return m.RunParallel(s) })
+			diffOutcomes(t, fmt.Sprintf("%v fused-vs-parallel", s), fused, par)
+			if s == SchemeCC {
+				diffOutcomes(t, "CC fused-vs-serial", fused, serial)
+			} else if fused.endTime != serial.endTime || fused.roiCycles != serial.roiCycles {
+				t.Errorf("%v fused-vs-serial: end %d roi %d != serial end %d roi %d",
+					s, fused.endTime, fused.roiCycles, serial.endTime, serial.roiCycles)
+			}
+			t.Logf("%-4v end=%d roi=%d: fused, parallel identical; serial time equal", s, fused.endTime, fused.roiCycles)
+		}
+	})
 	// One K = 1 engine: RunFused and RunParallel on one host thread are the
 	// same run, optimistic schemes included, on the paper's 8-core target.
 	t.Run("ocean2/K=1", func(t *testing.T) {
@@ -267,36 +259,33 @@ func TestFusedDeterminism(t *testing.T) {
 // budget is tighter than the parallel one — no goroutines, parks, or ring
 // growth — but keeps the same shape so the two gates read alike.
 func TestFusedZeroAlloc(t *testing.T) {
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		model := model
-		t.Run(fmt.Sprintf("model%d", model), func(t *testing.T) {
-			m := mustMachine(t, allocLoopProg, smallConfig(1, model))
-			res, err := m.RunFused(SchemeCC)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Aborted {
-				t.Fatalf("aborted after %d cycles", res.EndTime)
-			}
-			if res.Committed < 300_000 {
-				t.Fatalf("committed = %d, want a long run", res.Committed)
-			}
-			budget := uint64(20_000) + uint64(res.Committed/1000)
-			if res.HostAllocs > budget {
-				t.Errorf("HostAllocs = %d over %d instrs (%.2f/kinstr), budget %d",
-					res.HostAllocs, res.Committed, res.AllocsPerKInstr(), budget)
-			}
-			t.Logf("HostAllocs=%d (%.3f/kinstr) GCs=%d pause=%v",
-				res.HostAllocs, res.AllocsPerKInstr(), res.HostGCs, res.HostGCPauses)
-		})
-	}
+	t.Run(fmt.Sprintf("model%d", ModelOoO), func(t *testing.T) {
+		m := mustMachine(t, allocLoopProg, smallConfig(1))
+		res, err := m.RunFused(SchemeCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Aborted {
+			t.Fatalf("aborted after %d cycles", res.EndTime)
+		}
+		if res.Committed < 300_000 {
+			t.Fatalf("committed = %d, want a long run", res.Committed)
+		}
+		budget := uint64(20_000) + uint64(res.Committed/1000)
+		if res.HostAllocs > budget {
+			t.Errorf("HostAllocs = %d over %d instrs (%.2f/kinstr), budget %d",
+				res.HostAllocs, res.Committed, res.AllocsPerKInstr(), budget)
+		}
+		t.Logf("HostAllocs=%d (%.3f/kinstr) GCs=%d pause=%v",
+			res.HostAllocs, res.AllocsPerKInstr(), res.HostGCs, res.HostGCPauses)
+	})
 }
 
 // TestFusedRejectsShardedConfigs pins the driver's scope: fused is a
 // single-goroutine engine, so sharded-manager and remote-shard machines
 // must be refused with an error rather than silently mis-executed.
 func TestFusedRejectsShardedConfigs(t *testing.T) {
-	cfg := smallConfig(4, ModelInOrder)
+	cfg := smallConfig(4)
 	cfg.ManagerShards = 2
 	m := mustMachine(t, sumProg, cfg)
 	if _, err := m.RunFused(SchemeCC); err == nil {

@@ -75,7 +75,7 @@ const (
 // driving the core touches it, bar wait, which forensic snapshots read.
 type member struct {
 	id     int
-	core   cpu.Core
+	core   *cpu.OoO
 	st     *cpu.Stats
 	local  int64
 	inbox  []event.Event // delivered-from-ring events not yet due

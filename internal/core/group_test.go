@@ -298,7 +298,7 @@ func TestGroupWaitLostWakeup(t *testing.T) {
 		// leaves its round before the windows move, and the group that ran
 		// that round need not be the one RunParallel is waiting in.
 		for _, s := range []Scheme{SchemeCC, SchemeS9} {
-			cfg := smallConfig(4, ModelOoO)
+			cfg := smallConfig(4)
 			cfg.MaxCycles = 3000
 			m := mustMachine(t, "main:\n j main\n", cfg)
 			var res *Result

@@ -34,7 +34,7 @@ func TestEnableIntrospectionRequiresMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	m := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, sumProg, smallConfig(2))
 	if err := m.EnableIntrospection(srv); err == nil {
 		t.Fatal("EnableIntrospection without EnableMetrics did not error")
 	}
@@ -58,7 +58,7 @@ func TestIntrospectionLive(t *testing.T) {
 	}
 	defer srv.Close()
 
-	m := mustMachine(t, longProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, longProg, smallConfig(2))
 	m.EnableMetrics(metrics.NewRegistry())
 	if err := m.EnableIntrospection(srv); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestIntrospectionLiveFused(t *testing.T) {
 	}
 	defer srv.Close()
 
-	m := mustMachine(t, longProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, longProg, smallConfig(2))
 	m.EnableMetrics(metrics.NewRegistry())
 	if err := m.EnableIntrospection(srv); err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestFusedSlackHighWaters(t *testing.T) {
 	}
 	defer srv.Close()
 
-	m := mustMachine(t, longProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, longProg, smallConfig(2))
 	m.EnableMetrics(metrics.NewRegistry())
 	if err := m.EnableIntrospection(srv); err != nil {
 		t.Fatal(err)

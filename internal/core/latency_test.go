@@ -14,7 +14,7 @@ import (
 
 func runWithMetrics(t *testing.T, driver string) (*metrics.Registry, *Result, int) {
 	t.Helper()
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	if driver == "sharded" {
 		cfg.ManagerShards = 2
 	}
@@ -88,7 +88,7 @@ func TestMemLatencyAttribution(t *testing.T) {
 // TestLatencyStampsDisabled: with metrics off, events carry no stamps —
 // the hot path must not pay for attribution nobody asked for.
 func TestLatencyStampsDisabled(t *testing.T) {
-	m := mustMachine(t, memProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, memProg, smallConfig(2))
 	res, err := m.RunParallel(SchemeS9)
 	if err != nil {
 		t.Fatal(err)

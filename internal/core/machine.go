@@ -18,21 +18,20 @@ import (
 	"slacksim/internal/trace"
 )
 
-// CoreModel selects the per-core timing model.
+// CoreModel names the per-core timing model. The paper's 4-wide
+// out-of-order core is the only one; the type and its single value remain
+// because the benchmark definition under bench/ names them.
 type CoreModel int
 
-const (
-	// ModelOoO is the paper's 4-wide out-of-order target core.
-	ModelOoO CoreModel = iota
-	// ModelInOrder is a single-issue blocking core (validation/ablation).
-	ModelInOrder
-)
+// ModelOoO is the paper's 4-wide out-of-order target core, and the only
+// valid CoreModel.
+const ModelOoO CoreModel = 0
 
 // Config describes a target machine and simulation limits.
 type Config struct {
 	NumCores   int
-	NumThreads int // reported by SysNumThreads; defaults to NumCores
-	Model      CoreModel
+	NumThreads int       // reported by SysNumThreads; defaults to NumCores
+	Model      CoreModel // must be ModelOoO (kept for bench/)
 	CPU        cpu.Config
 	Cache      cache.Config
 	MemSize    uint64
@@ -81,7 +80,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		NumCores: 8,
-		Model:    ModelOoO,
 		CPU:      cpu.DefaultConfig(),
 		Cache:    cache.DefaultConfig(8),
 	}
@@ -90,6 +88,9 @@ func DefaultConfig() Config {
 func (c *Config) fillDefaults() error {
 	if c.NumCores < 1 {
 		return fmt.Errorf("core: NumCores must be >= 1")
+	}
+	if c.Model != ModelOoO {
+		return fmt.Errorf("core: unknown core model %d", c.Model)
 	}
 	if c.NumThreads == 0 {
 		c.NumThreads = c.NumCores
@@ -178,7 +179,7 @@ type Machine struct {
 	img    *loader.Image
 	kernel *sysemu.Kernel
 	l2     *cache.L2System
-	cores  []cpu.Core
+	cores  []*cpu.OoO
 
 	outQ []*event.Ring // core -> manager
 	inQ  []*event.Ring // manager -> core
@@ -358,7 +359,7 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		img:         img,
 		kernel:      sysemu.NewKernel(sysemu.KernelImage(img), cfg.NumCores, cfg.NumThreads),
 		l2:          l2,
-		cores:       make([]cpu.Core, cfg.NumCores),
+		cores:       make([]*cpu.OoO, cfg.NumCores),
 		outQ:        make([]*event.Ring, cfg.NumCores),
 		inQ:         make([]*event.Ring, cfg.NumCores),
 		local:       make([]padded, cfg.NumCores),
@@ -409,18 +410,9 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			TextBase: prog.TextBase,
 			TextEnd:  prog.TextEnd(),
 		}
-		var c cpu.Core
-		var cerr error
-		switch cfg.Model {
-		case ModelInOrder:
-			c, cerr = cpu.NewInOrder(cfg.CPU, env)
-		default:
-			c, cerr = cpu.NewOoO(cfg.CPU, env)
+		if m.cores[i], err = cpu.NewOoO(cfg.CPU, env); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		if cerr != nil {
-			return nil, fmt.Errorf("core: %w", cerr)
-		}
-		m.cores[i] = c
 		// Until beginRun forms the run's groups, each core is a group of
 		// one with a leaf of its own.
 		m.groups[i].cond = sync.NewCond(&m.groups[i].mu)
@@ -493,9 +485,6 @@ func (m *Machine) Kernel() *sysemu.Kernel { return m.kernel }
 // L2 returns the shared hierarchy model (statistics).
 func (m *Machine) L2() *cache.L2System { return m.l2 }
 
-// Cores returns the per-core models (statistics).
-func (m *Machine) Cores() []cpu.Core { return m.cores }
-
 // DebugState renders the engine's pacing state plus each core's debug dump
 // (diagnostics for aborted runs).
 func (m *Machine) DebugState() string {
@@ -505,9 +494,7 @@ func (m *Machine) DebugState() string {
 		fmt.Fprintf(&b, "core %d: local=%d maxLocal=%d blocked=%d floor=%d inQ=%d outQ=%d\n",
 			i, m.local[i].v.Load(), m.maxLocal[i].v.Load(), m.blocked[i].Load(),
 			m.resumeFloor[i].Load(), m.inQ[i].Len(), m.outQ[i].Len())
-		if d, ok := m.cores[i].(interface{ DebugState() string }); ok {
-			b.WriteString("  " + d.DebugState())
-		}
+		b.WriteString("  " + m.cores[i].DebugState())
 	}
 	return b.String()
 }

@@ -18,7 +18,7 @@ import (
 // registry names after the run.
 func metricNames(t *testing.T, driver string) []string {
 	t.Helper()
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	switch driver {
 	case "sharded":
 		cfg.ManagerShards = 2

@@ -50,7 +50,7 @@ func TestObservabilityParallel(t *testing.T) {
 }
 
 func checkObservability(t *testing.T, k int) {
-	m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
+	m := mustMachine(t, threadsProg, smallConfig(4))
 	tc := trace.New()
 	reg := metrics.NewRegistry()
 	m.EnableTrace(tc)
@@ -191,7 +191,7 @@ func checkObservability(t *testing.T, k int) {
 
 // TestObservabilityQuantum checks the barrier instrumentation.
 func TestObservabilityQuantum(t *testing.T) {
-	m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
+	m := mustMachine(t, threadsProg, smallConfig(4))
 	tc := trace.New()
 	reg := metrics.NewRegistry()
 	m.EnableTrace(tc)
@@ -238,7 +238,7 @@ func TestObservabilitySharded(t *testing.T) {
 
 // TestObservabilitySerial checks the serial driver's samples.
 func TestObservabilitySerial(t *testing.T) {
-	m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
+	m := mustMachine(t, threadsProg, smallConfig(4))
 	tc := trace.New()
 	reg := metrics.NewRegistry()
 	m.EnableTrace(tc)
@@ -260,7 +260,7 @@ func TestObservabilitySerial(t *testing.T) {
 
 // TestObservabilityDisabled verifies a plain run records nothing.
 func TestObservabilityDisabled(t *testing.T) {
-	m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
+	m := mustMachine(t, threadsProg, smallConfig(4))
 	res, err := m.RunParallel(SchemeS9)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestPrefetcherAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(prefetch bool) *Result {
-		cfg := smallConfig(4, ModelOoO)
+		cfg := smallConfig(4)
 		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 500_000_000
 		cfg.CPU = cpu.DefaultConfig()

@@ -26,7 +26,7 @@ func TestSnoopBusProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(p cache.Protocol) *Machine {
-		cfg := smallConfig(4, ModelOoO)
+		cfg := smallConfig(4)
 		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 200_000_000
 		cfg.Cache.Protocol = p
@@ -78,7 +78,7 @@ func TestSixteenCoreTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig(16, ModelOoO)
+	cfg := smallConfig(16)
 	cfg.MemSize = 64 << 20
 	cfg.MaxCycles = 500_000_000
 	m, err := NewMachine(prog, cfg)

@@ -43,7 +43,7 @@ func newPipeFarm() *pipeFarm { return &pipeFarm{live: map[int]net.Conn{}} }
 // error by design, and the run's correctness is asserted from the parent
 // side (bit-exactness against the in-process reference).
 func (pf *pipeFarm) dial(worker int) (remote.Transport, error) {
-	p, q := net.Pipe()
+	p, q := pipe()
 	pf.mu.Lock()
 	pf.live[worker] = q
 	pf.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 // timing configuration.
 func remoteMachine(t *testing.T, prog *asm.Program, w *workloads.Workload, cores, shards int) *Machine {
 	t.Helper()
-	cfg := smallConfig(cores, ModelOoO)
+	cfg := smallConfig(cores)
 	cfg.MemSize = 64 << 20
 	cfg.MaxCycles = 200_000_000
 	cfg.RemoteShards = shards
@@ -39,6 +40,56 @@ func remoteMachine(t *testing.T, prog *asm.Program, w *workloads.Workload, cores
 	return m
 }
 
+// pipe is net.Pipe for the in-process remote tests, except that closing
+// either end first stops the deadline timers of both. net.Pipe arms each
+// deadline as a time.AfterFunc that Close leaves pending, so a worker's
+// heartbeat slice or the parent's stall deadline would fire after the
+// session is gone and start a goroutine in whatever test runs then,
+// where TestGroupedGoroutineCount counts it.
+func pipe() (net.Conn, net.Conn) {
+	a, b := net.Pipe()
+	pp := &quietPipe{ends: [2]net.Conn{a, b}}
+	return &quietEnd{a, pp}, &quietEnd{b, pp}
+}
+
+// quietPipe is the state the two ends of a pipe share: once closed, no
+// deadline is armed on either end, and none can be.
+type quietPipe struct {
+	mu     sync.Mutex
+	closed bool
+	ends   [2]net.Conn
+}
+
+type quietEnd struct {
+	net.Conn
+	p *quietPipe
+}
+
+func (e *quietEnd) SetDeadline(t time.Time) error      { return e.set(e.Conn.SetDeadline, t) }
+func (e *quietEnd) SetReadDeadline(t time.Time) error  { return e.set(e.Conn.SetReadDeadline, t) }
+func (e *quietEnd) SetWriteDeadline(t time.Time) error { return e.set(e.Conn.SetWriteDeadline, t) }
+
+func (e *quietEnd) set(f func(time.Time) error, t time.Time) error {
+	e.p.mu.Lock()
+	defer e.p.mu.Unlock()
+	if e.p.closed {
+		return io.ErrClosedPipe
+	}
+	return f(t)
+}
+
+func (e *quietEnd) Close() error {
+	e.p.mu.Lock()
+	if !e.p.closed {
+		e.p.closed = true
+		for _, c := range e.p.ends {
+			c.SetDeadline(time.Time{})
+		}
+	}
+	e.p.mu.Unlock()
+	return e.Conn.Close()
+}
+
 // startRemoteWorkers spawns nw worker sessions in-process over net.Pipe
 // (which honors deadlines, so the wire paths are exercised end to end)
 // and returns the parent-side transports plus a join that collects each
@@ -47,7 +98,7 @@ func startRemoteWorkers(nw int) ([]remote.Transport, func() []error) {
 	transports := make([]remote.Transport, nw)
 	errs := make(chan error, nw)
 	for i := 0; i < nw; i++ {
-		p, q := net.Pipe()
+		p, q := pipe()
 		transports[i] = p
 		go func() { errs <- ServeRemoteShards(q) }()
 	}
@@ -224,7 +275,7 @@ func wantWorkerSimError(t *testing.T, err error, ops ...string) *SimError {
 // the parent's in-process path, and the run completes bit-exact with the
 // in-process sharded reference.
 func TestRemoteWorkerDiesMidRun(t *testing.T) {
-	refCfg := smallConfig(2, ModelOoO)
+	refCfg := smallConfig(2)
 	refCfg.ManagerShards = 2
 	refM, err := NewMachine(mustAssemble(t, threadsProg), refCfg)
 	if err != nil {
@@ -238,7 +289,7 @@ func TestRemoteWorkerDiesMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := mustRemoteSmall(t, 2)
 	m.cfg.StallTimeout = 5 * time.Second
-	p, q := net.Pipe()
+	p, q := pipe()
 	go func() {
 		c := remote.NewConn(q)
 		if _, err := c.AcceptHello(time.Now().Add(10 * time.Second)); err != nil {
@@ -276,7 +327,7 @@ func TestRemoteWorkerNeverCompletesHandshake(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := mustRemoteSmall(t, 2)
 	m.cfg.StallTimeout = 500 * time.Millisecond
-	p, q := net.Pipe()
+	p, q := pipe()
 	go io.Copy(io.Discard, q) // reads the hello, never replies
 	start := time.Now()
 	_, err := m.RunRemoteSharded(SchemeCC, []remote.Transport{p})
@@ -299,7 +350,7 @@ func TestRemoteWorkerNeverCompletesHandshake(t *testing.T) {
 func TestRemoteWorkerVersionMismatch(t *testing.T) {
 	m := mustRemoteSmall(t, 2)
 	m.cfg.StallTimeout = 5 * time.Second
-	p, q := net.Pipe()
+	p, q := pipe()
 	go func() {
 		c := remote.NewConn(q)
 		c.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -330,7 +381,7 @@ func TestRemoteWorkerErrorFrame(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := mustRemoteSmall(t, 2)
 	m.cfg.StallTimeout = 5 * time.Second
-	p, q := net.Pipe()
+	p, q := pipe()
 	go func() {
 		c := remote.NewConn(q)
 		if _, err := c.AcceptHello(time.Now().Add(10 * time.Second)); err != nil {
@@ -364,19 +415,19 @@ func TestRemoteWorkerErrorFrame(t *testing.T) {
 // genuine panic inside serve() must come back as FError. Here we panic
 // the cache model by feeding the worker loop directly.
 func TestRemoteConfigValidation(t *testing.T) {
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.RemoteShards = 2
 	cfg.ManagerShards = 2
 	if _, err := NewMachine(mustAssemble(t, sumProg), cfg); err == nil {
 		t.Error("RemoteShards + ManagerShards accepted")
 	}
-	cfg = smallConfig(2, ModelOoO)
+	cfg = smallConfig(2)
 	cfg.RemoteShards = 3 // does not divide the default bank count
 	if _, err := NewMachine(mustAssemble(t, sumProg), cfg); err == nil {
 		t.Error("non-divisible RemoteShards accepted")
 	}
 	// A machine without RemoteShards must refuse the remote driver.
-	m := mustMachine(t, sumProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, sumProg, smallConfig(2))
 	if _, err := m.RunRemoteSharded(SchemeCC, nil); err == nil {
 		t.Error("RunRemoteSharded ran without RemoteShards")
 	}
@@ -386,7 +437,7 @@ func TestRemoteConfigValidation(t *testing.T) {
 // shard count (no workload image).
 func mustRemoteSmall(t *testing.T, shards int) *Machine {
 	t.Helper()
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.RemoteShards = shards
 	m, err := NewMachine(mustAssemble(t, threadsProg), cfg)
 	if err != nil {

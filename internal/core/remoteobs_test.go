@@ -194,7 +194,7 @@ func TestRemoteBundleOnAbandon(t *testing.T) {
 // too — a contained core panic under the parallel driver writes one,
 // and a second run in the same directory gets its own timestamped dir.
 func TestBundleOnLocalFailure(t *testing.T) {
-	m := mustMachine(t, longProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, longProg, smallConfig(2))
 	m.EnableMetrics(metrics.NewRegistry())
 	dir := t.TempDir()
 	m.SetBundleDir(dir)
@@ -232,7 +232,7 @@ func TestBundleOnLocalFailure(t *testing.T) {
 // TestBundleDisabledByDefault: without SetBundleDir a failure writes
 // nothing and BundlePath stays empty.
 func TestBundleDisabledByDefault(t *testing.T) {
-	m := mustMachine(t, longProg, smallConfig(2, ModelOoO))
+	m := mustMachine(t, longProg, smallConfig(2))
 	if err := m.EnableFaults(faultinject.NewPlan(
 		faultinject.Fault{Kind: faultinject.Panic, Core: 0, At: 500},
 	)); err != nil {

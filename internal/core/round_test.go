@@ -58,7 +58,7 @@ func runDriver(t *testing.T, m *Machine, driver string, s Scheme) *Result {
 
 // driverConfig is smallConfig shaped for the named driver of a table test.
 func driverConfig(driver string, cores int) (Config, string) {
-	cfg := smallConfig(cores, ModelOoO)
+	cfg := smallConfig(cores)
 	switch driver {
 	case "sharded":
 		cfg.ManagerShards = 2
@@ -175,7 +175,7 @@ func TestSerialL2StatsOnShardedGeometry(t *testing.T) {
 // stamped well below the bound a conservative pass has already processed
 // through.
 func TestAuditFlagsRequestBehindVisibilityPass(t *testing.T) {
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.Audit = true
 	m := mustMachine(t, sumProg, cfg)
 	m.scheme = SchemeCC

@@ -25,7 +25,7 @@ func TestSchemesOcean(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func() *Machine {
-		cfg := smallConfig(4, ModelOoO)
+		cfg := smallConfig(4)
 		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 200_000_000
 		m, err := NewMachine(prog, cfg)

@@ -89,14 +89,14 @@ ring:  .space SLOTS*8
 // TestSemaphorePipeline runs the producer/consumer program under the
 // serial engine and all schemes; the sum 1..64 = 2080 must always emerge.
 func TestSemaphorePipeline(t *testing.T) {
-	ref := runSerial(t, mustMachine(t, semaProg, smallConfig(2, ModelOoO)))
+	ref := runSerial(t, mustMachine(t, semaProg, smallConfig(2)))
 	if ref.Aborted || ref.Output != "2080" {
 		t.Fatalf("serial: aborted=%v output=%q", ref.Aborted, ref.Output)
 	}
 	for _, s := range []Scheme{SchemeCC, SchemeQ10, SchemeS9x, SchemeS9, SchemeSU} {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			m := mustMachine(t, semaProg, smallConfig(2, ModelOoO))
+			m := mustMachine(t, semaProg, smallConfig(2))
 			res, err := m.RunParallel(s)
 			if err != nil {
 				t.Fatal(err)
@@ -108,18 +108,5 @@ func TestSemaphorePipeline(t *testing.T) {
 				t.Fatalf("conservative end %d != serial %d", res.EndTime, ref.EndTime)
 			}
 		})
-	}
-}
-
-// TestSemaphorePipelineInOrder covers the in-order core on the same
-// blocking-semaphore pattern.
-func TestSemaphorePipelineInOrder(t *testing.T) {
-	m := mustMachine(t, semaProg, smallConfig(2, ModelInOrder))
-	res, err := m.RunParallel(SchemeS9x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output != "2080" {
-		t.Fatalf("output = %q", res.Output)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func shardedMachine(t *testing.T, prog *asm.Program, w *workloads.Workload, cores, shards int) *Machine {
 	t.Helper()
-	cfg := smallConfig(cores, ModelOoO)
+	cfg := smallConfig(cores)
 	cfg.MemSize = 64 << 20
 	cfg.MaxCycles = 200_000_000
 	cfg.ManagerShards = shards
@@ -125,12 +125,12 @@ func TestShardConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.ManagerShards = 3 // does not divide 8 banks
 	if _, err := NewMachine(prog, cfg); err == nil {
 		t.Error("3 shards over 8 banks accepted")
 	}
-	cfg = smallConfig(2, ModelOoO)
+	cfg = smallConfig(2)
 	cfg.ManagerShards = 2
 	cfg.Cache.DRAMChannels = 4
 	if _, err := NewMachine(prog, cfg); err == nil {

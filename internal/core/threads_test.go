@@ -99,19 +99,17 @@ func expectTotal(n int) string {
 }
 
 func TestThreadsSerial(t *testing.T) {
-	for _, model := range []CoreModel{ModelInOrder, ModelOoO} {
-		for _, n := range []int{1, 2, 4, 8} {
-			m := mustMachine(t, threadsProg, smallConfig(n, model))
-			res := runSerial(t, m)
-			if res.Aborted {
-				t.Fatalf("model %d n=%d: aborted at %d", model, n, res.EndTime)
-			}
-			if want := expectTotal(n); res.Output != want {
-				t.Fatalf("model %d n=%d: output = %q, want %q", model, n, res.Output, want)
-			}
-			if res.TimeWarps != 0 {
-				t.Fatalf("serial run reported %d time warps", res.TimeWarps)
-			}
+	for _, n := range []int{1, 2, 4, 8} {
+		m := mustMachine(t, threadsProg, smallConfig(n))
+		res := runSerial(t, m)
+		if res.Aborted {
+			t.Fatalf("n=%d: aborted at %d", n, res.EndTime)
+		}
+		if want := expectTotal(n); res.Output != want {
+			t.Fatalf("n=%d: output = %q, want %q", n, res.Output, want)
+		}
+		if res.TimeWarps != 0 {
+			t.Fatalf("serial run reported %d time warps", res.TimeWarps)
 		}
 	}
 }
@@ -121,7 +119,7 @@ func TestThreadsParallelAllSchemes(t *testing.T) {
 	for _, s := range schemes {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
+			m := mustMachine(t, threadsProg, smallConfig(4))
 			res, err := m.RunParallel(s)
 			if err != nil {
 				t.Fatal(err)
@@ -140,14 +138,14 @@ func TestThreadsParallelAllSchemes(t *testing.T) {
 // windows no larger than the critical latency, the conservative schemes
 // (CC, Q10, L10, S9*) produce exactly the serial cycle count.
 func TestConservativeSchemesExact(t *testing.T) {
-	ref := runSerial(t, mustMachine(t, threadsProg, smallConfig(4, ModelOoO)))
+	ref := runSerial(t, mustMachine(t, threadsProg, smallConfig(4)))
 	if ref.Aborted {
 		t.Fatal("reference aborted")
 	}
 	for _, s := range []Scheme{SchemeCC, SchemeQ10, SchemeL10, SchemeS9x} {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			m := mustMachine(t, threadsProg, smallConfig(4, ModelOoO))
+			m := mustMachine(t, threadsProg, smallConfig(4))
 			res, err := m.RunParallel(s)
 			if err != nil {
 				t.Fatal(err)

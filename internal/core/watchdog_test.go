@@ -37,7 +37,7 @@ func TestWatchdogAbortsDeadlock(t *testing.T) {
 }
 
 func checkDeadlockAbort(t *testing.T, run func(*Machine, Scheme) (*Result, error)) {
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	cfg.StallTimeout = 2 * time.Second
 	m := mustMachine(t, deadlockProg, cfg)
 	start := time.Now()
@@ -79,7 +79,7 @@ func checkDeadlockAbort(t *testing.T, run func(*Machine, Scheme) (*Result, error
 // Deadlock detection is engine-independent: the serial reference must reach
 // the same verdict with the same forensics.
 func TestSerialDeadlockDetection(t *testing.T) {
-	cfg := smallConfig(2, ModelOoO)
+	cfg := smallConfig(2)
 	m := mustMachine(t, deadlockProg, cfg)
 	start := time.Now()
 	_, err := runSerialErr(m)
@@ -97,7 +97,7 @@ func TestSerialDeadlockDetection(t *testing.T) {
 
 func TestMaxCyclesAbort(t *testing.T) {
 	// An infinite loop must hit the cycle limit, not spin the host forever.
-	cfg := smallConfig(1, ModelOoO)
+	cfg := smallConfig(1)
 	cfg.MaxCycles = 20000
 	m := mustMachine(t, "main:\n j main\n", cfg)
 	res, err := m.RunParallel(SchemeSU)
@@ -114,24 +114,29 @@ func TestMaxCyclesAbort(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	prog := mustMachine(t, sumProg, smallConfig(1, ModelOoO)).Image().Prog
+	prog := mustMachine(t, sumProg, smallConfig(1)).Image().Prog
 	if _, err := NewMachine(prog, Config{NumCores: 0}); err == nil {
 		t.Error("zero cores accepted")
 	}
-	bad := smallConfig(2, ModelOoO)
+	bad := smallConfig(2)
 	bad.Cache.NumCores = 4 // mismatched cache geometry
 	if _, err := NewMachine(prog, bad); err == nil {
 		t.Error("mismatched cache core count accepted")
 	}
-	bad = smallConfig(1, ModelOoO)
+	bad = smallConfig(1)
 	bad.CPU.ROBSize = 65 // the issue queue's slot masks are one word
 	if _, err := NewMachine(prog, bad); err == nil {
 		t.Error("ROBSize 65 accepted")
 	}
+	bad = smallConfig(1)
+	bad.Model = CoreModel(7) // the out-of-order core is the only model
+	if _, err := NewMachine(prog, bad); err == nil {
+		t.Error("unknown core model accepted")
+	}
 }
 
 func TestInvalidSchemeRejected(t *testing.T) {
-	m := mustMachine(t, sumProg, smallConfig(1, ModelOoO))
+	m := mustMachine(t, sumProg, smallConfig(1))
 	if _, err := m.RunParallel(Scheme{Kind: Quantum, Window: 0}); err == nil {
 		t.Error("Q0 accepted")
 	}

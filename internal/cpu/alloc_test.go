@@ -31,31 +31,22 @@ skip:
 buf: .dword 0
 `
 
-// TestStepZeroAlloc is the zero-allocation regression gate for the core
-// models: after warm-up (caches filled, predecode table built, ring and
-// pending buffers at steady-state capacity), one simulated cycle must
-// perform zero host heap allocations — for both the out-of-order and the
-// in-order pipeline. Any allocation that sneaks back into fetch, dispatch,
-// issue, execute, or commit fails this test deterministically, not just as
-// a noisy benchmark delta.
+// TestStepZeroAlloc is the zero-allocation regression gate for the core:
+// after warm-up (caches filled, predecode table built, ring and pending
+// buffers at steady-state capacity), one simulated cycle must perform zero
+// host heap allocations. Any allocation that sneaks back into fetch,
+// dispatch, issue, execute, or commit fails this test deterministically,
+// not just as a noisy benchmark delta.
 func TestStepZeroAlloc(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		inorder bool
-	}{
-		{"OoO", false},
-		{"InOrder", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := newBenchTB(t, allocProg, tc.inorder)
-			for i := 0; i < 20000; i++ {
-				b.step()
-			}
-			if avg := testing.AllocsPerRun(2000, b.step); avg != 0 {
-				t.Errorf("steady-state allocations per step = %v, want 0", avg)
-			}
-		})
-	}
+	t.Run("OoO", func(t *testing.T) {
+		b := newBench(t, allocProg)
+		for i := 0; i < 20000; i++ {
+			b.step()
+		}
+		if avg := testing.AllocsPerRun(2000, b.step); avg != 0 {
+			t.Errorf("steady-state allocations per step = %v, want 0", avg)
+		}
+	})
 }
 
 // TestFetchQueueBounded: under a window that stays full, dispatch never
@@ -63,12 +54,11 @@ func TestStepZeroAlloc(t *testing.T) {
 // append grow it by an entry per fetched instruction (too slowly for
 // TestStepZeroAlloc's per-step average to see).
 func TestFetchQueueBounded(t *testing.T) {
-	b := newBenchTB(t, missBoundProg(1<<30), false)
+	b := newBench(t, missBoundProg(1<<30))
 	for i := 0; i < 20000; i++ {
 		b.step()
 	}
-	c := b.core.(*OoO)
-	if got, want := cap(c.fetchQ), c.cfg.FetchQSize; got != want {
+	if got, want := cap(b.core.fetchQ), b.core.cfg.FetchQSize; got != want {
 		t.Fatalf("fetch queue capacity %d after 20000 cycles, want %d", got, want)
 	}
 }
@@ -152,7 +142,7 @@ func BenchmarkDispatchTable(b *testing.B) {
 // memory traffic and branches. The allocs/op column must read 0 in a
 // healthy build (TestStepZeroAlloc enforces the same property as a test).
 func BenchmarkStepNoAlloc(b *testing.B) {
-	bench := newBenchB(b, allocProg)
+	bench := newBench(b, allocProg)
 	for i := 0; i < 20000; i++ {
 		bench.step()
 	}

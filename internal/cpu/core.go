@@ -1,7 +1,6 @@
-// Package cpu implements the target core timing models: a NetBurst-like
+// Package cpu implements the target core timing model: a NetBurst-like
 // 4-wide out-of-order core (the paper's target, §2.2/§4.1 — operand values
-// are read just before execution, not at dispatch) and a simple in-order
-// core used for ablations and fast functional runs. A core owns its private
+// are read just before execution, not at dispatch). A core owns its private
 // L1 instruction and data caches; everything below the L1s is reached
 // through timestamped events sent to the simulation manager.
 package cpu
@@ -13,7 +12,10 @@ import (
 )
 
 // Core is the engine-facing contract of a simulated core. All methods are
-// invoked by the core's own simulation thread only.
+// invoked by the core's own simulation thread only. OoO is its only
+// implementation, and the engine calls *OoO directly; the interface remains
+// because the benchmark probe under bench/ declares a Core, and its method
+// docs state the contract the engine relies on.
 type Core interface {
 	// ID returns the target core index.
 	ID() int
@@ -56,6 +58,8 @@ type Core interface {
 	// MarkROI records the start of the measured region of interest.
 	MarkROI(now int64)
 }
+
+var _ Core = (*OoO)(nil)
 
 // Env supplies a core's connections to the rest of the machine.
 type Env struct {

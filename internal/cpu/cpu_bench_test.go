@@ -9,7 +9,7 @@ import (
 // out-of-order core on a tight ALU loop — the quantity that sets the
 // simulator's KIPS.
 func BenchmarkOoOTick(b *testing.B) {
-	bench := newBenchB(b, `
+	bench := newBench(b, `
 main:
     li   r8, 0
 loop:
@@ -67,23 +67,7 @@ out: .dword 0
 // cycles that tick with a full window and nothing ready, where the issue
 // stage has the least to do.
 func BenchmarkOoOTickMissBound(b *testing.B) {
-	bench := newBenchB(b, missBoundProg(1<<30))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.step()
-	}
-}
-
-// BenchmarkInOrderTick is the in-order model's per-cycle cost.
-func BenchmarkInOrderTick(b *testing.B) {
-	bench := newBenchBInorder(b, `
-main:
-    li   r8, 0
-loop:
-    addi r8, r8, 1
-    j    loop
-`)
+	bench := newBench(b, missBoundProg(1<<30))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

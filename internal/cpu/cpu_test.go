@@ -14,10 +14,10 @@ import (
 
 // bench drives a single core against a miniature manager that answers
 // memory requests with fixed-latency fills and system calls through a real
-// sysemu kernel — a one-core serial engine for unit-testing core models.
+// sysemu kernel — a one-core serial engine for unit-testing the core.
 type bench struct {
-	t      fataler
-	core   Core
+	t      testing.TB
+	core   *OoO
 	mem    *mem.Memory
 	kernel *sysemu.Kernel
 	sent   []event.Event
@@ -32,25 +32,8 @@ type bench struct {
 	checkIQ bool
 }
 
-func newBench(t *testing.T, src string, inorder bool) *bench {
-	t.Helper()
-	return newBenchTB(t, src, inorder)
-}
-
-// newBenchB adapts the bench for benchmarks (OoO core).
-func newBenchB(b *testing.B, src string) *bench { return newBenchTB(b, src, false) }
-
-// newBenchBInorder adapts the bench for benchmarks (in-order core).
-func newBenchBInorder(b *testing.B, src string) *bench { return newBenchTB(b, src, true) }
-
-// fataler is the subset of testing.TB the bench needs.
-type fataler interface {
-	Helper()
-	Fatal(args ...any)
-	Fatalf(format string, args ...any)
-}
-
-func newBenchTB(t fataler, src string, inorder bool) *bench {
+// newBench assembles src and starts a core on it.
+func newBench(t testing.TB, src string) *bench {
 	t.Helper()
 	prog, err := asm.Assemble(src, asm.Options{})
 	if err != nil {
@@ -80,21 +63,15 @@ func newBenchTB(t fataler, src string, inorder bool) *bench {
 		CacheCfg: cache.DefaultConfig(1),
 		Send:     func(ev event.Event) { b.sent = append(b.sent, ev) },
 	}
-	b.core = mustCore(inorder, env)
+	b.core = mustCore(env)
 	b.core.Start(prog.Entry, 3<<20, 0)
 	return b
 }
 
 // mustCore builds a core from the default config, panicking on the
 // (impossible for DefaultConfig) geometry error.
-func mustCore(inorder bool, env Env) Core {
-	var c Core
-	var err error
-	if inorder {
-		c, err = NewInOrder(DefaultConfig(), env)
-	} else {
-		c, err = NewOoO(DefaultConfig(), env)
-	}
+func mustCore(env Env) *OoO {
+	c, err := NewOoO(DefaultConfig(), env)
 	if err != nil {
 		panic(err)
 	}
@@ -140,8 +117,8 @@ func (b *bench) step() {
 	}
 	b.inbox = kept
 	progressed := b.core.Tick(b.now)
-	if c, ok := b.core.(*OoO); ok && b.checkIQ {
-		if err := checkIQ(c); err != nil {
+	if b.checkIQ {
+		if err := checkIQ(b.core); err != nil {
 			b.t.Fatalf("cycle %d: issue queue: %v", b.now, err)
 		}
 	}
@@ -208,14 +185,11 @@ main:
 out: .dword 0
 `
 
-func TestALUChainBothModels(t *testing.T) {
-	for _, inorder := range []bool{false, true} {
-		b := newBench(t, aluProg, inorder)
-		b.run(100000)
-		addr := uint64(0x2000)
-		if v := b.word(t, addr); v != 60 {
-			t.Errorf("inorder=%v: out = %d, want 60", inorder, v)
-		}
+func TestALUChain(t *testing.T) {
+	b := newBench(t, aluProg)
+	b.run(100000)
+	if v := b.word(t, 0x2000); v != 60 {
+		t.Errorf("out = %d, want 60", v)
 	}
 }
 
@@ -240,16 +214,14 @@ vals: .double 1.5, 2.5
 out:  .dword 0, 0
 `
 
-func TestFPPipelineBothModels(t *testing.T) {
-	for _, inorder := range []bool{false, true} {
-		b := newBench(t, fpProg, inorder)
-		b.run(100000)
-		if v := b.word(t, 0x2010); v != 4 {
-			t.Errorf("inorder=%v: sqrt result = %d, want 4", inorder, v)
-		}
-		if v := b.word(t, 0x2018); v != 1 {
-			t.Errorf("inorder=%v: fle = %d, want 1", inorder, v)
-		}
+func TestFPPipeline(t *testing.T) {
+	b := newBench(t, fpProg)
+	b.run(100000)
+	if v := b.word(t, 0x2010); v != 4 {
+		t.Errorf("sqrt result = %d, want 4", v)
+	}
+	if v := b.word(t, 0x2018); v != 1 {
+		t.Errorf("fle = %d, want 1", v)
 	}
 }
 
@@ -276,7 +248,7 @@ out: .dword 0
 `
 
 func TestBranchRecovery(t *testing.T) {
-	b := newBench(t, branchProg, false)
+	b := newBench(t, branchProg)
 	b.run(200000)
 	if v := b.word(t, 0x2000); v != 2500 {
 		t.Fatalf("sum = %d, want 2500", v)
@@ -311,7 +283,7 @@ slot: .dword 0, 0
 `
 
 func TestStoreToLoadForwarding(t *testing.T) {
-	b := newBench(t, forwardProg, false)
+	b := newBench(t, forwardProg)
 	b.run(100000)
 	if v := b.word(t, 0x2008); v != 1235 {
 		t.Fatalf("forwarded value = %d, want 1235", v)
@@ -341,27 +313,25 @@ ctr: .dword 100
 out: .dword 0, 0, 0
 `
 
-func TestAMOsBothModels(t *testing.T) {
-	for _, inorder := range []bool{false, true} {
-		b := newBench(t, amoProg, inorder)
-		b.run(100000)
-		if v := b.word(t, 0x2000); v != 77 {
-			t.Errorf("inorder=%v: ctr = %d, want 77", inorder, v)
-		}
-		if v := b.word(t, 0x2008); v != 100 {
-			t.Errorf("inorder=%v: amoadd old = %d", inorder, v)
-		}
-		if v := b.word(t, 0x2010); v != 105 {
-			t.Errorf("inorder=%v: amoswap old = %d", inorder, v)
-		}
-		if v := b.word(t, 0x2018); v != 300 {
-			t.Errorf("inorder=%v: cas old = %d", inorder, v)
-		}
+func TestAMOs(t *testing.T) {
+	b := newBench(t, amoProg)
+	b.run(100000)
+	if v := b.word(t, 0x2000); v != 77 {
+		t.Errorf("ctr = %d, want 77", v)
+	}
+	if v := b.word(t, 0x2008); v != 100 {
+		t.Errorf("amoadd old = %d", v)
+	}
+	if v := b.word(t, 0x2010); v != 105 {
+		t.Errorf("amoswap old = %d", v)
+	}
+	if v := b.word(t, 0x2018); v != 300 {
+		t.Errorf("cas old = %d", v)
 	}
 }
 
 func TestMissTrafficCounted(t *testing.T) {
-	b := newBench(t, aluProg, false)
+	b := newBench(t, aluProg)
 	b.run(100000)
 	if b.fills == 0 {
 		t.Fatal("no fills requested (cold caches must miss)")
@@ -376,7 +346,7 @@ func TestMissTrafficCounted(t *testing.T) {
 }
 
 func TestSyscallRoundTrips(t *testing.T) {
-	b := newBench(t, aluProg, false)
+	b := newBench(t, aluProg)
 	b.run(100000)
 	if b.sys != 1 {
 		t.Fatalf("syscall events = %d, want 1", b.sys)
@@ -397,7 +367,7 @@ main:
     syscall 5
     li a0, 0
     syscall 0
-`, false)
+`)
 	// Pre-acquire the lock for a phantom second core so the second lock
 	// call blocks forever.
 	b.kernel.Syscall(0, 0, sysemu.SysLock, [4]int64{64})
@@ -417,7 +387,7 @@ func TestStopClearsState(t *testing.T) {
 main:
     addi r8, r8, 1
     j    main
-`, false)
+`)
 	for i := 0; i < 30; i++ {
 		b.step()
 	}
@@ -437,7 +407,7 @@ main:
 }
 
 func TestSkipAccounting(t *testing.T) {
-	b := newBench(t, aluProg, false)
+	b := newBench(t, aluProg)
 	st := b.core.Stats()
 	b.core.Skip(25)
 	if st.Skipped != 25 || st.Cycles < 25 {
@@ -446,7 +416,7 @@ func TestSkipAccounting(t *testing.T) {
 }
 
 func TestROIMarking(t *testing.T) {
-	b := newBench(t, branchProg, false)
+	b := newBench(t, branchProg)
 	for i := 0; i < 50; i++ {
 		b.step()
 	}

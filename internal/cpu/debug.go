@@ -36,9 +36,3 @@ func (c *OoO) DebugState() string {
 	}
 	return b.String()
 }
-
-// DebugState for the in-order core.
-func (c *InOrder) DebugState() string {
-	return fmt.Sprintf("core %d active=%v pc=%#x state=%d busyUntil=%d retryAt=%d cur=%s\n",
-		c.env.ID, c.active, c.pc, c.state, c.busyUntil, c.retryAt, c.cur.Inst().Disassemble(c.pc))
-}

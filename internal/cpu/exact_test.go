@@ -34,7 +34,7 @@ func TestOoOCycleExact(t *testing.T) {
 		{"missBound", missBoundProg(200), 4032, Stats{Cycles: 4032, Skipped: 1813, Committed: 2407, Fetched: 2427, Squashed: 3, Loads: 200, Stores: 1, Branches: 200, Mispred: 2, Syscalls: 1, FetchStall: 6, ROBStall: 970, HeadStall: 2013, SerializeOn: 49, L1D: cache.L1Stats{Hits: 1, Misses: 201, Evictions: 1}, L1I: cache.L1Stats{Hits: 1383, Misses: 3}, OpsLoadIssue: 200, OpsLoadDone: 200, OpsWB: 2006}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newBench(t, tc.src, false)
+			b := newBench(t, tc.src)
 			b.run(1 << 20)
 			if got := *b.core.Stats(); b.now != tc.end || got != tc.want {
 				lit := strings.ReplaceAll(fmt.Sprintf("%#v", got), "cpu.", "")

@@ -75,9 +75,9 @@ const (
 type execFn func(p *Pre, pc uint64, a, b int64, fa, fb float64) aluResult
 
 // makePre folds decode, classification, latency, and the execute-function
-// pointer into one record. The execALU/execLatency switches in exec.go
-// remain the semantic reference (and the dispatch-overhead benchmark
-// baseline); TestExecTableMatchesSwitch pins the table to them.
+// pointer into one record. The latency comes from execLatency (exec.go);
+// the execute function from execTab, which TestExecTableMatchesSwitch pins
+// to the execALU reference switch in exec_oracle_test.go.
 func makePre(cfg *Config, in isa.Inst) Pre {
 	p := Pre{
 		Exec:   execTab[in.Op],
@@ -174,12 +174,14 @@ func xBr(p *Pre, pc uint64, taken bool) aluResult {
 	return r
 }
 
-// execTab is the per-opcode function table: threaded dispatch replaces the
-// execALU switch with one indirect call through the predecoded record.
-// Entries for memory ops, AMOs, syscalls, and NOPs are a harmless no-effect
-// function — those opcodes never reach Exec (memory ops take executeMem,
-// AMOs and syscalls execute at the commit point) — so the table is total
-// and dispatch needs no nil check.
+// execTab is the per-opcode function table: execute dispatch is one
+// indirect call through the predecoded record. Division by zero follows
+// the RISC-V convention (quotient all-ones, remainder equals the dividend)
+// so wrong-path garbage can never fault the host. Entries for memory ops,
+// AMOs, syscalls, and NOPs are a harmless no-effect function — those
+// opcodes never reach Exec (memory ops take executeMem, AMOs and syscalls
+// execute at the commit point) — so the table is total and dispatch needs
+// no nil check.
 var execTab = buildExecTab()
 
 func buildExecTab() []execFn {

@@ -33,12 +33,10 @@ out: .dword 0
 func TestBranchStorm(t *testing.T) {
 	// Reference: odd i -> +3 (256 of them); even i with bit1 -> +5 (128).
 	want := uint64(256*3 + 128*5)
-	for _, inorder := range []bool{false, true} {
-		b := newBench(t, branchStormProg, inorder)
-		b.run(500000)
-		if v := b.word(t, 0x2000); v != want {
-			t.Errorf("inorder=%v: acc = %d, want %d", inorder, v, want)
-		}
+	b := newBench(t, branchStormProg)
+	b.run(500000)
+	if v := b.word(t, 0x2000); v != want {
+		t.Errorf("acc = %d, want %d", v, want)
 	}
 }
 
@@ -75,12 +73,10 @@ out: .dword 0
 `
 
 func TestDeepRecursionRAS(t *testing.T) {
-	for _, inorder := range []bool{false, true} {
-		b := newBench(t, callDepthProg, inorder)
-		b.run(500000)
-		if v := b.word(t, 0x2000); v != 32*33/2 {
-			t.Errorf("inorder=%v: sum = %d, want %d", inorder, v, 32*33/2)
-		}
+	b := newBench(t, callDepthProg)
+	b.run(500000)
+	if v := b.word(t, 0x2000); v != 32*33/2 {
+		t.Errorf("sum = %d, want %d", v, 32*33/2)
 	}
 }
 
@@ -117,7 +113,7 @@ out: .dword 0
 `
 
 func TestMemBurstMSHRPressure(t *testing.T) {
-	b := newBench(t, memBurstProg, false)
+	b := newBench(t, memBurstProg)
 	b.run(500000)
 	if v := b.word(t, 0x2000+64*64); v != 64*63/2 {
 		t.Fatalf("sum = %d, want %d", v, 64*63/2)
@@ -154,21 +150,19 @@ out:  .dword 0, 0, 0, 0
 `
 
 func TestSubWordAccess(t *testing.T) {
-	for _, inorder := range []bool{false, true} {
-		b := newBench(t, widthProg, inorder)
-		b.run(500000)
-		if v := b.word(t, 0x2008); v != 127 {
-			t.Errorf("inorder=%v: lb = %d", inorder, int64(v))
-		}
-		if v := b.word(t, 0x2010); v != 0xFF {
-			t.Errorf("inorder=%v: lbu = %#x", inorder, v)
-		}
-		if v := b.word(t, 0x2018); int64(v) != int64(int32(-129)) { // 0xFFFFFF7F
-			t.Errorf("inorder=%v: lw = %#x", inorder, v)
-		}
-		if v := b.word(t, 0x2020); v != 0xFFFFFF7F {
-			t.Errorf("inorder=%v: lwu = %#x", inorder, v)
-		}
+	b := newBench(t, widthProg)
+	b.run(500000)
+	if v := b.word(t, 0x2008); v != 127 {
+		t.Errorf("lb = %d", int64(v))
+	}
+	if v := b.word(t, 0x2010); v != 0xFF {
+		t.Errorf("lbu = %#x", v)
+	}
+	if v := b.word(t, 0x2018); int64(v) != int64(int32(-129)) { // 0xFFFFFF7F
+		t.Errorf("lw = %#x", v)
+	}
+	if v := b.word(t, 0x2020); v != 0xFFFFFF7F {
+		t.Errorf("lwu = %#x", v)
 	}
 }
 
@@ -178,7 +172,7 @@ func TestSubWordAccess(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	type outcome struct{ cycles, committed int64 }
 	run := func() outcome {
-		b := newBench(t, branchStormProg, false)
+		b := newBench(t, branchStormProg)
 		b.run(500000)
 		st := b.core.Stats()
 		return outcome{b.now, st.Committed}

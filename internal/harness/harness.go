@@ -38,8 +38,6 @@ type Options struct {
 	HostCores []int
 	// TargetCores is the simulated CMP size; defaults to 8 (§4.1).
 	TargetCores int
-	// Model selects the core timing model; defaults to the OoO target.
-	Model core.CoreModel
 	// Repeat runs each configuration this many times and keeps the best
 	// wall time (defaults to 1).
 	Repeat int
@@ -178,7 +176,6 @@ func (r *Runner) machine(name string) (*core.Machine, *workloads.Workload, error
 	cfg := core.Config{
 		NumCores:   r.opts.TargetCores,
 		NumThreads: r.opts.TargetCores,
-		Model:      r.opts.Model,
 		CPU:        cpu.DefaultConfig(),
 		Cache:      cache.DefaultConfig(r.opts.TargetCores),
 		MaxCycles:  r.opts.MaxCycles,

@@ -1,22 +1,15 @@
 package workloads
 
-import (
-	"testing"
-
-	"slacksim/internal/core"
-)
+import "testing"
 
 // TestAllWorkloadsSerial runs every registered workload on the serial
-// reference engine with both core models and verifies its results.
+// reference engine and verifies its results.
 func TestAllWorkloadsSerial(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name+"/ooo", func(t *testing.T) {
-			res := runWorkload(t, w.Name, 4, core.ModelOoO, 1)
+			res := runWorkload(t, w.Name, 4, 1)
 			t.Logf("%s: %d cycles, %d ROI instrs", w.Name, res.EndTime, res.Committed)
-		})
-		t.Run(w.Name+"/inorder", func(t *testing.T) {
-			runWorkload(t, w.Name, 2, core.ModelInOrder, 1)
 		})
 	}
 }
@@ -27,7 +20,7 @@ func TestWorkloadsSingleThread(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			runWorkload(t, w.Name, 1, core.ModelOoO, 1)
+			runWorkload(t, w.Name, 1, 1)
 		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // runWorkload assembles, loads, initialises, simulates (serial reference
 // engine), and verifies one workload.
-func runWorkload(t *testing.T, name string, threads int, model core.CoreModel, scale int) *core.Result {
+func runWorkload(t *testing.T, name string, threads, scale int) *core.Result {
 	t.Helper()
 	w, err := Get(name)
 	if err != nil {
@@ -24,7 +24,6 @@ func runWorkload(t *testing.T, name string, threads int, model core.CoreModel, s
 	cfg := core.Config{
 		NumCores:   threads,
 		NumThreads: threads,
-		Model:      model,
 		CPU:        cpu.DefaultConfig(),
 		Cache:      cache.DefaultConfig(threads),
 		MemSize:    64 << 20,
@@ -48,10 +47,10 @@ func runWorkload(t *testing.T, name string, threads int, model core.CoreModel, s
 }
 
 func TestFFTSerial(t *testing.T) {
-	res := runWorkload(t, "fft", 4, core.ModelOoO, 1)
+	res := runWorkload(t, "fft", 4, 1)
 	t.Logf("fft: %d cycles, %d instrs", res.EndTime, res.Committed)
 }
 
 func TestFFTSingleThread(t *testing.T) {
-	runWorkload(t, "fft", 1, core.ModelInOrder, 1)
+	runWorkload(t, "fft", 1, 1)
 }
