@@ -55,7 +55,7 @@ func run(args []string, out, errw io.Writer) error {
 		verbose   = fs.Bool("v", false, "print per-core statistics")
 		verify    = fs.Bool("verify", true, "verify workload results against the Go reference")
 		maxCycles = fs.Int64("max-cycles", 0, "abort after this many simulated cycles (0 = default)")
-		shards    = fs.Int("shards", 1, "manager shards for the memory hierarchy (paper §2.2)")
+		shards    = fs.Int("shards", 1, "manager shards for the memory hierarchy (paper §2.2); with -scheme serial, the serial engine on the sharded cache geometry")
 		list      = fs.Bool("list", false, "list built-in workloads and exit")
 		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto)")
 		useMet    = fs.Bool("metrics", false, "collect engine/CPU/cache metrics and print the registry + sync-overhead breakdown")
@@ -128,8 +128,6 @@ func run(args []string, out, errw io.Writer) error {
 		return fmt.Errorf("-remote-workers and -remote-spawn are mutually exclusive")
 	case nWorkers > 0 && serial:
 		return fmt.Errorf("the serial engine has no remote backend")
-	case serial && *shards > 1:
-		return fmt.Errorf("the serial engine has no sharded manager (-shards %d)", *shards)
 	case nWorkers == 0 && *remoteShards > 0:
 		return fmt.Errorf("-remote-shards needs -remote-workers or -remote-spawn")
 	case nWorkers > 0 && *remoteShards == 0:

@@ -75,6 +75,29 @@ func TestRunSerialScheme(t *testing.T) {
 	}
 }
 
+// TestRunSerialShardedGeometry runs the serial engine on the sharded
+// manager's cache geometry, the oracle the sharded exactness claim is made
+// against: a conservative sharded run must end on the same cycle.
+func TestRunSerialShardedGeometry(t *testing.T) {
+	endCycle := func(scheme string) string {
+		var out, errw bytes.Buffer
+		args := []string{"-workload", "fft", "-scheme", scheme, "-cores", "2", "-host", "2", "-shards", "2"}
+		if err := run(args, &out, &errw); err != nil {
+			t.Fatalf("-scheme %s: %v\nstderr:\n%s", scheme, err, errw.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "simulated: "); ok {
+				return strings.Fields(rest)[0]
+			}
+		}
+		t.Fatalf("-scheme %s printed no simulated line:\n%s", scheme, out.String())
+		return ""
+	}
+	if serial, cc := endCycle("serial"), endCycle("CC"); serial != cc {
+		t.Fatalf("serial ends at cycle %s, sharded CC at %s", serial, cc)
+	}
+}
+
 // TestRunFusedDriver drives the engine on one host core through the CLI:
 // the run is grouped execution at K = 1 (what RunFused runs) and says so
 // on the driver line.
@@ -109,7 +132,6 @@ func TestRunDriverAutoPicksFused(t *testing.T) {
 func TestRunDriverConflicts(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "fft", "-driver", "fused"},
-		{"-workload", "fft", "-scheme", "serial", "-shards", "2"},
 		{"-workload", "fft", "-scheme", "serial", "-remote-spawn", "1"},
 		{"-workload", "fft", "-shards", "2", "-remote-spawn", "2"},
 	} {

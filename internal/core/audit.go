@@ -57,7 +57,7 @@ func (m *Machine) auditCore(i int, local, gSnap int64) {
 		return
 	}
 	a.prevLocal[i] = local
-	ml := m.maxLocal[i].v.Load()
+	ml := m.edge.v.Load()
 	if ml < a.prevMax[i] {
 		m.auditFail(i, local, gSnap, nil,
 			fmt.Sprintf("window edge moved backwards: %d -> %d", a.prevMax[i], ml))

@@ -38,12 +38,12 @@ func (m *Machine) BundlePath() string { return m.bundlePath }
 // the run's K (Result.Groups), not a driver of its own.
 func (m *Machine) driverName() string {
 	switch {
+	case m.serialMode:
+		return "serial" // whatever shard geometry the machine was built with
 	case m.remote != nil:
 		return "remote"
 	case m.shards != nil:
 		return "sharded"
-	case m.serialMode:
-		return "serial"
 	default:
 		return "parallel"
 	}

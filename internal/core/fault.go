@@ -126,7 +126,10 @@ type StallReport struct {
 	Remote []RemoteWorkerReport `json:"remote,omitempty"`
 }
 
-// CoreReport is one core's pacing state inside a StallReport.
+// CoreReport is one core's pacing state inside a StallReport. MaxLocal is
+// the window edge, the same for every core; InQ and OutQ are the depths of
+// the core's group rings — every reply ring, and the OutQ — so cores of one
+// group report the same values.
 type CoreReport struct {
 	ID          int    `json:"id"`
 	Local       int64  `json:"local"`
@@ -318,7 +321,7 @@ func (m *Machine) recordPanic(target int, op string, r any) {
 }
 
 // detectDeadlock reports a certain deadlock: the GQ and every ring feeding
-// a core are empty, and the kernel says every live thread is queued on a
+// a group are empty, and the kernel says every live thread is queued on a
 // synchronisation object. Kernel grants travel through manager-produced
 // rings, whose Len is exact from the manager (and can only overestimate
 // from stale consumer heads), so an in-flight wake-up suppresses the
@@ -329,11 +332,9 @@ func (m *Machine) detectDeadlock() bool {
 	if m.gq.Len() != 0 {
 		return false
 	}
-	for i := range m.coreRings {
-		for _, ring := range m.coreRings[i] {
-			if ring.Len() != 0 {
-				return false
-			}
+	for k := 0; k < m.nGroups; k++ {
+		if m.groups[k].hasEvents() {
+			return false
 		}
 	}
 	return m.kernel.Deadlocked()
@@ -364,21 +365,19 @@ func (m *Machine) snapshot(withKernel bool, stalledFor time.Duration) *StallRepo
 // LiveSnapshot (introspect.go).
 func (m *Machine) coreReports() []CoreReport {
 	out := make([]CoreReport, 0, len(m.cores))
+	edge := m.edge.v.Load()
 	for i := range m.cores {
-		in := 0
-		for _, ring := range m.coreRings[i] {
-			in += ring.Len()
-		}
+		in, outQ := m.ringDepths(i)
 		cr := CoreReport{
 			ID:          i,
 			Local:       m.local[i].v.Load(),
-			MaxLocal:    m.maxLocal[i].v.Load(),
+			MaxLocal:    edge,
 			ResumeFloor: m.resumeFloor[i].Load(),
 			Blocked:     m.blocked[i].Load() != 0,
 			Parked:      m.members[i].wait.Load() == memberAtEdge,
 			Frozen:      m.members[i].wait.Load() == memberFrozen,
 			InQ:         in,
-			OutQ:        m.outQ[i].Len(),
+			OutQ:        outQ,
 		}
 		if k := event.Kind(m.lastEvKind[i].v.Load()); k != event.KindInvalid {
 			cr.LastEvent = k.String()
@@ -387,6 +386,21 @@ func (m *Machine) coreReports() []CoreReport {
 		out = append(out, cr)
 	}
 	return out
+}
+
+// ringDepths returns the depths of core i's group rings: all its reply
+// rings together, and its OutQ. Safe from any goroutine: before the run
+// publishes its scheme (beginRun, RunSerial), which it does after
+// formGroups, there are no rings and both are 0.
+func (m *Machine) ringDepths(i int) (in, out int) {
+	if m.schemeLive.Load() == nil {
+		return 0, 0
+	}
+	g := m.groupOf[i]
+	for _, r := range g.in {
+		in += r.Len()
+	}
+	return in, g.outQ.Len()
 }
 
 // EnableFaults installs a deterministic fault-injection plan (see
@@ -482,15 +496,16 @@ func (m *Machine) applyCoreFaults(mb *member) bool {
 	return restart
 }
 
-// floodOutQ force-fills core i's OutQ until MustPush overflows with the
-// ring's forensic payload. The manager may be draining concurrently; the
-// tight producer loop outruns the consumer and terminates at the first
+// floodOutQ force-fills core i's group OutQ until MustPush overflows with
+// the ring's forensic payload. The manager may be draining concurrently;
+// the tight producer loop outruns the consumer and terminates at the first
 // failed Push.
 func (m *Machine) floodOutQ(i int, local int64) {
+	q := m.groupOf[i].outQ
 	for {
 		ev := event.Event{Kind: event.KindInvalid, Core: int32(i), Time: local}
-		if !m.outQ[i].Push(ev) {
-			m.outQ[i].MustPush(ev) // panics with the overflow forensics
+		if !q.Push(ev) {
+			q.MustPush(ev) // panics with the overflow forensics
 		}
 	}
 }

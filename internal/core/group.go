@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -25,8 +26,8 @@ import (
 
 // optimisticBatch caps the batched inner loop for schemes with no safe
 // conservative horizon (the window may be unbounded). The batch also breaks
-// as soon as a reply lands in the core's rings, so this only bounds the
-// uninterrupted hit-streak run length.
+// as soon as a reply for the core lands in its group's rings, so this only
+// bounds the uninterrupted hit-streak run length.
 const optimisticBatch = 256
 
 // localPublishMask publishes the core's local clock every 32 batched cycles
@@ -55,8 +56,8 @@ const (
 	// memberAtEdge: a running thread's core at its window edge, waiting for
 	// the manager to slide it.
 	memberAtEdge
-	// memberFrozen: a stalled core holding its clock still until an InQ
-	// event arrives (see corePacing.skipTarget).
+	// memberFrozen: a stalled core holding its clock still until a reply
+	// for it arrives (see corePacing.skipTarget).
 	memberFrozen
 )
 
@@ -68,7 +69,7 @@ var waitSpans = [...]trace.Kind{memberAtEdge: trace.KWait, memberFrozen: trace.K
 const (
 	waitEdge   int32 = 1 << iota // a member's window edge to rise
 	waitGlobal                   // the global time to advance (idle members follow it)
-	waitEvent                    // an InQ event for a frozen member
+	waitEvent                    // a reply for a frozen member
 )
 
 // member is one target core's loop-owned run state. Only the goroutine
@@ -78,26 +79,37 @@ type member struct {
 	core   *cpu.OoO
 	st     *cpu.Stats
 	local  int64
-	inbox  []event.Event // delivered-from-ring events not yet due
+	inbox  []event.Event // demultiplexed replies not yet delivered
 	turns  int           // turns offered, runnable or not (audit cadence)
 	sample int           // the turn count from which the next slack sample is due
 	fi     *injected     // this core's injected faults (nil: none)
 	pinned bool          // an injected Stall: the core never moves again
-	tw     *trace.Writer
-	span   int64 // start of the open KWait/KFreeze trace span
-	wait   atomic.Int32
+	// arrived: demux put a reply in inbox since deliverInbox last looked.
+	// A frozen member wakes on its own arrival, never on a sibling's.
+	arrived bool
+	tw      *trace.Writer
+	span    int64 // start of the open KWait/KFreeze trace span
+	wait    atomic.Int32
 	// Keeps neighbouring members, which different group goroutines write
 	// every turn, off each other's cache lines.
 	_ [64]byte
 }
 
 // coreGroup is one host goroutine's block of target cores, the one
-// condition variable the whole block parks on, and the min-tree leaf that
-// publishes the block's clock (mintree.go).
+// condition variable the whole block parks on, the min-tree leaf that
+// publishes the block's clock (mintree.go), and the block's event rings.
 type coreGroup struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	leaf int // index of the group's min-tree leaf
+	// The group's event fabric (formGroups): its members push their
+	// requests into outQ, which the manager drains; their replies arrive
+	// on in — the manager's InQ (in[0]), then one ring per shard (in[1+s])
+	// — and demux sorts them into the members' inboxes. Each ring has one
+	// producer and, in the group's goroutine, one consumer.
+	outQ  *event.Ring
+	in    []*event.Ring
+	evBuf []event.Event // demux's PopBatch buffer
 	// waiting is the Dekker flag of the park protocol: non-zero while the
 	// group is (about to be) parked, holding the wait* reasons. A waker
 	// changes the state first and reads the flag second; the group sets the
@@ -112,7 +124,8 @@ type coreGroup struct {
 }
 
 // formGroups splits the cores into K = min(k, N) contiguous groups of
-// ceil(N/K) and resets every member's run state. Part of beginRun.
+// ceil(N/K), gives each its rings (makeFabric) and resets every member's
+// run state. Part of beginRun; RunSerial forms one group.
 func (m *Machine) formGroups(k int) {
 	n := len(m.cores)
 	k = min(k, n)
@@ -123,12 +136,14 @@ func (m *Machine) formGroups(k int) {
 		m.groups[m.nGroups].leaf = m.nGroups
 		m.nGroups++
 	}
+	m.makeFabric()
 	for i := range m.members {
 		mb := &m.members[i]
 		m.groupOf[i] = &m.groups[i/per]
 		mb.id, mb.core, mb.st = i, m.cores[i], m.cores[i].Stats()
 		mb.local = m.local[i].v.Load()
-		// Sized so a full InQ drain never grows the slice mid-run.
+		// Sized so a core's share of a full ring never grows the slice
+		// mid-run.
 		mb.inbox = make([]event.Event, 0, m.cfg.RingCap)
 		if m.coreTW != nil {
 			mb.tw = m.coreTW[i]
@@ -137,6 +152,88 @@ func (m *Machine) formGroups(k int) {
 			mb.fi = newInjected(m.fiCore[i])
 		}
 	}
+}
+
+// makeFabric gives each of the run's groups an OutQ, an InQ and one reply
+// ring per in-process or remote shard, RingCap slots per member each: 2K +
+// S·K rings for K groups and S shards (next to the manager's one ring into
+// each in-process shard, made with the shard). A ring is named after the
+// cores it serves ("outq.c0-3", "shard1.c4-7"). The metric handles
+// EnableMetrics and EnableIntrospection made are attached here.
+func (m *Machine) makeFabric() {
+	shards, prefix := 0, ""
+	switch {
+	case m.shards != nil:
+		shards, prefix = m.shards.n, "shard"
+	case m.remote != nil:
+		shards, prefix = m.remote.n, "remote"
+	}
+	for k := 0; k < m.nGroups; k++ {
+		g := &m.groups[k]
+		slots := m.cfg.RingCap * len(g.members)
+		cores := fmt.Sprintf("c%d", g.members[0].id)
+		if last := g.members[len(g.members)-1].id; last != g.members[0].id {
+			cores += fmt.Sprintf("-%d", last)
+		}
+		ring := func(name string) *event.Ring {
+			r := event.NewRing(slots)
+			r.SetName(name + "." + cores)
+			return r
+		}
+		g.outQ = ring("outq")
+		g.in = []*event.Ring{ring("inq")}
+		for s := 0; s < shards; s++ {
+			g.in = append(g.in, ring(fmt.Sprintf("%s%d", prefix, s)))
+		}
+		g.evBuf = make([]event.Event, 0, m.cfg.RingCap)
+		if m.met != nil {
+			g.outQ.ObserveDepth(m.met.outDepth)
+			g.in[0].ObserveDepth(m.met.inDepth)
+			if m.remote != nil {
+				for _, r := range g.in[1:] {
+					r.ObserveDepth(m.met.remoteDepth)
+				}
+			}
+		}
+		if m.hwIn != nil {
+			g.in[0].ObserveHighWater(gaugeMax{m.hwIn})
+			g.outQ.ObserveHighWater(gaugeMax{m.hwOut})
+		}
+	}
+}
+
+// demux sorts every reply queued on the group's rings into its members'
+// inboxes, ring by ring, in ring order, and marks each member that got one
+// (arrived). Group goroutine only.
+func (m *Machine) demux(g *coreGroup) {
+	for _, r := range g.in {
+		g.evBuf = r.PopBatch(g.evBuf[:0])
+		for j := range g.evBuf {
+			mb := &m.members[g.evBuf[j].Core]
+			mb.inbox = append(mb.inbox, g.evBuf[j])
+			mb.arrived = true
+		}
+	}
+}
+
+// hasEvents reports whether any of the group's reply rings holds an event.
+func (g *coreGroup) hasEvents() bool {
+	for _, r := range g.in {
+		if r.Len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// arrivedFor reports whether a reply for mb has arrived since it last
+// looked at its inbox, demultiplexing the group's rings first if they hold
+// anything. Group goroutine only.
+func (m *Machine) arrivedFor(g *coreGroup, mb *member) bool {
+	if !mb.arrived && g.hasEvents() {
+		m.demux(g)
+	}
+	return mb.arrived
 }
 
 // spawnGroups starts one contained goroutine per group from first on (the
@@ -174,11 +271,12 @@ func (m *Machine) setWait(mb *member, to int32) {
 	mb.wait.Store(to)
 }
 
-// coreTurn is one target core's turn: deliver the InQ events whose time has
+// coreTurn is one target core's turn: deliver the replies whose time has
 // come, simulate up to a safe horizon of cycles in a tight batch, publish
-// the new local time. g is the global time read before the turn and edge
-// the core's max local time. It reports whether the core moved; a core at
-// its window edge, frozen with no event, or pinned does not.
+// the new local time. grp is the member's group, g the global time read
+// before the turn and edge the window edge. It reports whether the core
+// moved; a core at its window edge, frozen with no reply of its own, or
+// pinned does not.
 //
 // g must be read before the inbox drain below: every reply pushed before
 // that value was published is then in the drain, which makes
@@ -191,7 +289,7 @@ func (m *Machine) setWait(mb *member, to int32) {
 // per-cycle path. Under conservative schemes every event is still applied
 // exactly at its timestamp, so they stay bit-exact against the serial
 // reference. Under optimistic schemes the batch breaks as soon as a reply
-// lands in the core's rings, preserving delivery on arrival.
+// for the core lands in its group's rings, preserving delivery on arrival.
 //
 // A core whose Tick made no progress (fully stalled pipeline) does not burn
 // simulated cycles at host speed: it fast-forwards to its next deterministic
@@ -199,7 +297,7 @@ func (m *Machine) setWait(mb *member, to int32) {
 // later turns leave its clock alone until an event arrives (corePacing.
 // skipTarget). An unbounded-slack run would otherwise inflate the simulated
 // time by host-speed-dependent amounts.
-func (m *Machine) coreTurn(mb *member, pace corePacing, g, edge int64) bool {
+func (m *Machine) coreTurn(grp *coreGroup, mb *member, pace corePacing, g, edge int64) bool {
 	if mb.pinned {
 		return false
 	}
@@ -214,7 +312,7 @@ func (m *Machine) coreTurn(mb *member, pace corePacing, g, edge int64) bool {
 	if aud := m.audit; aud != nil && mb.turns%aud.every == 0 {
 		m.auditCore(i, local, g)
 	}
-	if mb.wait.Load() == memberFrozen && !m.coreHasEvents(i) {
+	if mb.wait.Load() == memberFrozen && !m.arrivedFor(grp, mb) {
 		return false
 	}
 	limit := pace.limit(edge, g, c.Active())
@@ -243,13 +341,13 @@ func (m *Machine) coreTurn(mb *member, pace corePacing, g, edge int64) bool {
 		mb.tw.Count(trace.KLead, local-g)
 	}
 
-	delivered := m.deliverInbox(i, &mb.inbox, local)
+	delivered := m.deliverInbox(grp, mb, local)
 	end := pace.batchEnd(local, limit, g, mb.inbox)
 	st := mb.st
 	progressed := true
 	for from := local; progressed && local < end; local++ {
 		if local > from {
-			if !pace.conservative && m.coreHasEvents(i) {
+			if !pace.conservative && m.arrivedFor(grp, mb) {
 				break // optimistic: deliver the arrival promptly
 			}
 			if local&localPublishMask == 0 {
@@ -357,7 +455,7 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			if sample {
 				t0 = time.Now()
 			}
-			if !m.coreTurn(mb, pace, m.global.Load(), m.maxLocal[mb.id].v.Load()) {
+			if !m.coreTurn(g, mb, pace, m.global.Load(), m.edge.v.Load()) {
 				continue
 			}
 			moved = true
@@ -401,22 +499,26 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 }
 
 // groupRunnable reports whether any member could take a turn now and,
-// failing that, what would make one runnable (wait* bits).
+// failing that, what would make one runnable (wait* bits). It demultiplexes
+// once, before looking at any member: a drain made while checking a later
+// member would hide an earlier one's arrival from this check, and the round
+// that pushed it, finding the rings empty, would not wake the group.
 func (m *Machine) groupRunnable(g *coreGroup, pace corePacing) (bool, int32) {
+	m.demux(g)
 	need := int32(0)
-	global := m.global.Load()
+	global, edge := m.global.Load(), m.edge.v.Load()
 	for k := range g.members {
 		mb := &g.members[k]
 		switch {
 		case mb.pinned:
 		case mb.wait.Load() == memberFrozen:
-			if m.coreHasEvents(mb.id) {
+			if mb.arrived {
 				return true, 0
 			}
 			need |= waitEvent
 		default:
 			active := mb.core.Active()
-			if mb.local < pace.limit(m.maxLocal[mb.id].v.Load(), global, active) {
+			if mb.local < pace.limit(edge, global, active) {
 				return true, 0
 			}
 			need |= waitEdge
@@ -456,11 +558,6 @@ func (g *coreGroup) wake(reason int32) {
 	g.cond.Signal()
 	g.mu.Unlock()
 }
-
-// notifyCore wakes core i's group if it is parked waiting for an InQ event.
-// Called by every goroutine that pushes a reply into one of the core's
-// rings, after the push.
-func (m *Machine) notifyCore(i int) { m.groupOf[i].wake(waitEvent) }
 
 // wakeAll unparks every group and the manager: the run is over.
 func (m *Machine) wakeAll() {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"slacksim/internal/asm"
+	"slacksim/internal/event"
 	"slacksim/internal/workloads"
 )
 
@@ -319,5 +320,40 @@ func TestGroupWaitLostWakeup(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFrozenMemberWakesOnOwnReply checks the demultiplexed wake: two cores
+// share one group's rings, and a frozen member must ignore a reply for its
+// sibling — its turn does not move it and the group may still park for an
+// event — and become runnable on a reply of its own. A wake test weakened
+// to "the group's rings hold something" fails both of the first checks.
+func TestFrozenMemberWakesOnOwnReply(t *testing.T) {
+	m := mustMachine(t, sumProg, smallConfig(2))
+	m.beginRun(SchemeSU, 1)
+	g := &m.groups[0]
+	frozen, sib := &g.members[0], &g.members[1]
+	m.setWait(frozen, memberFrozen)
+	sib.pinned = true // the group's runnability is then the frozen member's
+	pace := corePacing{critical: m.cfg.Cache.CriticalLatency(), shared: true}
+	reply := func(core int) {
+		m.pushReply(core, event.Event{Kind: event.KInv, Core: int32(core), Time: 1})
+	}
+
+	reply(1)
+	if m.coreTurn(g, frozen, pace, 0, m.edge.v.Load()) || frozen.wait.Load() != memberFrozen {
+		t.Fatal("a reply for core 1 unfroze core 0's turn")
+	}
+	reply(1)
+	if ok, need := m.groupRunnable(g, pace); ok || need != waitEvent {
+		t.Fatalf("with only core 1's replies queued: runnable=%v need=%b, want false and waitEvent", ok, need)
+	}
+	if len(sib.inbox) != 2 || len(frozen.inbox) != 0 {
+		t.Fatalf("demux misrouted: core 1 has %d events, core 0 has %d", len(sib.inbox), len(frozen.inbox))
+	}
+
+	reply(0)
+	if ok, _ := m.groupRunnable(g, pace); !ok {
+		t.Fatal("core 0's own reply left the group unrunnable")
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // This file attaches a Machine to the live introspection server
 // (internal/introspect): it installs the /metrics, /slack and /stallz
-// sources and wires the per-ring high-water observers. The sources run on
+// sources and makes the ring high-water gauges, which the run attaches to
+// every group's InQ and OutQ (makeFabric). The sources run on
 // HTTP goroutines concurrent with the simulation, so they read only
 // atomics and ring head/tail pairs — never the manager-owned GQ or kernel
 // (which is why /stallz serves LiveSnapshot, not the watchdog's fuller
@@ -30,15 +31,8 @@ func (m *Machine) EnableIntrospection(srv *introspect.Server) error {
 	}
 	m.introOn = true
 	r := m.met.reg
-	n := m.cfg.NumCores
-	m.hwIn = make([]*metrics.Gauge, n)
-	m.hwOut = make([]*metrics.Gauge, n)
-	for i := 0; i < n; i++ {
-		m.hwIn[i] = r.Gauge(fmt.Sprintf("event.c%d.inq.high_water", i))
-		m.hwOut[i] = r.Gauge(fmt.Sprintf("event.c%d.outq.high_water", i))
-		m.inQ[i].ObserveHighWater(gaugeMax{m.hwIn[i]})
-		m.outQ[i].ObserveHighWater(gaugeMax{m.hwOut[i]})
-	}
+	m.hwIn = r.Gauge("event.inq.high_water")
+	m.hwOut = r.Gauge("event.outq.high_water")
 	srv.SetMetrics(r.Snapshot)
 	srv.SetSlack(m.slackSnapshot)
 	srv.SetStall(func(format string) ([]byte, error) {
@@ -76,14 +70,17 @@ func (m *Machine) LiveSnapshot() *StallReport {
 }
 
 // slackSnapshot builds the /slack payload: global/root/per-core clocks and
-// flags, ring depths and high-waters, per-core memory-latency quantiles,
-// and straggler attribution — all from atomics.
+// flags, ring depths (each core's group rings) and the high-waters over all
+// rings, per-core memory-latency quantiles, and straggler attribution — all
+// from atomics.
 func (m *Machine) slackSnapshot() introspect.SlackSnapshot {
 	s := introspect.SlackSnapshot{
-		Attached: true,
-		Global:   m.global.Load(),
-		GQDepth:  m.liveGQ.Load(),
-		Done:     m.done.Load(),
+		Attached:      true,
+		Global:        m.global.Load(),
+		GQDepth:       m.liveGQ.Load(),
+		Done:          m.done.Load(),
+		InQHighWater:  m.hwIn.Value(),
+		OutQHighWater: m.hwOut.Value(),
 	}
 	if sc := m.schemeLive.Load(); sc != nil {
 		s.Scheme = sc.String()
@@ -93,12 +90,13 @@ func (m *Machine) slackSnapshot() introspect.SlackSnapshot {
 	} else {
 		s.Root = -1
 	}
+	ml := m.edge.v.Load()
+	if ml == math.MaxInt64 {
+		ml = -1
+	}
 	st := m.strag
 	for i := range m.cores {
-		ml := m.maxLocal[i].v.Load()
-		if ml == math.MaxInt64 {
-			ml = -1
-		}
+		in, out := m.ringDepths(i)
 		c := introspect.SlackCore{
 			ID:       i,
 			Local:    m.local[i].v.Load(),
@@ -106,12 +104,8 @@ func (m *Machine) slackSnapshot() introspect.SlackSnapshot {
 			Blocked:  m.blocked[i].Load() != 0,
 			Parked:   m.members[i].wait.Load() == memberAtEdge,
 			Frozen:   m.members[i].wait.Load() == memberFrozen,
-			InQ:      m.inQ[i].Len(),
-			OutQ:     m.outQ[i].Len(),
-		}
-		if m.hwIn != nil {
-			c.InQHighWater = m.hwIn[i].Value()
-			c.OutQHighWater = m.hwOut[i].Value()
+			InQ:      in,
+			OutQ:     out,
 		}
 		hs := m.met.coreMemLat[i].Snapshot()
 		c.MemLatCount = hs.Count

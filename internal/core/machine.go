@@ -38,7 +38,9 @@ type Config struct {
 	StackSize  uint64
 	// MaxCycles aborts a runaway simulation (0 = a large default).
 	MaxCycles int64
-	// RingCap sizes the InQ/OutQ rings.
+	// RingCap is each core's share of its group's rings: a group of n
+	// cores gets an OutQ, an InQ and one reply ring per shard of
+	// RingCap·n slots each.
 	RingCap int
 	// StallTimeout aborts a parallel run whose simulated time stops
 	// advancing (deadlocked workload); defaults to 60s of host time.
@@ -163,13 +165,6 @@ type padded struct {
 	_ [7]int64
 }
 
-// paddedU64 is a cache-line-padded atomic bitmap word (the dirty-OutQ set:
-// one bit per core, one word per 64 cores).
-type paddedU64 struct {
-	v atomic.Uint64
-	_ [7]uint64
-}
-
 // Machine is an instantiated target system ready to simulate. A Machine is
 // single-use: build one per simulation run.
 type Machine struct {
@@ -181,11 +176,11 @@ type Machine struct {
 	l2     *cache.L2System
 	cores  []*cpu.OoO
 
-	outQ []*event.Ring // core -> manager
-	inQ  []*event.Ring // manager -> core
-
-	local    []padded
-	maxLocal []padded
+	local []padded
+	// edge is the window edge: every core's max local time, the paper's
+	// MaxLocal(i), which no scheme sets differently for two cores. Only
+	// the manager raises it (slideWindows).
+	edge padded
 	// blocked[i] marks a core whose thread is asleep inside a blocking
 	// system call (the kernel holds it on a wait queue). Blocked cores are
 	// excluded from the global-time minimum — their clocks are frozen and
@@ -210,9 +205,6 @@ type Machine struct {
 	// mintree.go): a group updates its leaf when a clock publication moves
 	// the group's minimum, the manager reads the root in O(1).
 	lt *minTree
-	// outDirty marks OutQs that received a push since the manager's last
-	// drain (one bit per core), so the drain touches only active rings.
-	outDirty []paddedU64
 	// mgrEpoch counts core-side activity (leaf moves, OutQ pushes, remote
 	// reply batches); the manager records it at the
 	// start of a round and parks when a round was idle and the epoch did
@@ -235,9 +227,6 @@ type Machine struct {
 	// remote holds the distributed-backend plumbing (nil unless
 	// Config.RemoteShards > 0; see remote.go).
 	remote *remoteState
-	// coreRings lists, per core, every reply ring the core must drain: the
-	// main manager's InQ plus one ring per shard.
-	coreRings [][]*event.Ring
 
 	endTime  int64 // simulated time of SysExit
 	exitCode int64
@@ -261,10 +250,12 @@ type Machine struct {
 	lastEvTime []padded
 
 	// Grouped execution (group.go). members is every core's loop-owned run
-	// state; groups[:nGroups] are the run's host goroutines' blocks of it and
-	// groupOf maps a core to its group. All three are allocated here at full
-	// size and only filled in by beginRun, so Interrupt and the forensic
-	// snapshots may touch them at any time.
+	// state; groups[:nGroups] are the run's host goroutines' blocks of it,
+	// each with its event rings, and groupOf maps a core to its group. All
+	// three are allocated here at full size and only filled in by
+	// formGroups, so Interrupt may touch them at any time; the forensic
+	// snapshots read a group's rings only once schemeLive is set, which
+	// happens after formGroups.
 	members []member
 	groups  []coreGroup
 	groupOf []*coreGroup
@@ -282,13 +273,6 @@ type Machine struct {
 	// entry points; result() reports the deltas (see result.go).
 	hostMem      hostMemBaseline
 	hostMemValid bool
-
-	// notifyPend/notifyBatch implement the manager's per-round notify
-	// coalescing (manager goroutine only; see deferNotify): one bit per
-	// core with a pending InQ push this processing pass, flushed as one
-	// notifyCore each after the pass.
-	notifyPend  []uint64
-	notifyBatch bool
 
 	// Per-core engine-level counters.
 	waitCycles []int64 // simulated cycles spent blocked at the window edge
@@ -321,12 +305,12 @@ type Machine struct {
 	// EnableIntrospection ran). introOn is set before the run starts.
 	// liveGQ mirrors the manager-owned GQ depth and schemeLive the
 	// run's scheme, so HTTP-goroutine snapshots never touch single-owner
-	// state; hwIn/hwOut are the per-ring high-water gauges.
-	introOn    bool
-	liveGQ     atomic.Int64
-	schemeLive atomic.Pointer[Scheme]
-	hwIn       []*metrics.Gauge
-	hwOut      []*metrics.Gauge
+	// state; hwIn/hwOut are the InQ and OutQ high-water gauges, each the
+	// maximum over the run's rings.
+	introOn     bool
+	liveGQ      atomic.Int64
+	schemeLive  atomic.Pointer[Scheme]
+	hwIn, hwOut *metrics.Gauge
 
 	// Crash-bundle plumbing (bundle.go; inert unless SetBundleDir ran).
 	// bundleDone latches the first write — takeFault runs once per driver
@@ -360,10 +344,7 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		kernel:      sysemu.NewKernel(sysemu.KernelImage(img), cfg.NumCores, cfg.NumThreads),
 		l2:          l2,
 		cores:       make([]*cpu.OoO, cfg.NumCores),
-		outQ:        make([]*event.Ring, cfg.NumCores),
-		inQ:         make([]*event.Ring, cfg.NumCores),
 		local:       make([]padded, cfg.NumCores),
-		maxLocal:    make([]padded, cfg.NumCores),
 		blocked:     make([]atomic.Int64, cfg.NumCores),
 		resumeFloor: make([]atomic.Int64, cfg.NumCores),
 		members:     make([]member, cfg.NumCores),
@@ -373,8 +354,6 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		lastEvKind:  make([]padded, cfg.NumCores),
 		lastEvTime:  make([]padded, cfg.NumCores),
 		lt:          new(minTree),
-		outDirty:    make([]paddedU64, (cfg.NumCores+63)/64),
-		notifyPend:  make([]uint64, (cfg.NumCores+63)/64),
 		mgrWake:     make(chan struct{}, 1),
 		drainBuf:    make([]event.Event, 0, cfg.RingCap),
 	}
@@ -383,18 +362,13 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		m.audit = newAuditState(cfg.NumCores, cfg.AuditEvery)
 	}
 	for i := 0; i < cfg.NumCores; i++ {
-		m.outQ[i] = event.NewRing(cfg.RingCap)
-		m.outQ[i].SetName(fmt.Sprintf("outq.c%d", i))
-		m.inQ[i] = event.NewRing(cfg.RingCap)
-		m.inQ[i].SetName(fmt.Sprintf("inq.c%d", i))
 		env := cpu.Env{
 			ID:       i,
 			Mem:      img.Mem,
 			CacheCfg: cfg.Cache,
-			// Push, then mark the ring dirty, then bump the manager's wake
-			// epoch — in that order, so a dirty bit cleared by the
-			// manager's swap always implies the event was drained, and a
-			// parked manager is woken only after the work is visible.
+			// Push into the group's OutQ, then bump the manager's wake
+			// epoch, so a parked manager is woken only after the work is
+			// visible.
 			Send: func(ev event.Event) {
 				if m.met != nil {
 					// Latency-attribution stamps (latency.go): the reply
@@ -403,8 +377,7 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 					ev.ReqTime = ev.Time
 					ev.SendNS = m.hostNS()
 				}
-				m.outQ[i].MustPush(ev)
-				m.markOutDirty(i)
+				m.groupOf[i].outQ.MustPush(ev)
 				m.bumpMgrEpoch()
 			},
 			TextBase: prog.TextBase,
@@ -422,7 +395,9 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 	}
 	m.sizeTree(cfg.NumCores)
 	// Deferred grants for blocked syscalls (lock handoff, barrier release,
-	// semaphore signal, join) come back through the same InQ reply path.
+	// semaphore signal, join) come back through the same InQ reply path;
+	// Notify runs inside the round's visibility step, which wakes the
+	// group.
 	m.kernel.Notify = func(core int, t int64, ret int64) {
 		if m.kernel.Trace != nil {
 			m.kernel.Trace(fmt.Sprintf("  grant core=%d t=%d ret=%d", core, t, ret))
@@ -434,7 +409,7 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			Time: grantAt,
 			Aux:  ret,
 		}
-		m.inQ[core].MustPush(grant)
+		m.pushReply(core, grant)
 		m.resumeFloor[core].Store(grantAt)
 		m.blocked[core].Store(0)
 		// Rejoin the min-tree at the resume floor. Notify runs on the
@@ -443,7 +418,6 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		// globalMin read (mintree.go), which keeps the global time from
 		// racing past the core's resume point.
 		m.refreshLeaf(m.groupOf[core], true)
-		m.deferNotify(core)
 	}
 	if cfg.ManagerShards > 1 {
 		sh, err := newShardState(cfg)
@@ -454,21 +428,6 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 	}
 	if cfg.RemoteShards > 0 {
 		m.remote = newRemoteState(cfg)
-	}
-	m.coreRings = make([][]*event.Ring, cfg.NumCores)
-	for i := 0; i < cfg.NumCores; i++ {
-		rings := []*event.Ring{m.inQ[i]}
-		if m.shards != nil {
-			for s := 0; s < m.shards.n; s++ {
-				rings = append(rings, m.shards.out[s][i])
-			}
-		}
-		if m.remote != nil {
-			for s := 0; s < m.remote.n; s++ {
-				rings = append(rings, m.remote.out[s][i])
-			}
-		}
-		m.coreRings[i] = rings
 	}
 	// Core 0 runs the initial workload thread.
 	m.cores[0].Start(img.Entry, img.StackTop(0), 0)
@@ -489,11 +448,12 @@ func (m *Machine) L2() *cache.L2System { return m.l2 }
 // (diagnostics for aborted runs).
 func (m *Machine) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "global=%d gq=%d\n", m.global.Load(), m.gq.Len())
+	fmt.Fprintf(&b, "global=%d maxLocal=%d gq=%d\n", m.global.Load(), m.edge.v.Load(), m.gq.Len())
 	for i := range m.cores {
-		fmt.Fprintf(&b, "core %d: local=%d maxLocal=%d blocked=%d floor=%d inQ=%d outQ=%d\n",
-			i, m.local[i].v.Load(), m.maxLocal[i].v.Load(), m.blocked[i].Load(),
-			m.resumeFloor[i].Load(), m.inQ[i].Len(), m.outQ[i].Len())
+		in, out := m.ringDepths(i)
+		fmt.Fprintf(&b, "core %d: local=%d blocked=%d floor=%d inQ=%d outQ=%d\n",
+			i, m.local[i].v.Load(), m.blocked[i].Load(),
+			m.resumeFloor[i].Load(), in, out)
 		b.WriteString("  " + m.cores[i].DebugState())
 	}
 	return b.String()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/event"
@@ -10,75 +9,26 @@ import (
 )
 
 // This file is the simulation-manager logic shared by the parallel and
-// serial drivers: draining OutQs into the GQ, processing GQ entries
-// (directory/L2 accesses and system calls) and emitting InQ notifications.
+// serial drivers: draining the groups' OutQs into the GQ, processing GQ
+// entries (directory/L2 accesses and system calls) and emitting replies
+// into the groups' InQs.
 // processBelow consumes events strictly in (timestamp, core, seq) order up
 // to a bound: the global time (or its last quantum barrier) under
 // conservative schemes, no bound at all under optimistic ones — every
 // queued request becomes globally visible immediately, the source of the
 // timing distortions of §3.2.
 
-// drainAll moves every core's pending requests to sink. This is the full
-// O(N) walk — the final drain, and the reference the dirty-set test checks
-// against; the manager rounds drain through the dirty set (drainDirty).
-func (m *Machine) drainAll(sink func(event.Event)) bool {
+// drainOutQs moves every request the groups' OutQs hold to sink (the GQ, a
+// shard ring, a wire staging buffer — the backend's choice), one PopBatch
+// per group: O(K) whatever the core count. It reports whether any moved.
+func (m *Machine) drainOutQs(sink func(event.Event)) bool {
 	moved := false
-	for i := range m.outQ {
-		moved = m.drainOutQ(i, sink) || moved
-	}
-	return moved
-}
-
-// drainOutQ pops core i's OutQ in one PopBatch pass into the reusable
-// buffer and hands each request to sink.
-func (m *Machine) drainOutQ(i int, sink func(event.Event)) bool {
-	m.drainBuf = m.outQ[i].PopBatch(m.drainBuf[:0])
-	for j := range m.drainBuf {
-		sink(m.drainBuf[j])
-	}
-	return len(m.drainBuf) > 0
-}
-
-// markOutDirty records that core i's OutQ received a push since the
-// manager's last drain: one bit per core in a per-64-core atomic word.
-// Called by the core-side push path after the ring write. The
-// already-set fast path keeps a streak of pushes to the same ring at one
-// extra atomic load each; only the first push of a round pays the CAS.
-func (m *Machine) markOutDirty(i int) {
-	w := &m.outDirty[i>>6].v
-	bit := uint64(1) << uint(i&63)
-	for {
-		old := w.Load()
-		if old&bit != 0 {
-			return
+	for k := 0; k < m.nGroups; k++ {
+		m.drainBuf = m.groups[k].outQ.PopBatch(m.drainBuf[:0])
+		for j := range m.drainBuf {
+			sink(m.drainBuf[j])
 		}
-		if w.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
-}
-
-// drainDirty drains only the OutQs that actually received requests since
-// the last round, handing each request to sink (the GQ, a shard ring, a
-// wire staging buffer — the backend's choice): each dirty word is
-// atomically swapped to zero and the set bits' rings drained. O(dirty),
-// not O(N).
-//
-// No event is ever stranded: a push stores the ring slot and tail before
-// setting the dirty bit, and the manager swaps the bit before reading the
-// tail — so in the total order of atomic operations, a bit cleared by the
-// swap implies the corresponding push's tail store precedes the drain's
-// tail load, and the event is consumed; a push whose bit-set follows the
-// swap leaves its bit for the next round.
-func (m *Machine) drainDirty(sink func(event.Event)) bool {
-	moved := false
-	for w := range m.outDirty {
-		set := m.outDirty[w].v.Swap(0)
-		for set != 0 {
-			i := w<<6 | bits.TrailingZeros64(set)
-			set &= set - 1
-			moved = m.drainOutQ(i, sink) || moved
-		}
+		moved = moved || len(m.drainBuf) > 0
 	}
 	return moved
 }
@@ -121,46 +71,20 @@ func (m *Machine) processMem(ev event.Event) {
 	applyMemEvent(m.l2, m.pushReply, ev)
 }
 
-// pushReply delivers one manager-produced reply toward core i: a ring push
-// plus a (possibly coalesced) wake-up.
+// pushReply puts one manager-produced reply for core into its group's
+// InQ. It runs inside the round's visibility step, after which the round
+// wakes every group with a reply waiting.
 func (m *Machine) pushReply(core int, ev event.Event) {
-	m.inQ[core].MustPush(ev)
-	m.deferNotify(core)
+	m.groupOf[core].in[0].MustPush(ev)
 }
 
-// deferNotify wakes core i for a freshly pushed reply — immediately, or,
-// inside a manager processing pass (beginNotifyBatch), by recording the
-// core in the pass's pending set so one notifyCore per core replaces one
-// per event. Deferring is safe: the reply is already in the ring, so a
-// core freezing between the push and the flush sees the event in its
-// final predicate check and never sleeps.
-func (m *Machine) deferNotify(core int) {
-	if m.notifyBatch {
-		m.notifyPend[core>>6] |= 1 << uint(core&63)
-		return
-	}
-	m.notifyCore(core)
-}
-
-// beginNotifyBatch starts coalescing deferNotify calls (manager goroutine
-// only; the shard workers keep per-push notifies on their own rings).
-func (m *Machine) beginNotifyBatch() { m.notifyBatch = true }
-
-// flushNotifyBatch issues the coalesced wake-ups and ends the batch.
-func (m *Machine) flushNotifyBatch() {
-	m.notifyBatch = false
-	for w := range m.notifyPend {
-		set := m.notifyPend[w]
-		if set == 0 {
-			continue
-		}
-		m.notifyPend[w] = 0
-		for set != 0 {
-			i := w<<6 | bits.TrailingZeros64(set)
-			set &= set - 1
-			m.notifyCore(i)
-		}
-	}
+// pushShardReply puts shard s's reply for core into the group's ring for
+// that shard and wakes the group if it waits for one: shard workers and
+// remote receivers push outside the round.
+func (m *Machine) pushShardReply(s, core int, ev event.Event) {
+	g := m.groupOf[core]
+	g.in[1+s].MustPush(ev)
+	g.wake(waitEvent)
 }
 
 // applyMemEvent applies one memory-hierarchy request against the given

@@ -8,11 +8,11 @@ import (
 )
 
 // Manager-round cost benchmarks. One round of the old manager paid an O(N)
-// clock scan (BenchmarkMinLocalScan) and an O(N) ring scan
-// (BenchmarkDrainFullScan) regardless of activity; the new round pays one
-// O(1) root read plus — per *active* core — an O(log N) leaf update
-// (BenchmarkMinTree) and a dirty-bit drain (BenchmarkDrainDirtySet).
-// Numbers are quoted in docs/performance.md ("The threaded fabric").
+// clock scan (BenchmarkMinLocalScan) and an O(N) ring scan regardless of
+// activity; the round now pays one O(1) root read plus — per *active* core
+// — an O(log K) leaf update (BenchmarkMinTree), and pops one OutQ per group
+// (BenchmarkDrainOutQs). Numbers are quoted in docs/performance.md ("The
+// threaded fabric").
 
 // BenchmarkMinLocalScan measures the old per-round global-time computation:
 // a scan of every core's clock/blocked/floor atomics.
@@ -57,36 +57,31 @@ func BenchmarkMinTree(b *testing.B) {
 	}
 }
 
-// drainBench measures one manager drain round at ~10% ring occupancy: 10%
-// of the cores received one request since the last round. The full scan
-// pops every ring; the dirty-set drain touches only the marked ones.
-func drainBench(b *testing.B, dirty bool) {
+// BenchmarkDrainOutQs measures one manager drain at ~10% activity: 10% of
+// 256 cores pushed one request since the last round, into their groups'
+// OutQs, and the drain pops every group's ring once. At 256 groups of one it
+// is a scan of one ring per core, what K = N pays.
+func BenchmarkDrainOutQs(b *testing.B) {
 	const n = 256
-	m := bareMachine(n, 8)
-	active := n / 10
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
-		b.StopTimer()
-		for i := 0; i < active; i++ {
-			c := (i*37 + k) % n // spread pushes across the dirty words
-			m.outQ[c].MustPush(event.Event{Core: int32(c), Time: int64(k)})
-			if dirty {
-				m.markOutDirty(c)
+	for _, k := range []int{1, 2, 16, n} {
+		b.Run(fmt.Sprintf("groups=%d", k), func(b *testing.B) {
+			m := bareMachine(n, 8)
+			groupBare(m, k)
+			b.ResetTimer()
+			for r := 0; r < b.N; r++ {
+				b.StopTimer()
+				for i := 0; i < n/10; i++ {
+					c := (i*37 + r) % n
+					m.groupOf[c].outQ.MustPush(event.Event{Core: int32(c), Time: int64(r)})
+				}
+				b.StartTimer()
+				m.drainOutQs(m.gq.Push)
+				b.StopTimer()
+				for m.gq.Len() > 0 { // keep the heap from growing across rounds
+					m.gq.Pop()
+				}
+				b.StartTimer()
 			}
-		}
-		b.StartTimer()
-		if dirty {
-			m.drainDirty(m.gq.Push)
-		} else {
-			m.drainAll(m.gq.Push)
-		}
-		b.StopTimer()
-		for m.gq.Len() > 0 { // keep the heap from growing across rounds
-			m.gq.Pop()
-		}
-		b.StartTimer()
+		})
 	}
 }
-
-func BenchmarkDrainFullScan(b *testing.B) { drainBench(b, false) }
-func BenchmarkDrainDirtySet(b *testing.B) { drainBench(b, true) }

@@ -11,11 +11,13 @@ import (
 	"slacksim/internal/event"
 )
 
-// bareMachine builds a Machine with just the pacing state the min-tree and
-// dirty-set tests exercise — no cores, no kernel, no cache hierarchy. Like
-// a fresh NewMachine, each core is a group of one until groupBare runs.
+// bareMachine builds a Machine with just the pacing state and event rings
+// the min-tree and fabric tests exercise — no cores, no kernel, no cache
+// hierarchy. Like a fresh NewMachine, each core is a group of one until
+// groupBare runs.
 func bareMachine(n, ringCap int) *Machine {
 	m := &Machine{
+		cfg:         Config{RingCap: ringCap},
 		local:       make([]padded, n),
 		blocked:     make([]atomic.Int64, n),
 		resumeFloor: make([]atomic.Int64, n),
@@ -23,21 +25,15 @@ func bareMachine(n, ringCap int) *Machine {
 		groups:      make([]coreGroup, n),
 		groupOf:     make([]*coreGroup, n),
 		lt:          new(minTree),
-		outQ:        make([]*event.Ring, n),
-		outDirty:    make([]paddedU64, (n+63)/64),
-		notifyPend:  make([]uint64, (n+63)/64),
 		mgrWake:     make(chan struct{}, 1),
-	}
-	for i := range m.outQ {
-		m.outQ[i] = event.NewRing(ringCap)
 	}
 	groupBare(m, n)
 	return m
 }
 
 // groupBare splits a bare machine's cores into k contiguous groups of
-// ceil(n/k), as formGroups does (k = 3 is uneven for most n), and sizes the
-// tree to them, as beginRun does.
+// ceil(n/k) with their rings, as formGroups does (k = 3 is uneven for most
+// n), and sizes the tree to them, as beginRun does.
 func groupBare(m *Machine, k int) {
 	n := len(m.local)
 	per := (n + k - 1) / k
@@ -49,6 +45,7 @@ func groupBare(m *Machine, k int) {
 	for i := range m.members {
 		m.members[i].id, m.groupOf[i] = i, &m.groups[i/per]
 	}
+	m.makeFabric()
 	m.sizeTree(m.nGroups)
 }
 
@@ -280,50 +277,74 @@ func FuzzMinTreeMatchesScan(f *testing.F) {
 	})
 }
 
-// TestDirtyDrainNoStranding is the dirty-set ordering test: concurrent
-// producers push through the engine's store-then-mark sequence while the
-// consumer repeatedly swap-drains; every pushed event must reach the GQ —
-// none stranded in a ring whose dirty bit was consumed by an earlier swap.
-// Run under -race in CI.
-func TestDirtyDrainNoStranding(t *testing.T) {
-	const (
-		n       = 70 // spans two dirty words
-		perCore = 300
-	)
-	m := bareMachine(n, 16)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for k := 0; k < perCore; k++ {
-				for !m.outQ[i].Push(event.Event{Core: int32(i), Time: int64(k)}) {
-					runtime.Gosched() // ring full: wait for the drainer
+// TestFabricRace drives the event fabric from its three ends at once. One
+// producer goroutine per group pushes each member's numbered requests into
+// the group's OutQ, as the members' Send does; the manager drains every
+// OutQ (drainOutQs) and answers each request into its group's InQ, as
+// pushReply does; one goroutine per group demultiplexes its InQ into the
+// members' inboxes (demux). Every core must get exactly its own events,
+// once each and in order, and be marked arrived. Cases: one group, three
+// uneven groups, and 70 cores in two groups. Run under -race in CI.
+func TestFabricRace(t *testing.T) {
+	const perCore = 300
+	for _, tc := range []struct{ n, k int }{{8, 1}, {8, 3}, {70, 2}} {
+		t.Run(fmt.Sprintf("cores=%d/groups=%d", tc.n, tc.k), func(t *testing.T) {
+			m := bareMachine(tc.n, 4)
+			groupBare(m, tc.k)
+			var wg sync.WaitGroup
+			for k := 0; k < m.nGroups; k++ {
+				g := &m.groups[k]
+				wg.Add(2)
+				go func() { // the members' requests, round-robin
+					defer wg.Done()
+					for seq := 0; seq < perCore; seq++ {
+						for j := range g.members {
+							ev := event.Event{Core: int32(g.members[j].id), Time: int64(seq), Seq: int64(seq)}
+							for !g.outQ.Push(ev) {
+								runtime.Gosched() // ring full: wait for the manager
+							}
+							m.bumpMgrEpoch()
+						}
+					}
+				}()
+				go func() { // the group's demux, until every reply is in
+					defer wg.Done()
+					for want, got := len(g.members)*perCore, 0; got < want; {
+						m.demux(g)
+						got = 0
+						for j := range g.members {
+							got += len(g.members[j].inbox)
+						}
+						runtime.Gosched()
+					}
+				}()
+			}
+			for answered := 0; answered < tc.n*perCore; {
+				m.drainOutQs(func(ev event.Event) {
+					for !m.groupOf[ev.Core].in[0].Push(ev) {
+						runtime.Gosched() // InQ full: wait for the demux
+					}
+					answered++
+				})
+			}
+			wg.Wait()
+			for k := 0; k < m.nGroups; k++ {
+				if m.groups[k].hasEvents() || m.groups[k].outQ.Len() != 0 {
+					t.Fatalf("group %d: events left in its rings", k)
 				}
-				m.markOutDirty(i)
-				m.bumpMgrEpoch()
 			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
-		m.drainDirty(m.gq.Push)
-		select {
-		case <-done:
-			// Producers finished: one more dirty drain picks up every bit set
-			// after the last swap; the full-scan fallback then cross-checks
-			// that the dirty protocol left nothing behind.
-			m.drainDirty(m.gq.Push)
-			if m.drainAll(m.gq.Push) {
-				t.Fatal("full-scan drain found events the dirty-set drain left stranded")
+			for i := range m.members {
+				mb := &m.members[i]
+				if len(mb.inbox) != perCore || !mb.arrived {
+					t.Fatalf("core %d: %d events (arrived=%v), want %d", i, len(mb.inbox), mb.arrived, perCore)
+				}
+				for seq, ev := range mb.inbox {
+					if int(ev.Core) != i || ev.Seq != int64(seq) {
+						t.Fatalf("core %d: event %d is core %d seq %d", i, seq, ev.Core, ev.Seq)
+					}
+				}
 			}
-			if m.gq.Len() != n*perCore {
-				t.Fatalf("GQ has %d events, want %d", m.gq.Len(), n*perCore)
-			}
-			return
-		default:
-		}
+		})
 	}
 }
 

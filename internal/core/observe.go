@@ -37,6 +37,11 @@ type engineMet struct {
 	gatesElided  *metrics.Counter   // engine.gates.elided
 	slack        *metrics.Histogram // engine.slack.sample
 	gqDepth      *metrics.Histogram // engine.gq.depth
+	// Ring depths, attached to the groups' rings when the run makes them
+	// (makeFabric).
+	outDepth    *metrics.Histogram // event.outq.depth
+	inDepth     *metrics.Histogram // event.inq.depth
+	remoteDepth *metrics.Histogram // event.remoteq.depth (remote runs only)
 
 	// Sampled host-time spans of the fabric itself — the ledger rows under
 	// "unattributed": one manager round in 64, phase by phase, and the
@@ -90,12 +95,8 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 		m.met.coreMemLatNS = append(m.met.coreMemLatNS, r.Histogram(fmt.Sprintf("engine.c%d.mem.lat_host_ns", i)))
 	}
 	m.strag = newStragglerState(m.cfg.NumCores)
-	outDepth := r.Histogram("event.outq.depth")
-	inDepth := r.Histogram("event.inq.depth")
-	for i := range m.outQ {
-		m.outQ[i].ObserveDepth(outDepth)
-		m.inQ[i].ObserveDepth(inDepth)
-	}
+	m.met.outDepth = r.Histogram("event.outq.depth")
+	m.met.inDepth = r.Histogram("event.inq.depth")
 	if m.shards != nil {
 		shardDepth := r.Histogram("event.shardq.depth")
 		for s := 0; s < m.shards.n; s++ {
@@ -103,12 +104,7 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 		}
 	}
 	if m.remote != nil {
-		remoteDepth := r.Histogram("event.remoteq.depth")
-		for s := range m.remote.out {
-			for c := range m.remote.out[s] {
-				m.remote.out[s][c].ObserveDepth(remoteDepth)
-			}
-		}
+		m.met.remoteDepth = r.Histogram("event.remoteq.depth")
 	}
 }
 

@@ -129,8 +129,8 @@ func checkObservability(t *testing.T, k int) {
 	if s.Histograms["event.outq.depth"].Count == 0 {
 		t.Error("no OutQ depth observations")
 	}
-	if inq := s.Gauges["event.c0.inq.high_water"]; k == 1 && inq == 0 {
-		t.Error("lone runner left core 0's in-queue high-water at zero")
+	if inq := s.Gauges["event.inq.high_water"]; k == 1 && inq == 0 {
+		t.Error("lone runner left the in-queue high-water at zero")
 	}
 	var dump bytes.Buffer
 	if err := reg.Write(&dump); err != nil {

@@ -59,7 +59,7 @@ func (m *Machine) runPaced(s Scheme, k int) (*Result, error) {
 		}()
 	} else {
 		toGQ := m.gq.Push
-		be := mgrBackend{drain: func(int64) bool { return m.drainDirty(toGQ) }, deadlockSound: true}
+		be := mgrBackend{drain: func(int64) bool { return m.drainOutQs(toGQ) }, deadlockSound: true}
 		mgr := m.newMgrLoop(p, be)
 		m.spawnGroups(&wg, 1, mgr)
 		m.runGroup(&m.groups[0], mgr)

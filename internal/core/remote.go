@@ -148,11 +148,11 @@ type RecoveryStats struct {
 }
 
 // remoteState is the per-machine distributed plumbing (nil unless
-// Config.RemoteShards > 0). The reply rings exist from NewMachine (they
-// are part of coreRings); the workers are attached by RunRemoteSharded.
+// Config.RemoteShards > 0). Shard s replies on each group's ring in[1+s]
+// (makeFabric; the recv goroutines produce); the workers are attached by
+// RunRemoteSharded.
 type remoteState struct {
-	n   int
-	out [][]*event.Ring // shard s -> core i reply rings (recv goroutines produce)
+	n int
 
 	opts    *RemoteOptions
 	session string
@@ -210,14 +210,6 @@ type remoteState struct {
 
 func newRemoteState(cfg Config) *remoteState {
 	r := &remoteState{n: cfg.RemoteShards}
-	for s := 0; s < r.n; s++ {
-		rings := make([]*event.Ring, cfg.NumCores)
-		for c := range rings {
-			rings[c] = event.NewRing(cfg.RingCap)
-			rings[c].SetName(fmt.Sprintf("remote%d.c%d", s, c))
-		}
-		r.out = append(r.out, rings)
-	}
 	r.stage = make([][]event.Event, r.n)
 	r.adopted = make([]*adoptedShard, r.n)
 	r.l2stats = make([]cache.L2Stats, r.n)
@@ -550,8 +542,8 @@ func (m *Machine) remoteHello(w *remoteWorker, resume bool) *remote.Hello {
 
 // processAdoptedShards pops every adopted shard's queued events below
 // bound through the shared timing path — the in-process continuation of
-// the dead worker's processAndReply, reply-order identical. Must run
-// inside the manager's notify batch.
+// the dead worker's processAndReply, reply-order identical. Runs in the
+// round's visibility step.
 func (m *Machine) processAdoptedShards(bound int64) bool {
 	r := m.remote
 	if r.nAdopted == 0 {
@@ -568,8 +560,7 @@ func (m *Machine) processAdoptedShards(bound int64) bool {
 				return
 			}
 			out.Core = int32(core)
-			r.out[sh][core].MustPush(out)
-			m.deferNotify(core)
+			m.pushShardReply(sh, core, out)
 		})
 		if n > 0 {
 			m.evShard.Add(n)
@@ -594,7 +585,7 @@ func (m *Machine) remoteBackend() mgrBackend {
 		drain: func(g int64) bool {
 			m.applyWireFaults(fiWire, g)
 			m.adoptAbandonedWorkers()
-			moved := m.drainDirty(stage)
+			moved := m.drainOutQs(stage)
 			m.flushStage()
 			return moved
 		},

@@ -151,9 +151,7 @@ func (m *Machine) remoteReceiver(w *remoteWorker, conn *remote.Conn, skip []int6
 					skip[pos]--
 					continue
 				}
-				core := int(evs[i].Core)
-				m.remote.out[shard][core].MustPush(evs[i])
-				m.notifyCore(core)
+				m.pushShardReply(shard, int(evs[i].Core), evs[i])
 				w.delivered[pos]++
 			}
 			m.bumpMgrEpoch()

@@ -157,6 +157,9 @@ func (m *Machine) result(wall time.Duration) *Result {
 		L2Stats:      m.aggregateL2Stats(),
 	}
 	res.CoherenceWarps = res.L2Stats.OrderViolations
+	if m.serialMode {
+		res.Groups = 0 // its one group is the loop's, not a host goroutine
+	}
 	if m.aborted || m.endTime == 0 {
 		res.EndTime = m.global.Load()
 	}

@@ -20,15 +20,16 @@ import (
 // funcs run once per round on the manager goroutine — never per event.
 type mgrBackend struct {
 	// drain moves the requests the cores pushed since the last round from
-	// their OutQs toward whatever processes them, and reports whether any
-	// moved. g is the round's global-time candidate.
+	// their groups' OutQs toward whatever processes them, and reports
+	// whether any moved. g is the round's global-time candidate.
 	drain func(g int64) bool
 	// gate, when non-nil, lets the backend's own processors (shard
 	// goroutines, remote workers) handle everything routed to them below
-	// allowed, and returns only once their replies are in the cores' rings.
-	// Only the processors whose gateBook holds a request below allowed are
-	// gated and waited for. It reports whether it processed events on the
-	// manager goroutine itself. Runs inside the round's notify batch.
+	// allowed, and returns only once their replies are in the groups'
+	// rings. Only the processors whose gateBook holds a request below
+	// allowed are gated and waited for. It reports whether it processed
+	// events on the manager goroutine itself, pushing replies the round
+	// then wakes their groups for.
 	gate func(allowed int64) bool
 	// deadlockSound says the manager can see every in-flight event, so an
 	// "all queues empty, every live thread blocked" verdict is certain.
@@ -96,23 +97,20 @@ type pacing struct {
 	s           Scheme
 	ad          *adaptState // nil unless the scheme adapts its window
 	lastBarrier int64       // last quantum barrier traced
-	edge        int64       // every core's current max local time
 }
 
-// beginRun installs the scheme for a paced run, opens every core's initial
-// window, forms at most k core groups, sizes the min-tree to one leaf per
-// group and returns the manager's pacing state.
+// beginRun installs the scheme for a paced run, opens the initial window,
+// forms at most k core groups with their rings, sizes the min-tree to one
+// leaf per group and returns the manager's pacing state. The scheme is
+// published last: a snapshot that sees it sees the groups' rings.
 func (m *Machine) beginRun(s Scheme, k int) pacing {
 	m.scheme = s
-	m.schemeLive.Store(&s)
 	m.captureHostMem()
-	p := pacing{s: s, ad: newAdaptState(s), edge: s.maxLocal(0)}
-	for i := range m.maxLocal {
-		m.maxLocal[i].v.Store(p.edge)
-	}
+	m.edge.v.Store(s.maxLocal(0))
 	m.formGroups(k)
 	m.sizeTree(m.nGroups)
-	return p
+	m.schemeLive.Store(&s)
+	return pacing{s: s, ad: newAdaptState(s)}
 }
 
 // finishRun closes a paced run after its goroutines have joined: the
@@ -126,7 +124,7 @@ func (m *Machine) finishRun(start time.Time) (*Result, error) {
 	}
 	func() {
 		defer m.containPanic(faultinject.Manager, "final-drain")
-		m.drainAll(m.gq.Push)
+		m.drainOutQs(m.gq.Push)
 		m.processBelow(math.MaxInt64)
 	}()
 	if err := m.takeFault(); err != nil {
@@ -169,7 +167,7 @@ func (m *Machine) runManager(p pacing, be mgrBackend) {
 
 // roundPhases names the phases of a manager round that one round in 64 is
 // timed by, in order: engine.round.<phase>_ns.
-var roundPhases = [...]string{"min", "drain", "visible", "notify", "slide"}
+var roundPhases = [...]string{"min", "drain", "visible", "slide", "notify"}
 
 // lapTimer times a sampled round's phases into those histograms, one lap
 // after each; a nil *lapTimer (metrics off, an unsampled round) is inert.
@@ -186,16 +184,17 @@ func (lt *lapTimer) lap() {
 	}
 }
 
-// round is one manager round: it consolidates the OutQs, advances the
-// global time, makes requests globally visible according to the scheme, and
-// slides every core's window. It reports whether the round changed anything;
-// the run's end (MaxCycles, a certain deadlock) is left in done.
+// round is one manager round: it consolidates the groups' OutQs, advances
+// the global time, makes requests globally visible according to the
+// scheme, slides the window edge and wakes the groups that can now move.
+// It reports whether the round changed anything; the run's end (MaxCycles,
+// a certain deadlock) is left in done.
 //
-// Its cost is proportional to activity, not core count: the global-time
-// candidate is the min-tree root (O(1); groups pay O(log K) on publication),
-// the drain touches only OutQs with new requests (the dirty set), replies
-// are pushed with one coalesced notify per group, and a quiescent machine
-// parks the manager on its wake channel (idle).
+// Its cost follows the group count K, not the core count: the global-time
+// candidate is the min-tree root (O(1); groups pay O(log K) on
+// publication), the drain pops K OutQs, the slide is one store, the notify
+// is at most K wakes, and a quiescent machine parks the manager on its
+// wake channel (idle).
 func (l *mgrLoop) round() bool {
 	m, mw := l.m, l.m.mgrTW
 	measure := m.met != nil
@@ -217,7 +216,7 @@ func (l *mgrLoop) round() bool {
 	// total order of atomic operations, which precedes this root read —
 	// so the drain below is guaranteed to contain it. Draining first
 	// would let cores advance between the drain and the minimum,
-	// overstating the bound past events still sitting in their OutQs.
+	// overstating the bound past events still sitting in the OutQs.
 	g, held := m.globalMin(measure)
 	if measure {
 		// Straggler attribution: charge the round to the core that holds
@@ -236,10 +235,7 @@ func (l *mgrLoop) round() bool {
 		return false
 	}
 
-	m.beginNotifyBatch()
 	processed := m.makeVisible(&l.p, g, l.be.gate)
-	lt.lap()
-	m.flushNotifyBatch()
 	lt.lap()
 	if processed {
 		mw.Count(trace.KQDepth, int64(m.gq.Len()))
@@ -270,10 +266,19 @@ func (l *mgrLoop) round() bool {
 	if changed {
 		wake |= waitEdge
 	}
+	lt.lap()
 	// State first, flags second: the waker's half of the groups' park
-	// protocol (coreGroup.waiting).
-	for k := 0; wake != 0 && k < m.nGroups; k++ {
-		m.groups[k].wake(wake)
+	// protocol (coreGroup.waiting). A group with a reply waiting from this
+	// round's visibility step is woken for its frozen members too; the
+	// producers outside the round (shard workers, remote receivers) wake
+	// theirs on each push.
+	for k := 0; k < m.nGroups; k++ {
+		gr := &m.groups[k]
+		why := wake
+		if processed && gr.hasEvents() {
+			why |= waitEvent
+		}
+		gr.wake(why)
 	}
 	lt.lap()
 
@@ -366,22 +371,19 @@ func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) bool) (proces
 	return processed
 }
 
-// slideWindows raises every core's max local time to the scheme's target
-// for global time g (the caller wakes the groups parked at the old edge).
-// The edge is monotone; it reports whether it moved.
+// slideWindows raises the window edge to the scheme's target for global
+// time g (the caller wakes the groups parked at the old edge). The edge is
+// monotone; it reports whether it moved.
 func (m *Machine) slideWindows(p *pacing, g int64) bool {
 	adapted := int64(0)
 	if p.ad != nil {
 		adapted = p.ad.window
 	}
 	target := p.s.windowTarget(g, adapted)
-	if target <= p.edge {
+	if target <= m.edge.v.Load() {
 		return false
 	}
-	p.edge = target
-	for i := range m.maxLocal {
-		m.maxLocal[i].v.Store(target)
-	}
+	m.edge.v.Store(target)
 	if m.met != nil {
 		m.met.windowSlides.Inc()
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"slacksim/internal/cpu"
 	"slacksim/internal/event"
 	"slacksim/internal/faultinject"
 	"slacksim/internal/trace"
@@ -39,13 +38,13 @@ func (m *Machine) RunSerial() (*Result, error) {
 func (m *Machine) runSerialLoop() {
 	m.serialMode = true
 	m.scheme = SchemeCC
+	// One group holds every core: the loop runs on its rings and its
+	// members' inboxes, through the same drain and demux as the paced
+	// drivers.
+	m.formGroups(1)
 	sc := m.scheme
 	m.schemeLive.Store(&sc)
-	inboxes := make([][]event.Event, len(m.cores))
-	stats := make([]*cpu.Stats, len(m.cores))
-	for i, c := range m.cores {
-		stats[i] = c.Stats()
-	}
+	g := &m.groups[0]
 	toGQ := m.gq.Push
 	t := int64(0)
 	mw := m.mgrTW
@@ -72,10 +71,11 @@ func (m *Machine) runSerialLoop() {
 		roi := m.roiTime.Load()
 		anyProgress := false
 		for i, c := range m.cores {
-			if m.deliverInbox(i, &inboxes[i], t) {
+			mb := &g.members[i]
+			if m.deliverInbox(g, mb, t) {
 				anyProgress = true
 			}
-			if roi >= 0 && !stats[i].ROIMarked {
+			if roi >= 0 && !mb.st.ROIMarked {
 				c.MarkROI(t)
 			}
 			if c.Tick(t) {
@@ -83,13 +83,11 @@ func (m *Machine) runSerialLoop() {
 			}
 			m.local[i].v.Store(t + 1)
 		}
-		// The dirty-set drain works in serial mode too (Env.Send marks the
-		// bitmap), and skips the N-ring scan on the common no-request cycle.
 		// The min-tree is deliberately not consulted here: the serial global
 		// time is the loop induction variable, and paying the O(log N) leaf
 		// path per core per cycle would tax the reference run for a minimum
 		// it never reads.
-		if m.drainDirty(toGQ) {
+		if m.drainOutQs(toGQ) {
 			anyProgress = true
 		}
 		t++
@@ -102,15 +100,15 @@ func (m *Machine) runSerialLoop() {
 		}
 
 		// Everything is stalled: jump to the earliest future work item.
-		// Drain the InQ rings first — replies pushed this very cycle must
+		// Demultiplex the InQ first — replies pushed this very cycle must
 		// bound the jump, or it would overshoot their timestamps.
 		next := int64(math.MaxInt64)
+		m.demux(g)
 		for i, c := range m.cores {
-			m.drainRing(i, &inboxes[i])
 			if n := c.NextWork(t); n < next {
 				next = n
 			}
-			if ts, ok := earliestEvent(inboxes[i], true); ok && ts < next {
+			if ts, ok := earliestEvent(g.members[i].inbox, true); ok && ts < next {
 				next = ts
 			}
 		}
@@ -144,22 +142,25 @@ func (m *Machine) runSerialLoop() {
 	}
 }
 
-// deliverInbox drains core i's InQ into its inbox and applies every event
-// whose timestamp has been reached, in arrival order among the eligible —
-// the manager's deterministic processing order under conservative schemes.
-// It reports whether anything was delivered.
-func (m *Machine) deliverInbox(i int, inbox *[]event.Event, local int64) bool {
-	m.drainRing(i, inbox)
-	if len(*inbox) == 0 {
+// deliverInbox demultiplexes the group's rings into its members' inboxes
+// and applies every event in mb's whose timestamp has been reached, in
+// arrival order among the eligible — the manager's deterministic
+// processing order under conservative schemes. It reports whether anything
+// was delivered.
+func (m *Machine) deliverInbox(g *coreGroup, mb *member, local int64) bool {
+	m.demux(g)
+	mb.arrived = false
+	if len(mb.inbox) == 0 {
 		return false
 	}
+	i := mb.id
 	var delays []faultinject.Fault
 	if m.fiDelay != nil {
 		delays = m.fiDelay[i]
 	}
 	delivered := false
-	kept := (*inbox)[:0]
-	for _, ev := range *inbox {
+	kept := mb.inbox[:0]
+	for _, ev := range mb.inbox {
 		if ev.Time > local {
 			kept = append(kept, ev)
 			continue
@@ -188,24 +189,6 @@ func (m *Machine) deliverInbox(i int, inbox *[]event.Event, local int64) bool {
 			m.cores[i].Deliver(ev, local)
 		}
 	}
-	*inbox = kept
+	mb.inbox = kept
 	return delivered
-}
-
-// drainRing moves all queued reply events for core i into its inbox (the
-// main manager's ring plus, when sharded, every shard's ring).
-func (m *Machine) drainRing(i int, inbox *[]event.Event) {
-	for _, r := range m.coreRings[i] {
-		*inbox = r.PopBatch(*inbox)
-	}
-}
-
-// coreHasEvents reports whether any queued reply for core i is pending.
-func (m *Machine) coreHasEvents(i int) bool {
-	for _, r := range m.coreRings[i] {
-		if r.Len() > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -32,14 +32,14 @@ import (
 // cache configuration.
 
 // shardState is the per-machine sharding plumbing (nil when unsharded).
+// Shard s replies on each group's ring in[1+s] (makeFabric).
 type shardState struct {
 	n    int
 	l2   []*cache.L2System
-	in   []*event.Ring   // main -> shard s
-	out  [][]*event.Ring // shard s -> core i
-	gate []padded        // per-shard allowed-time target
-	mark []padded        // per-shard processed-through watermark
-	book *gateBook       // what each shard holds below no gate (manager only)
+	in   []*event.Ring // main -> shard s
+	gate []padded      // per-shard allowed-time target
+	mark []padded      // per-shard processed-through watermark
+	book *gateBook     // what each shard holds below no gate (manager only)
 }
 
 func newShardState(cfg Config) (*shardState, error) {
@@ -53,12 +53,6 @@ func newShardState(cfg Config) (*shardState, error) {
 		in := event.NewRing(cfg.RingCap * cfg.NumCores)
 		in.SetName(fmt.Sprintf("shardq.s%d", i))
 		s.in = append(s.in, in)
-		rings := make([]*event.Ring, cfg.NumCores)
-		for c := range rings {
-			rings[c] = event.NewRing(cfg.RingCap)
-			rings[c].SetName(fmt.Sprintf("shard%d.c%d", i, c))
-		}
-		s.out = append(s.out, rings)
 	}
 	s.gate = make([]padded, s.n)
 	s.mark = make([]padded, s.n)
@@ -74,7 +68,7 @@ func (m *Machine) shardOf(addr uint64) int {
 // manager backend: memory events are routed to the owning shard's ring
 // (system calls stay on the manager's own queue), and the gate raises the
 // allowed time of every shard with a request below it and waits for their
-// watermarks, so each round's replies are in the cores' rings before the
+// watermarks, so each round's replies are in the groups' rings before the
 // windows move.
 func (m *Machine) startShards(wg *sync.WaitGroup) mgrBackend {
 	m.shards.book = m.newGateBook(m.shards.n)
@@ -88,7 +82,7 @@ func (m *Machine) startShards(wg *sync.WaitGroup) mgrBackend {
 	}
 	route := m.routeToShard
 	return mgrBackend{
-		drain:         func(int64) bool { return m.drainDirty(route) },
+		drain:         func(int64) bool { return m.drainOutQs(route) },
 		gate:          m.raiseShardGates,
 		deadlockSound: true,
 	}
@@ -127,16 +121,13 @@ func (m *Machine) raiseShardGates(allowed int64) bool {
 
 // shardWorker owns one bank shard: it consumes routed requests in
 // timestamp order up to the published gate and emits replies on its own
-// per-core rings.
+// ring into each group.
 func (m *Machine) shardWorker(sidx int) {
 	sh := m.shards
 	l2 := sh.l2[sidx]
 	var gq event.Heap
 	var drainBuf []event.Event
-	push := func(core int, ev event.Event) {
-		sh.out[sidx][core].MustPush(ev)
-		m.notifyCore(core)
-	}
+	push := func(core int, ev event.Event) { m.pushShardReply(sidx, core, ev) }
 	var sw *trace.Writer
 	if m.shardTW != nil {
 		sw = m.shardTW[sidx]

@@ -46,6 +46,10 @@ type SlackSnapshot struct {
 	Root   int64 `json:"root"`
 	// GQDepth mirrors the manager's global event-queue depth.
 	GQDepth int64 `json:"gq_depth"`
+	// InQHighWater/OutQHighWater are the highest occupancy any of the
+	// run's InQ or OutQ rings has reached so far, one ring per core group.
+	InQHighWater  int64 `json:"inq_high_water,omitempty"`
+	OutQHighWater int64 `json:"outq_high_water,omitempty"`
 	// Done marks a finished run (the sweep may start another).
 	Done  bool        `json:"done"`
 	Cores []SlackCore `json:"cores"`
@@ -81,12 +85,11 @@ type SlackCore struct {
 	Blocked  bool  `json:"blocked,omitempty"`
 	Parked   bool  `json:"parked,omitempty"`
 	Frozen   bool  `json:"frozen,omitempty"`
-	// InQ/OutQ are current ring depths; the high-waters are the maximum
-	// occupancies observed so far (0 until introspection attaches them).
-	InQ           int   `json:"inq"`
-	OutQ          int   `json:"outq"`
-	InQHighWater  int64 `json:"inq_high_water,omitempty"`
-	OutQHighWater int64 `json:"outq_high_water,omitempty"`
+	// InQ/OutQ are the current depths of the core's group rings: every
+	// reply ring together, and the OutQ. Cores of one group report the
+	// same depths.
+	InQ  int `json:"inq"`
+	OutQ int `json:"outq"`
 	// Memory-event latency attribution: observation count and power-of-two
 	// upper bounds on the p50/p99 request→reply latency in simulated
 	// cycles.
