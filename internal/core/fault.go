@@ -14,9 +14,10 @@ import (
 )
 
 // This file is the engine's fault-containment layer. Every goroutine the
-// Run* drivers spawn (core groups, the manager, shard workers) runs under a
-// deferred containPanic, so a panic anywhere inside the simulation — a CPU
-// model bug, a ring overflow, an injected fault — is converted into a
+// Run* drivers spawn (core groups, the remote backend's manager and wire
+// goroutines) runs under a deferred containPanic, as does each hosted
+// shard's part of a manager round, so a panic anywhere inside the
+// simulation — a CPU model bug, a ring overflow, an injected fault — is converted into a
 // structured SimError, the run is cancelled cleanly (every peer unparked
 // and joined, no goroutine leak), and the error is returned from
 // Machine.RunParallel/RunSerial instead of crashing the host process.
@@ -29,7 +30,7 @@ import (
 type SimError struct {
 	// Core identifies the failing goroutine: a core index,
 	// faultinject.Manager (-1) for the manager or serial driver, or a
-	// faultinject.ShardWorker id (<= -2) for a shard worker.
+	// faultinject.ShardWorker id (<= -2) for a memory shard.
 	Core int `json:"core"`
 	// Op names the containment site ("core-loop", "manager",
 	// "shard-worker", "serial-loop", "final-drain", "invariant-audit").
@@ -320,17 +321,21 @@ func (m *Machine) recordPanic(target int, op string, r any) {
 	m.setFault(se)
 }
 
-// detectDeadlock reports a certain deadlock: the GQ and every ring feeding
-// a group are empty, and the kernel says every live thread is queued on a
+// detectDeadlock reports a certain deadlock: the queues the manager owns
+// (the GQ and the hosted shards' heaps) and every ring feeding a group are
+// empty, and the kernel says every live thread is queued on a
 // synchronisation object. Kernel grants travel through manager-produced
 // rings, whose Len is exact from the manager (and can only overestimate
 // from stale consumer heads), so an in-flight wake-up suppresses the
-// verdict; shard-produced memory replies can lag, but a core waiting on
-// memory is not kernel-blocked and already suppresses it. Manager-owned,
-// like every kernel read.
+// verdict. Manager-owned, like every kernel read.
 func (m *Machine) detectDeadlock() bool {
 	if m.gq.Len() != 0 {
 		return false
+	}
+	for _, h := range m.shards {
+		if h.gq.Len() != 0 {
+			return false
+		}
 	}
 	for k := 0; k < m.nGroups; k++ {
 		if m.groups[k].hasEvents() {
@@ -410,10 +415,7 @@ func (m *Machine) EnableFaults(p *faultinject.Plan) error {
 	if p == nil {
 		return nil
 	}
-	nShards := 0
-	if m.shards != nil {
-		nShards = m.shards.n
-	}
+	nShards := len(m.shards)
 	if m.remote != nil && m.remote.n > nShards {
 		nShards = m.remote.n
 	}

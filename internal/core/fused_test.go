@@ -286,9 +286,9 @@ func TestFusedZeroAlloc(t *testing.T) {
 // must be refused with an error rather than silently mis-executed.
 func TestFusedRejectsShardedConfigs(t *testing.T) {
 	cfg := smallConfig(4)
-	cfg.ManagerShards = 2
+	cfg.RemoteShards = 2
 	m := mustMachine(t, sumProg, cfg)
 	if _, err := m.RunFused(SchemeCC); err == nil {
-		t.Fatal("RunFused accepted ManagerShards=2")
+		t.Fatal("RunFused accepted RemoteShards=2")
 	}
 }

@@ -94,8 +94,9 @@ func TestGateBook(t *testing.T) {
 }
 
 // TestGateCountersPerDriver: engine.gates.{raised,elided} exist on every
-// driver, stay zero where the manager has no processors to gate, and
-// account for every gate the sharded and remote managers considered.
+// driver, stay zero where the manager has no processors to gate — the
+// sharded driver processes its shards inline — and account for every gate
+// the remote manager considered.
 func TestGateCountersPerDriver(t *testing.T) {
 	for _, driver := range []string{"serial", "parallel", "fused", "sharded", "remote"} {
 		t.Run(driver, func(t *testing.T) {
@@ -112,7 +113,7 @@ func TestGateCountersPerDriver(t *testing.T) {
 			if !okR || !okE {
 				t.Fatalf("gate counters not registered: %v", c)
 			}
-			gated := driver == "sharded" || driver == "remote"
+			gated := driver == "remote"
 			if gated != (raised > 0) || gated != (elided > 0) {
 				t.Errorf("raised %d, elided %d on the %s driver", raised, elided, driver)
 			}

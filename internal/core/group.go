@@ -19,10 +19,11 @@ import (
 // target cores are split into K = min(GOMAXPROCS, NumCores) contiguous
 // groups; one host goroutine per group gives its members their turns
 // round-robin (coreTurn), and waits — as a group, never per core — only
-// when no member can move. On the unsharded backend the groups run the
-// manager's rounds themselves, between their members' turns (the first
-// group on the RunParallel caller), so a run is exactly K goroutines; at
-// K = 1 that is RunFused. See docs/engine.md, "Grouped execution".
+// when no member can move. On the in-process backends, unsharded and
+// sharded, the groups run the manager's rounds themselves, between their
+// members' turns (the first group on the RunParallel caller), so a run is
+// exactly K goroutines; at K = 1 that is RunFused. See docs/engine.md,
+// "Grouped execution".
 
 // optimisticBatch caps the batched inner loop for schemes with no safe
 // conservative horizon (the window may be unbounded). The batch also breaks
@@ -104,9 +105,9 @@ type coreGroup struct {
 	leaf int // index of the group's min-tree leaf
 	// The group's event fabric (formGroups): its members push their
 	// requests into outQ, which the manager drains; their replies arrive
-	// on in — the manager's InQ (in[0]), then one ring per shard (in[1+s])
-	// — and demux sorts them into the members' inboxes. Each ring has one
-	// producer and, in the group's goroutine, one consumer.
+	// on in — the manager's InQ (in[0]), then one ring per remote shard
+	// (in[1+s]) — and demux sorts them into the members' inboxes. Each
+	// ring has one producer and, in the group's goroutine, one consumer.
 	outQ  *event.Ring
 	in    []*event.Ring
 	evBuf []event.Event // demux's PopBatch buffer
@@ -154,19 +155,16 @@ func (m *Machine) formGroups(k int) {
 	}
 }
 
-// makeFabric gives each of the run's groups an OutQ, an InQ and one reply
-// ring per in-process or remote shard, RingCap slots per member each: 2K +
-// S·K rings for K groups and S shards (next to the manager's one ring into
-// each in-process shard, made with the shard). A ring is named after the
-// cores it serves ("outq.c0-3", "shard1.c4-7"). The metric handles
+// makeFabric gives each of the run's groups an OutQ, an InQ and, on the
+// remote backend, one reply ring per remote shard, RingCap slots per
+// member each: 2K rings for K groups in process (hosted shards reply into
+// the InQ), 2K + S·K with S remote shards. A ring is named after the cores
+// it serves ("outq.c0-3", "remote1.c4-7"). The metric handles
 // EnableMetrics and EnableIntrospection made are attached here.
 func (m *Machine) makeFabric() {
-	shards, prefix := 0, ""
-	switch {
-	case m.shards != nil:
-		shards, prefix = m.shards.n, "shard"
-	case m.remote != nil:
-		shards, prefix = m.remote.n, "remote"
+	shards := 0
+	if m.remote != nil {
+		shards = m.remote.n
 	}
 	for k := 0; k < m.nGroups; k++ {
 		g := &m.groups[k]
@@ -183,16 +181,14 @@ func (m *Machine) makeFabric() {
 		g.outQ = ring("outq")
 		g.in = []*event.Ring{ring("inq")}
 		for s := 0; s < shards; s++ {
-			g.in = append(g.in, ring(fmt.Sprintf("%s%d", prefix, s)))
+			g.in = append(g.in, ring(fmt.Sprintf("remote%d", s)))
 		}
 		g.evBuf = make([]event.Event, 0, m.cfg.RingCap)
 		if m.met != nil {
 			g.outQ.ObserveDepth(m.met.outDepth)
 			g.in[0].ObserveDepth(m.met.inDepth)
-			if m.remote != nil {
-				for _, r := range g.in[1:] {
-					r.ObserveDepth(m.met.remoteDepth)
-				}
+			for _, r := range g.in[1:] {
+				r.ObserveDepth(m.met.remoteDepth)
 			}
 		}
 		if m.hwIn != nil {
@@ -237,7 +233,7 @@ func (m *Machine) arrivedFor(g *coreGroup, mb *member) bool {
 }
 
 // spawnGroups starts one contained goroutine per group from first on (the
-// unsharded driver keeps group 0 for its own goroutine).
+// in-process drivers keep group 0 for their own goroutine).
 func (m *Machine) spawnGroups(wg *sync.WaitGroup, first int, mgr *mgrLoop) {
 	for k := first; k < m.nGroups; k++ {
 		wg.Add(1)
@@ -379,18 +375,19 @@ func (m *Machine) coreTurn(grp *coreGroup, mb *member, pace corePacing, g, edge 
 }
 
 // runGroup is a group's goroutine: round-robin turns for its members until
-// the run ends. With mgr non-nil the run is unsharded and the groups are the
-// simulation manager as well: whichever group finds the role free (mgrMu)
+// the run ends. With mgr non-nil (every in-process backend) the groups are
+// the simulation manager as well: whichever group finds the role free (mgrMu)
 // runs the next round — after every pass over its members under a
 // conservative scheme, so the round is run by the group that finished its
 // window first and would otherwise only wait; after every turn under an
 // optimistic one, so a request is answered before a sibling runs further
-// ahead of it. A lone group (K = 1 unsharded) is always the manager: it
+// ahead of it. A lone group (K = 1 in process) is always the manager: it
 // never parks, since no other goroutine would wake it, and never yields
 // every 8 passes, since it has no peer to yield to.
 //
 // A panic is contained as a SimError naming whichever of the group's
-// members — or the manager — was running.
+// members — or the manager — was running (a hosted shard names itself:
+// processShard).
 func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	cur := g.members[0].id
 	defer func() {
@@ -440,9 +437,10 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	}
 	idle := false
 	for passes := 1; !m.done.Load(); passes++ {
-		// Yield now and then so an oversubscribed host (shard workers, a
-		// manager goroutine, wire goroutines) cannot be starved by groups
-		// that never wait — the optimistic schemes' normal state.
+		// Yield now and then so an oversubscribed host (the remote
+		// backend's manager and wire goroutines, other processes) cannot
+		// be starved by groups that never wait — the optimistic schemes'
+		// normal state.
 		if !lone && passes&7 == 0 {
 			runtime.Gosched()
 		}
@@ -481,9 +479,9 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			continue
 		}
 		// Nothing to run and somebody else is the manager. Yield first,
-		// always: the host thread may be wanted by that manager, a shard
-		// worker or a wire goroutine. Park once the wait has outlasted what
-		// a park costs.
+		// always: the host thread may be wanted by the group holding that
+		// role or, on the remote backend, by the manager or a wire
+		// goroutine. Park once the wait has outlasted what a park costs.
 		runtime.Gosched()
 		if time.Since(idleSince) >= groupParkBudget {
 			endSpell(yieldH)

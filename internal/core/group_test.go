@@ -176,17 +176,18 @@ buf: .space 65536
 // unused target core, which the per-core fabric left spinning for the whole
 // run. Sampled from the manager's SetTrace callback on every driver.
 func TestGroupedGoroutineCount(t *testing.T) {
-	const k, shards = 2, 2
+	const k = 2
 	for _, driver := range []string{"parallel", "sharded", "remote"} {
 		t.Run(driver, func(t *testing.T) {
 			cfg, run := driverConfig(driver, 8)
 			m := mustMachine(t, oneThreadProg, cfg)
 			// The caller is one of the run's goroutines: a group (and the
-			// manager between its turns) when unsharded, the manager alone
-			// next to K groups otherwise.
+			// manager between its turns, memory shards included) in
+			// process, the manager alone next to K groups on the remote
+			// backend.
 			want := map[string]int{
 				"parallel": k - 1,
-				"sharded":  k + shards,
+				"sharded":  k - 1,
 				"remote":   k + 3, // one worker: sender, receiver, supervisor
 			}[driver]
 			base, samples, off := 0, 0, 0
@@ -232,8 +233,8 @@ func TestGroupedGoroutineCount(t *testing.T) {
 }
 
 // TestGroupWaitNeverStarvesBackend guards the spin discipline: a waiting
-// group yields before anything else, so the manager goroutine and the shard
-// workers of a sharded run get the host threads they need. On two host
+// group yields before anything else, so the group holding the manager role
+// (memory shards included) gets the host thread it needs. On two host
 // threads the per-core-goroutine fabric this replaced ran the workload
 // (cholesky scale 1, L10, two shards) in 2.3-2.7x the wall time of the
 // serial engine on the same machine, the serial run calibrating the host;

@@ -214,16 +214,17 @@ type Machine struct {
 	mgrEpoch  padded
 	mgrParked atomic.Int32
 	mgrWake   chan struct{}
-	// mgrMu is the manager's role on the unsharded backend, where the groups
-	// run the rounds themselves: whichever group gets it runs one.
+	// mgrMu is the manager's role on the in-process backends, where the
+	// groups run the rounds themselves: whichever group gets it runs one.
 	mgrMu sync.Mutex
 
 	gq evHeap
 	// serialMode marks a RunSerial drive.
 	serialMode bool
 
-	// shards holds the §2.2 sharded-manager plumbing (nil when unsharded).
-	shards *shardState
+	// shards are the §2.2 memory shards the manager round hosts (nil
+	// when unsharded; see sharded.go).
+	shards []*hostedShard
 	// remote holds the distributed-backend plumbing (nil unless
 	// Config.RemoteShards > 0; see remote.go).
 	remote *remoteState
@@ -242,7 +243,7 @@ type Machine struct {
 	fiCore  [][]faultinject.Fault // per-core faults
 	fiDelay [][]faultinject.Fault // per-core DelayDelivery faults
 	fiMgr   []faultinject.Fault   // manager-targeted faults
-	fiShard [][]faultinject.Fault // per-shard-worker faults
+	fiShard [][]faultinject.Fault // per-shard faults (hosted shards)
 	fiWire  []faultinject.Fault   // wire-level faults (remote backend)
 	// lastEvKind/lastEvTime record each core's most recent InQ delivery
 	// (written by the owning core goroutine, read by forensic snapshots).
@@ -283,19 +284,19 @@ type Machine struct {
 
 	// Observability subsystem (all nil/zero when disabled; see observe.go).
 	// epoch anchors the host-time latency stamps (hostNS, latency.go).
-	epoch   time.Time
-	met     *engineMet
-	tracer  *trace.Collector
-	coreTW  []*trace.Writer // per-core trace rings
-	mgrTW   *trace.Writer   // manager trace ring
-	shardTW []*trace.Writer // per-shard-worker trace rings
+	epoch  time.Time
+	met    *engineMet
+	tracer *trace.Collector
+	coreTW []*trace.Writer // per-core trace rings
+	mgrTW  *trace.Writer   // manager trace ring
 	// mgrBusyNS is the host time of productive manager rounds (metrics
 	// only; the groups keep their own share of the sync-overhead breakdown).
 	mgrBusyNS int64
-	// evProcessed counts manager-thread GQ events (manager/serial
-	// goroutine only); evShard counts shard-worker events.
+	// evProcessed counts the manager's GQ events and evShard the memory
+	// shards' (hosted, adopted or remote, as their FStats report them);
+	// both manager-role or post-join only.
 	evProcessed int64
-	evShard     atomic.Int64
+	evShard     int64
 
 	// strag is the manager-owned straggler attribution state (latency.go;
 	// nil when metrics are disabled).
@@ -420,11 +421,9 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		m.refreshLeaf(m.groupOf[core], true)
 	}
 	if cfg.ManagerShards > 1 {
-		sh, err := newShardState(cfg)
-		if err != nil {
+		if err := m.hostShards(cfg.ManagerShards); err != nil {
 			return nil, err
 		}
-		m.shards = sh
 	}
 	if cfg.RemoteShards > 0 {
 		m.remote = newRemoteState(cfg)

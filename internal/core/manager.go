@@ -78,9 +78,9 @@ func (m *Machine) pushReply(core int, ev event.Event) {
 	m.groupOf[core].in[0].MustPush(ev)
 }
 
-// pushShardReply puts shard s's reply for core into the group's ring for
-// that shard and wakes the group if it waits for one: shard workers and
-// remote receivers push outside the round.
+// pushShardReply puts remote shard s's reply for core into the group's
+// ring for that shard and wakes the group if it waits for one: the remote
+// receivers push outside the round.
 func (m *Machine) pushShardReply(s, core int, ev event.Event) {
 	g := m.groupOf[core]
 	g.in[1+s].MustPush(ev)
@@ -90,9 +90,9 @@ func (m *Machine) pushShardReply(s, core int, ev event.Event) {
 // applyMemEvent applies one memory-hierarchy request against the given
 // L2/directory instance, emitting the fill and coherence notifications
 // through push. It needs nothing of the Machine, which is what lets the
-// in-process shard workers (their own instances and rings) and the
-// remote-shard worker (a separate process with no Machine; see worker.go)
-// run the identical timing path as the unsharded manager.
+// hosted shards (their own instances; sharded.go) and the remote-shard
+// worker (a separate process with no Machine; see worker.go) run the
+// identical timing path as the unsharded manager.
 func applyMemEvent(l2 *cache.L2System, push func(int, event.Event), ev event.Event) {
 	core := int(ev.Core)
 	// Retire the piggybacked victim first so the directory's presence bits
@@ -132,9 +132,9 @@ func applyMemEvent(l2 *cache.L2System, push func(int, event.Event), ev event.Eve
 
 // processShardBelow pops every event stamped below bound off one shard's
 // heap, in (timestamp, core, seq) order, through applyMemEvent — the one
-// processing pass shared by the in-process shard workers, the remote
-// worker and the parent's adopted shards, so their reply order cannot
-// drift apart. It returns the number of events processed.
+// processing pass shared by the hosted shards (in-process or adopted) and
+// the remote worker, so their reply order cannot drift apart. It returns
+// the number of events processed.
 func processShardBelow(gq *event.Heap, l2 *cache.L2System, bound int64, push func(int, event.Event)) int64 {
 	n := int64(0)
 	for {

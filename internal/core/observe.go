@@ -33,7 +33,7 @@ type engineMet struct {
 	freezes      *metrics.Counter   // engine.reply.freezes
 	mgrParks     *metrics.Counter   // engine.manager.parks
 	adaptResizes *metrics.Counter   // engine.adapt.resizes
-	gatesRaised  *metrics.Counter   // engine.gates.raised (sharded/remote gateBook)
+	gatesRaised  *metrics.Counter   // engine.gates.raised (remote gateBook)
 	gatesElided  *metrics.Counter   // engine.gates.elided
 	slack        *metrics.Histogram // engine.slack.sample
 	gqDepth      *metrics.Histogram // engine.gq.depth
@@ -42,6 +42,9 @@ type engineMet struct {
 	outDepth    *metrics.Histogram // event.outq.depth
 	inDepth     *metrics.Histogram // event.inq.depth
 	remoteDepth *metrics.Histogram // event.remoteq.depth (remote runs only)
+	// shardDepth samples each hosted shard's heap once per round, after
+	// the drain (sharded runs only).
+	shardDepth *metrics.Histogram // event.shardq.depth
 
 	// Sampled host-time spans of the fabric itself — the ledger rows under
 	// "unattributed": one manager round in 64, phase by phase, and the
@@ -98,10 +101,7 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 	m.met.outDepth = r.Histogram("event.outq.depth")
 	m.met.inDepth = r.Histogram("event.inq.depth")
 	if m.shards != nil {
-		shardDepth := r.Histogram("event.shardq.depth")
-		for s := 0; s < m.shards.n; s++ {
-			m.shards.in[s].ObserveDepth(shardDepth)
-		}
+		m.met.shardDepth = r.Histogram("event.shardq.depth")
 	}
 	if m.remote != nil {
 		m.met.remoteDepth = r.Histogram("event.remoteq.depth")
@@ -110,7 +110,8 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 
 // EnableTrace attaches a trace collector to the machine. Must be called
 // before Run*; nil leaves tracing disabled. One writer is registered per
-// core thread, one for the manager, and one per shard worker.
+// core thread, one for the manager, and one per in-process shard; the
+// manager role writes the shards' rows as it writes its own.
 func (m *Machine) EnableTrace(c *trace.Collector) {
 	if c == nil {
 		return
@@ -122,11 +123,8 @@ func (m *Machine) EnableTrace(c *trace.Collector) {
 		m.coreTW[i] = c.Writer(fmt.Sprintf("core %d", i), int32(i))
 	}
 	m.mgrTW = c.Writer("manager", int32(n))
-	if m.shards != nil {
-		m.shardTW = make([]*trace.Writer, m.shards.n)
-		for s := 0; s < m.shards.n; s++ {
-			m.shardTW[s] = c.Writer(fmt.Sprintf("shard %d", s), int32(n+1+s))
-		}
+	for s, h := range m.shards {
+		h.tw = c.Writer(fmt.Sprintf("shard %d", s), int32(n+1+s))
 	}
 	if m.remote != nil {
 		// Parent end of the wire-flow correlation: every gate frame the
@@ -145,7 +143,7 @@ func (m *Machine) publishObservability(res *Result) {
 	}
 	r := m.met.reg
 	res.Metrics = r
-	res.EventsProcessed = m.evProcessed + m.evShard.Load()
+	res.EventsProcessed = m.evProcessed + m.evShard
 	res.ManagerBusy = durNS(m.mgrBusyNS)
 	for _, g := range m.groupOf {
 		res.CoreBusy = append(res.CoreBusy, durNS(g.hostNS))

@@ -5,16 +5,14 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"slacksim/internal/faultinject"
 )
 
 // RunParallel executes the simulation on K = min(GOMAXPROCS, NumCores) host
 // goroutines, each driving a contiguous group of target cores (group.go),
-// paced by the given slack scheme. Unsharded, the calling goroutine is the
-// first group and the groups share the simulation manager's work; with
-// ManagerShards > 1 the caller is the manager, next to the K groups and the
-// shard workers. Unsharded at K = 1 it is RunFused.
+// paced by the given slack scheme. The calling goroutine is the first
+// group, and the groups share the simulation manager's work — the memory
+// shards' included when ManagerShards > 1 (sharded.go). At K = 1 it is
+// RunFused.
 func (m *Machine) RunParallel(s Scheme) (*Result, error) {
 	return m.runPaced(s, runtime.GOMAXPROCS(0))
 }
@@ -25,14 +23,14 @@ func (m *Machine) RunParallel(s Scheme) (*Result, error) {
 // manager's rounds. It is grouped execution at K = 1 whatever GOMAXPROCS
 // is — exactly what RunParallel does on one host thread, the paper's
 // Table 2 configuration — through the same runGroup, coreTurn, rings and
-// manager round as K groups. The lone group only schedules differently: it
-// never parks and never yields to peers it does not have. Conservative
-// schemes are schedule-invariant, so CC/Q/L/S* runs are bit-exact against
-// RunSerial and RunParallel at any K (the determinism suite enforces this).
+// manager round as K groups, sharded or not. The lone group only schedules
+// differently: it never parks and never yields to peers it does not have.
+// Conservative schemes are schedule-invariant, so CC/Q/L/S* runs are
+// bit-exact against RunSerial and RunParallel at any K (the determinism
+// suite enforces this). Remote shards need the remote driver.
 func (m *Machine) RunFused(s Scheme) (*Result, error) {
-	if m.cfg.ManagerShards > 1 || m.cfg.RemoteShards > 0 {
-		return nil, fmt.Errorf("core: RunFused supports only the unsharded in-process manager (ManagerShards=%d RemoteShards=%d)",
-			m.cfg.ManagerShards, m.cfg.RemoteShards)
+	if m.cfg.RemoteShards > 0 {
+		return nil, fmt.Errorf("core: RunFused supports only in-process managers (RemoteShards=%d)", m.cfg.RemoteShards)
 	}
 	return m.runPaced(s, 1)
 }
@@ -50,20 +48,14 @@ func (m *Machine) runPaced(s Scheme, k int) (*Result, error) {
 	// cancelled (done + wakeAll, so every peer unparks and joins), and the
 	// error is returned below — no goroutine leaks, no host-process crash.
 	var wg sync.WaitGroup
+	toGQ := m.gq.Push
+	be := mgrBackend{drain: func(int64) bool { return m.drainOutQs(toGQ) }, deadlockSound: true}
 	if m.shards != nil {
-		m.spawnGroups(&wg, 0, nil)
-		be := m.startShards(&wg)
-		func() {
-			defer m.containPanic(faultinject.Manager, "manager")
-			m.runManager(p, be)
-		}()
-	} else {
-		toGQ := m.gq.Push
-		be := mgrBackend{drain: func(int64) bool { return m.drainOutQs(toGQ) }, deadlockSound: true}
-		mgr := m.newMgrLoop(p, be)
-		m.spawnGroups(&wg, 1, mgr)
-		m.runGroup(&m.groups[0], mgr)
+		be = m.shardBackend()
 	}
+	mgr := m.newMgrLoop(p, be)
+	m.spawnGroups(&wg, 1, mgr)
+	m.runGroup(&m.groups[0], mgr)
 	m.wakeAll()
 	wg.Wait()
 	return m.finishRun(start)

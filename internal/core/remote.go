@@ -167,8 +167,7 @@ type remoteState struct {
 
 	// adopted[s] is non-nil once shard s has been migrated into the
 	// parent after its worker was abandoned (manager goroutine only).
-	adopted  []*adoptedShard
-	nAdopted int
+	adopted []*hostedShard
 
 	// closing is set by remoteShutdown: receivers stop re-arming read
 	// timeouts and supervisors stop recovering.
@@ -211,25 +210,12 @@ type remoteState struct {
 func newRemoteState(cfg Config) *remoteState {
 	r := &remoteState{n: cfg.RemoteShards}
 	r.stage = make([][]event.Event, r.n)
-	r.adopted = make([]*adoptedShard, r.n)
+	r.adopted = make([]*hostedShard, r.n)
 	r.l2stats = make([]cache.L2Stats, r.n)
 	r.chunks = make(map[int]map[int]*remote.TraceChunk)
 	r.clockOff = make(map[int]map[int]int64)
 	r.dropWarn = make(map[int]bool)
 	return r
-}
-
-// adoptedShard is one shard migrated into the parent after its worker
-// was abandoned: the same timing state a worker would hold, restored
-// from the last checkpoint, processed by the manager through the shared
-// applyMemEvent path.
-type adoptedShard struct {
-	idx int
-	l2  *cache.L2System
-	gq  event.Heap
-	// skip suppresses the first replies regenerated by the replay —
-	// the ones the dead worker already delivered into the rings.
-	skip int64
 }
 
 // wireMsg is one unit of outbound work: a journal entry until it is
@@ -540,39 +526,10 @@ func (m *Machine) remoteHello(w *remoteWorker, resume bool) *remote.Hello {
 	}
 }
 
-// processAdoptedShards pops every adopted shard's queued events below
-// bound through the shared timing path — the in-process continuation of
-// the dead worker's processAndReply, reply-order identical. Runs in the
-// round's visibility step.
-func (m *Machine) processAdoptedShards(bound int64) bool {
-	r := m.remote
-	if r.nAdopted == 0 {
-		return false
-	}
-	processed := false
-	for sh, as := range r.adopted {
-		if as == nil {
-			continue
-		}
-		n := processShardBelow(&as.gq, as.l2, bound, func(core int, out event.Event) {
-			if as.skip > 0 {
-				as.skip--
-				return
-			}
-			out.Core = int32(core)
-			m.pushShardReply(sh, core, out)
-		})
-		if n > 0 {
-			m.evShard.Add(n)
-			processed = true
-		}
-	}
-	return processed
-}
-
 // remoteBackend returns the remote manager backend. It mirrors the sharded
-// one; only the shard transport differs (wire instead of shared-memory
-// rings), plus the recovery hooks a wire needs. Certain-deadlock detection
+// one, but its shards are processed by workers across a wire, which must
+// be gated and waited for (and the adopted ones are hosted like in-process
+// shards), plus the recovery hooks a wire needs. Certain-deadlock detection
 // is off: events and replies in flight on the wire are invisible to the
 // queue emptiness check, so a kernel-deadlock verdict could be premature.
 // The stall watchdog and the watermark deadline carry the liveness
@@ -635,10 +592,10 @@ func (m *Machine) flushStage() {
 // through it, waits for the watermarks of the gates raised, and processes
 // the adopted shards in-process. The round's batches went out in the drain,
 // before this gate — in-order delivery then gives the worker every event
-// below allowed before it sees the gate, which is the shared-memory
-// driver's push-then-raise order. Under an optimistic scheme allowed is
-// unbounded from the first round on, so each worker gets exactly one gate
-// and answers on arrival after it.
+// below allowed before it sees the gate, just as an in-process shard's
+// heap holds every request below allowed when the round processes it.
+// Under an optimistic scheme allowed is unbounded from the first round on,
+// so each worker gets exactly one gate and answers on arrival after it.
 func (m *Machine) remoteGate(allowed int64) bool {
 	r := m.remote
 	for _, w := range r.workers {
@@ -651,16 +608,15 @@ func (m *Machine) remoteGate(allowed int64) bool {
 		}
 	}
 	m.waitRemoteWatermarks()
-	return m.processAdoptedShards(allowed)
+	return m.processHosted(r.adopted, allowed)
 }
 
 // waitRemoteWatermarks blocks until every live worker has acknowledged
-// processing through the last gate raised on it — the wire form of
-// raiseShardGates' wait. The total wait is bounded by twice the stall
-// timeout: one stall window for an undisturbed worker, and another for the
-// supervisor's recovery to complete behind it. A worker abandoned mid-wait
-// has its shards migrated here, after which the wait no longer applies to
-// it.
+// processing through the last gate raised on it. The total wait is bounded
+// by twice the stall timeout: one stall window for an undisturbed worker,
+// and another for the supervisor's recovery to complete behind it. A
+// worker abandoned mid-wait has its shards migrated here, after which the
+// wait no longer applies to it.
 func (m *Machine) waitRemoteWatermarks() {
 	var expired <-chan time.Time
 	var due time.Time
@@ -767,7 +723,7 @@ func (m *Machine) remoteShutdown() {
 		}
 		r.statsOK++
 		r.wireWorkers.Add(w.stats.Wire)
-		m.evShard.Add(w.stats.Events)
+		m.evShard += w.stats.Events
 		for _, sl := range w.stats.L2 {
 			if sl.Shard >= 0 && sl.Shard < r.n {
 				r.l2stats[sl.Shard] = sl.Stats

@@ -485,12 +485,18 @@ func (m *Machine) adoptWorker(w *remoteWorker) {
 				return
 			}
 		}
-		as := &adoptedShard{idx: sc.Shard, l2: l2, skip: w.delivered[pos]}
+		as := &hostedShard{idx: sc.Shard, l2: l2, skip: w.delivered[pos]}
+		as.reply = func(core int, ev event.Event) {
+			if as.skip > 0 {
+				as.skip--
+				return
+			}
+			m.pushShardReply(as.idx, core, ev)
+		}
 		for _, ev := range sc.Pending {
 			as.gq.Push(ev)
 		}
 		r.adopted[sc.Shard] = as
-		r.nAdopted++
 	}
 	replayed := int64(0)
 	for i := range journal {
@@ -508,7 +514,7 @@ func (m *Machine) adoptWorker(w *remoteWorker) {
 	// The checkpoint's event count is work the lost worker completed that
 	// no FStats frame will ever report; the journal replay re-counts the
 	// rest as the manager processes it locally.
-	m.evShard.Add(dec.Events)
+	m.evShard += dec.Events
 	r.replayedBatches.Add(replayed)
 	r.migrated.Add(int64(len(dec.Shards)))
 	m.remoteIncident(w, "adopted",

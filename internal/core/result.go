@@ -59,8 +59,8 @@ type Result struct {
 	// Metrics is the registry attached with EnableMetrics, now holding
 	// the end-of-run counter snapshot.
 	Metrics *metrics.Registry
-	// EventsProcessed is the total number of GQ events the manager (and
-	// shard workers) processed.
+	// EventsProcessed is the total number of events the manager processed
+	// from its GQ and the memory shards (hosted or remote) processed.
 	EventsProcessed int64
 	// ManagerBusy is the host time the manager thread spent on rounds
 	// that drained, processed, or slid windows (its productive share of

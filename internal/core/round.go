@@ -16,30 +16,30 @@ import (
 // how their processors are gated. See docs/engine.md, "The manager
 // round", for why each step sits where it does.
 
-// mgrBackend is what genuinely differs between the threaded managers. Both
-// funcs run once per round on the manager goroutine — never per event.
+// mgrBackend is what genuinely differs between the managers. Both funcs run
+// once per round in the manager role — never per event.
 type mgrBackend struct {
 	// drain moves the requests the cores pushed since the last round from
 	// their groups' OutQs toward whatever processes them, and reports
 	// whether any moved. g is the round's global-time candidate.
 	drain func(g int64) bool
-	// gate, when non-nil, lets the backend's own processors (shard
-	// goroutines, remote workers) handle everything routed to them below
-	// allowed, and returns only once their replies are in the groups'
-	// rings. Only the processors whose gateBook holds a request below
-	// allowed are gated and waited for. It reports whether it processed
-	// events on the manager goroutine itself, pushing replies the round
-	// then wakes their groups for.
+	// gate, when non-nil, has everything routed to the backend's memory
+	// shards below allowed processed, and returns only once their replies
+	// are in the groups' rings: hosted shards are processed inline, remote
+	// workers are gated and waited for (only those whose gateBook holds a
+	// request below allowed). It reports whether it processed events in
+	// the manager role itself, pushing replies the round then wakes their
+	// groups for.
 	gate func(allowed int64) bool
 	// deadlockSound says the manager can see every in-flight event, so an
 	// "all queues empty, every live thread blocked" verdict is certain.
 	deadlockSound bool
 }
 
-// gateBook records, per memory processor (a shard goroutine or a remote
-// worker), the gates raised on it and the requests routed to it that no
-// gate has covered yet, so that a gate covering none of them is elided
-// (docs/engine.md, "Gating only what is pending"). Manager goroutine only.
+// gateBook records, per remote worker, the gates raised on it and the
+// requests routed to it that no gate has covered yet, so that a gate
+// covering none of them is elided (docs/engine.md, "Gating only what is
+// pending"). Manager goroutine only.
 type gateBook struct {
 	procs          []gatedProc
 	raised, elided *metrics.Counter // engine.gates.*; nil when metrics are off
@@ -153,8 +153,8 @@ func (m *Machine) newMgrLoop(p pacing, be mgrBackend) *mgrLoop {
 }
 
 // runManager is the simulation manager as a goroutine of its own (the
-// sharded and remote backends, whose gates block): round after round until
-// the run ends. The unsharded driver's groups run the same rounds between
+// remote backend, whose gate blocks on the wire): round after round until
+// the run ends. The in-process drivers' groups run the same rounds between
 // their members' turns instead (runGroup).
 func (m *Machine) runManager(p pacing, be mgrBackend) {
 	l := m.newMgrLoop(p, be)
@@ -270,8 +270,8 @@ func (l *mgrLoop) round() bool {
 	// State first, flags second: the waker's half of the groups' park
 	// protocol (coreGroup.waiting). A group with a reply waiting from this
 	// round's visibility step is woken for its frozen members too; the
-	// producers outside the round (shard workers, remote receivers) wake
-	// theirs on each push.
+	// producers outside the round (remote receivers) wake theirs on each
+	// push.
 	for k := 0; k < m.nGroups; k++ {
 		gr := &m.groups[k]
 		why := wake
@@ -333,9 +333,9 @@ func (l *mgrLoop) idle(mayPark bool) {
 
 // makeVisible is the round's visibility step, the one place the scheme's
 // visibility rule is applied: everything queued below the scheme's bound
-// for global time g is processed, oldest first — by the backend's gated
-// processors and by the manager's own queue. It reports whether the manager
-// goroutine processed anything.
+// for global time g is processed, oldest first — by the backend's gate
+// (its shards) and from the manager's own queue. It reports whether the
+// manager role processed anything.
 func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) bool) (processed bool) {
 	mw := m.mgrTW
 	before := m.evProcessed

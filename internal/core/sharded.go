@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/event"
@@ -16,159 +14,135 @@ import (
 // functionality of the manager thread also into several threads."
 //
 // With Config.ManagerShards = S > 1, memory-hierarchy requests are routed
-// by NUCA bank to S shard worker goroutines, each owning a disjoint set of
-// L2 banks (bank mod S), their directory state, their crossbar ports, and
-// their memory channels (the cache config's DRAMChannels is pinned to S so
-// channel ownership is exact). The main manager thread keeps the kernel
-// (system calls), the global time, and the window pacing.
+// by NUCA bank to S shards, each owning a disjoint set of L2 banks (bank
+// mod S), their directory state, their crossbar ports, and their memory
+// channels (the cache config's DRAMChannels is pinned to S so channel
+// ownership is exact). The shards have no goroutines of their own: the
+// manager round hosts them, on whichever group holds the manager role
+// (parti-gem5's partitioning — the threads that run the cores also run the
+// memory side). The drain routes each memory request onto its shard's heap
+// and each system call onto the GQ; the visibility step processes every
+// shard's heap below the scheme's bound, shard after shard, before the GQ.
 //
 // Determinism for conservative schemes is preserved because the state the
-// shards mutate is disjoint per line, each shard processes its events in
-// (timestamp, core, seq) order, and the pacing thread raises the windows
-// only after every shard holding a request below the newly allowed time
-// has been gated there and its watermark has passed the gate — so every
-// reply is in flight before any core is allowed to reach its timestamp. A
-// sharded run is bit-identical to the serial reference built from the same
-// cache configuration.
+// shards mutate is disjoint per line, and each shard processes its requests
+// in (timestamp, core, seq) order — the serial engine's order restricted to
+// that shard — inside the round's visibility step, so every reply is in its
+// group's InQ before the round publishes the global time. A sharded run is
+// bit-identical to the serial reference built from the same cache
+// configuration (docs/engine.md, "Sharded managers").
 
-// shardState is the per-machine sharding plumbing (nil when unsharded).
-// Shard s replies on each group's ring in[1+s] (makeFabric).
-type shardState struct {
-	n    int
-	l2   []*cache.L2System
-	in   []*event.Ring // main -> shard s
-	gate []padded      // per-shard allowed-time target
-	mark []padded      // per-shard processed-through watermark
-	book *gateBook     // what each shard holds below no gate (manager only)
+// hostedShard is one memory shard whose requests the manager round
+// processes itself: an in-process shard of a sharded run, or a remote
+// shard adopted into the parent after its worker was abandoned
+// (adoptWorker). Manager role only.
+type hostedShard struct {
+	idx int
+	l2  *cache.L2System
+	gq  event.Heap
+	// skip suppresses an adopted shard's first replies, the ones its
+	// replay regenerates and the dead worker had already delivered.
+	skip int64
+	// reply delivers one of the shard's replies: into the group's InQ for
+	// an in-process shard, onto the shard's remote reply ring (minus skip)
+	// for an adopted one, so the receiver's per-shard count still lines up.
+	reply func(core int, ev event.Event)
+	tw    *trace.Writer // the "shard <idx>" trace row (in-process only)
+	fi    *injected     // faults aimed at ShardWorker(idx) (in-process only)
 }
 
-func newShardState(cfg Config) (*shardState, error) {
-	s := &shardState{n: cfg.ManagerShards}
-	for i := 0; i < s.n; i++ {
-		l2, err := cache.NewL2System(cfg.Cache)
+// hostShards builds the S in-process shards of a sharded machine.
+func (m *Machine) hostShards(n int) error {
+	for s := 0; s < n; s++ {
+		l2, err := cache.NewL2System(m.cfg.Cache)
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return fmt.Errorf("core: %w", err)
 		}
-		s.l2 = append(s.l2, l2)
-		in := event.NewRing(cfg.RingCap * cfg.NumCores)
-		in.SetName(fmt.Sprintf("shardq.s%d", i))
-		s.in = append(s.in, in)
+		m.shards = append(m.shards, &hostedShard{idx: s, l2: l2, reply: m.pushReply})
 	}
-	s.gate = make([]padded, s.n)
-	s.mark = make([]padded, s.n)
-	return s, nil
+	return nil
 }
 
 // shardOf returns the shard owning addr's bank.
 func (m *Machine) shardOf(addr uint64) int {
-	return m.shards.l2[0].BankOf(addr) % m.shards.n
+	return m.shards[0].l2.BankOf(addr) % len(m.shards)
 }
 
-// startShards spawns the shard worker goroutines and returns the sharded
-// manager backend: memory events are routed to the owning shard's ring
-// (system calls stay on the manager's own queue), and the gate raises the
-// allowed time of every shard with a request below it and waits for their
-// watermarks, so each round's replies are in the groups' rings before the
-// windows move.
-func (m *Machine) startShards(wg *sync.WaitGroup) mgrBackend {
-	m.shards.book = m.newGateBook(m.shards.n)
-	for sidx := 0; sidx < m.shards.n; sidx++ {
-		wg.Add(1)
-		go func(sidx int) {
-			defer wg.Done()
-			defer m.containPanic(faultinject.ShardWorker(sidx), "shard-worker")
-			m.shardWorker(sidx)
-		}(sidx)
+// shardBackend returns the sharded manager backend: the drain routes
+// memory requests onto their shard's heap (system calls onto the GQ) and
+// samples the heaps' depths; the gate processes every shard's heap below
+// allowed, inline, so its replies are in the groups' InQs when it returns.
+func (m *Machine) shardBackend() mgrBackend {
+	for s, h := range m.shards {
+		if m.fiShard != nil {
+			h.fi = newInjected(m.fiShard[s])
+		}
 	}
 	route := m.routeToShard
 	return mgrBackend{
-		drain:         func(int64) bool { return m.drainOutQs(route) },
-		gate:          m.raiseShardGates,
+		drain: func(int64) bool {
+			moved := m.drainOutQs(route)
+			if m.met != nil {
+				for _, h := range m.shards {
+					m.met.shardDepth.Observe(int64(h.gq.Len()))
+				}
+			}
+			return moved
+		},
+		gate:          func(allowed int64) bool { return m.processHosted(m.shards, allowed) },
 		deadlockSound: true,
 	}
 }
 
 // routeToShard sends one core request to its processor: memory traffic to
-// the owning shard (and its gate book), system calls to the manager's own
-// queue.
+// the owning shard's heap, system calls to the manager's own queue.
 func (m *Machine) routeToShard(ev event.Event) {
 	if ev.Kind == event.KSyscall {
 		m.gq.Push(ev)
 		return
 	}
-	s := m.shardOf(ev.Addr)
-	m.shards.book.note(s, ev.Time)
-	m.shards.in[s].MustPush(ev)
+	m.shards[m.shardOf(ev.Addr)].gq.Push(ev)
 }
 
-// raiseShardGates lets every shard holding a request below allowed process
-// through it, and blocks until each shard's watermark has passed the last
-// gate raised on it.
-func (m *Machine) raiseShardGates(allowed int64) bool {
-	sh := m.shards
-	for i := range sh.gate {
-		if sh.book.raise(i, allowed) {
-			sh.gate[i].v.Store(allowed)
+// processHosted processes every hosted shard's requests stamped below
+// bound, shard after shard, and reports whether it processed any. Runs in
+// the round's visibility step; nil entries (remote shards still on their
+// workers) are skipped.
+func (m *Machine) processHosted(hs []*hostedShard, bound int64) bool {
+	processed := false
+	for _, h := range hs {
+		if h != nil && m.processShard(h, bound) {
+			processed = true
 		}
 	}
-	for i := range sh.mark {
-		for sh.mark[i].v.Load() < sh.book.procs[i].gate && !m.done.Load() {
-			runtime.Gosched()
-		}
-	}
-	return false
+	return processed
 }
 
-// shardWorker owns one bank shard: it consumes routed requests in
-// timestamp order up to the published gate and emits replies on its own
-// ring into each group.
-func (m *Machine) shardWorker(sidx int) {
-	sh := m.shards
-	l2 := sh.l2[sidx]
-	var gq event.Heap
-	var drainBuf []event.Event
-	push := func(core int, ev event.Event) { m.pushShardReply(sidx, core, ev) }
-	var sw *trace.Writer
-	if m.shardTW != nil {
-		sw = m.shardTW[sidx]
+// processShard is one shard's part of the visibility step. A panic in it,
+// an injected one included, is contained as shard idx's and ends the run.
+func (m *Machine) processShard(h *hostedShard, bound int64) bool {
+	if top := h.gq.Peek(); h.fi == nil && (top == nil || top.Time >= bound) {
+		return false // most rounds: nothing due, and no deferred recover to pay for
 	}
-	measure := m.met != nil
-	var fi *injected
-	if m.fiShard != nil {
-		fi = newInjected(m.fiShard[sidx])
+	defer m.containPanic(faultinject.ShardWorker(h.idx), "shard-worker")
+	if h.fi != nil {
+		applyPanicFaults(h.fi, bound, fmt.Sprintf("shard-worker %d", h.idx))
 	}
-	for !m.done.Load() {
-		allowed := sh.gate[sidx].v.Load()
-		if fi != nil {
-			applyPanicFaults(fi, allowed, fmt.Sprintf("shard-worker %d", sidx))
-		}
-		drainBuf = sh.in[sidx].PopBatch(drainBuf[:0])
-		for j := range drainBuf {
-			gq.Push(drainBuf[j])
-		}
-		moved := len(drainBuf) > 0
-		ps := sw.Begin()
-		n := processShardBelow(&gq, l2, allowed, push)
-		did := n > 0
-		if did {
-			m.evShard.Add(n)
-			sw.Span(trace.KProcess, ps, n)
-			if measure {
-				m.met.events.Add(n)
-			}
-		}
-		if sh.mark[sidx].v.Load() < allowed {
-			sh.mark[sidx].v.Store(allowed)
-			did = true
-		}
-		if !moved && !did {
-			runtime.Gosched()
-		}
+	ps := h.tw.Begin()
+	n := processShardBelow(&h.gq, h.l2, bound, h.reply)
+	if n == 0 {
+		return false
 	}
+	m.evShard += n
+	h.tw.Span(trace.KProcess, ps, n)
+	if m.met != nil {
+		m.met.events.Add(n)
+	}
+	return true
 }
 
-// aggregateL2Stats sums the hierarchy counters across shards — local
-// goroutines or remote workers (whose final counters arrive in their
+// aggregateL2Stats sums the hierarchy counters across shards — hosted
+// in-process or remote workers (whose final counters arrive in their
 // FStats frames) — or returns the single manager's stats.
 func (m *Machine) aggregateL2Stats() cache.L2Stats {
 	if m.serialMode {
@@ -187,8 +161,8 @@ func (m *Machine) aggregateL2Stats() cache.L2Stats {
 		return m.l2.Stats
 	}
 	var total cache.L2Stats
-	for _, l2 := range m.shards.l2 {
-		addL2Stats(&total, l2.Stats)
+	for _, h := range m.shards {
+		addL2Stats(&total, h.l2.Stats)
 	}
 	return total
 }

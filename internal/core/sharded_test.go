@@ -28,7 +28,7 @@ func shardedMachine(t *testing.T, prog *asm.Program, w *workloads.Workload, core
 // TestShardedConservativeExact: with S manager shards the conservative
 // schemes must still be bit-identical to the serial reference built from
 // the same (S-channel) cache configuration — the §2.2 split may not change
-// any simulated outcome.
+// any simulated outcome, on K groups (RunParallel) or on one (RunFused).
 func TestShardedConservativeExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload sweep")
@@ -48,19 +48,24 @@ func TestShardedConservativeExact(t *testing.T) {
 			t.Fatal("serial reference aborted")
 		}
 		for _, s := range []Scheme{SchemeCC, SchemeQ10, SchemeS9x} {
-			m := shardedMachine(t, prog, w, 4, shards)
-			res, err := m.RunParallel(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Verify(m.Image(), res.Output, 1); err != nil {
-				t.Fatalf("shards=%d %v: %v", shards, s, err)
-			}
-			if res.EndTime != ref.EndTime {
-				t.Errorf("shards=%d %v: end %d != serial %d", shards, s, res.EndTime, ref.EndTime)
-			}
-			if res.TimeWarps != 0 || res.CoherenceWarps != 0 {
-				t.Errorf("shards=%d %v: warps %d/%d", shards, s, res.TimeWarps, res.CoherenceWarps)
+			for _, d := range []struct {
+				name string
+				run  func(*Machine, Scheme) (*Result, error)
+			}{{"parallel", (*Machine).RunParallel}, {"fused", (*Machine).RunFused}} {
+				m := shardedMachine(t, prog, w, 4, shards)
+				res, err := d.run(m, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Verify(m.Image(), res.Output, 1); err != nil {
+					t.Fatalf("shards=%d %v %s: %v", shards, s, d.name, err)
+				}
+				if res.EndTime != ref.EndTime {
+					t.Errorf("shards=%d %v %s: end %d != serial %d", shards, s, d.name, res.EndTime, ref.EndTime)
+				}
+				if res.TimeWarps != 0 || res.CoherenceWarps != 0 {
+					t.Errorf("shards=%d %v %s: warps %d/%d", shards, s, d.name, res.TimeWarps, res.CoherenceWarps)
+				}
 			}
 		}
 	}

@@ -29,15 +29,23 @@ lk: .dword 0
 // GOMAXPROCS the suite runs at.
 func TestWatchdogAbortsDeadlock(t *testing.T) {
 	for _, d := range []struct {
-		name string
-		run  func(*Machine, Scheme) (*Result, error)
-	}{{"parallel", (*Machine).RunParallel}, {"fused", (*Machine).RunFused}} {
-		t.Run(d.name, func(t *testing.T) { checkDeadlockAbort(t, d.run) })
+		name   string
+		run    func(*Machine, Scheme) (*Result, error)
+		shards int
+	}{
+		{"parallel", (*Machine).RunParallel, 0},
+		{"fused", (*Machine).RunFused, 0},
+		// The manager owns the shards' heaps, so its verdict must see
+		// them empty too.
+		{"sharded", (*Machine).RunParallel, 2},
+	} {
+		t.Run(d.name, func(t *testing.T) { checkDeadlockAbort(t, d.run, d.shards) })
 	}
 }
 
-func checkDeadlockAbort(t *testing.T, run func(*Machine, Scheme) (*Result, error)) {
+func checkDeadlockAbort(t *testing.T, run func(*Machine, Scheme) (*Result, error), shards int) {
 	cfg := smallConfig(2)
+	cfg.ManagerShards = shards
 	cfg.StallTimeout = 2 * time.Second
 	m := mustMachine(t, deadlockProg, cfg)
 	start := time.Now()

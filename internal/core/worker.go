@@ -20,12 +20,12 @@ import (
 // the loop a slackworker process (or a slacksim -remote-spawn session)
 // runs per connection. It is deliberately in package core, not
 // internal/remote — the whole point is that a worker's timing path is
-// the in-process shard worker's, applied through the same applyMemEvent
+// an in-process hosted shard's, applied through the same applyMemEvent
 // used by every other driver, so the two backends cannot drift apart.
 
 // remoteShard is one shard's state inside a worker: its own timing-only
-// L2/directory instance and its pending-event heap, mirroring the
-// in-process shardWorker's per-goroutine state.
+// L2/directory instance and its pending-event heap, mirroring an
+// in-process hosted shard (sharded.go).
 type remoteShard struct {
 	idx     int
 	l2      *cache.L2System
@@ -482,7 +482,7 @@ func (w *remoteWorkerLoop) shardByIndex(idx int) *remoteShard {
 // processAndReply pops every queued event below the gate through the
 // shared timing path and ships the accumulated replies, one batch per
 // shard — in (timestamp, core, seq) order within each shard, exactly the
-// order the in-process shard worker pushes its rings in.
+// order an in-process hosted shard replies in.
 func (w *remoteWorkerLoop) processAndReply() error {
 	ps := w.procTW.Begin()
 	before := w.events

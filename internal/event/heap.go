@@ -1,7 +1,7 @@
 package event
 
 // Heap is a binary min-heap of events ordered by (Time, Core, Seq) — the
-// manager's GQ and each shard worker's local queue. It lives in the event
+// manager's GQ and each memory shard's queue. It lives in the event
 // package (rather than core) so the remote-shard worker loop, which runs
 // in a separate process with no Machine, orders its event stream with
 // exactly the same comparator as the in-process drivers.

@@ -190,7 +190,7 @@ func (r *Ring) Pop() (Event, bool) {
 // them in order to dst, and returns the extended slice. It publishes the new
 // head once for the whole batch instead of once per event, so a consumer
 // draining N events issues 2 atomic operations instead of 2N — the manager
-// and shard workers drain their OutQs through this with a reusable buffer.
+// drains the groups' OutQs through this with a reusable buffer.
 func (r *Ring) PopBatch(dst []Event) []Event {
 	h := r.head.Load()
 	t := r.tail.Load() // acquire: slots written before this tail are visible

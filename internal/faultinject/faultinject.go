@@ -4,9 +4,10 @@
 // forensics, and the invariant auditor) without patching the engine or
 // relying on randomness.
 //
-// Faults are seed-free: each fault names a target goroutine and a trigger
-// clock — the target core's local simulated time, or the global time for
-// the manager and shard workers — so the same plan fires at the same
+// Faults are seed-free: each fault names a target (a core, the manager or
+// a memory shard) and a trigger clock — the target core's local simulated
+// time, the global time for the manager, the visibility bound a shard is
+// processed to — so the same plan fires at the same
 // simulated instant on every run. The engine consults an installed plan
 // through a single nil check per scheduler iteration; with no plan
 // installed the hot paths are untouched.

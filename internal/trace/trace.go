@@ -1,10 +1,10 @@
 // Package trace is the engine's low-overhead execution tracer. Each
-// simulation goroutine (core thread, manager, shard worker) owns one
-// fixed-size ring buffer of fixed-size records and appends to it without
-// taking any lock — the single-producer discipline mirrors the engine's
-// OutQ/InQ rings, so tracing perturbs the parallel timing it is trying to
-// observe as little as possible. When a ring fills it wraps, keeping the
-// most recent records and counting the overwritten ones.
+// simulated component (core, manager, memory shard) owns one fixed-size
+// ring buffer of fixed-size records, appended to by one goroutine at a
+// time without taking any lock — the single-producer discipline mirrors
+// the engine's OutQ/InQ rings, so tracing perturbs the parallel timing it
+// is trying to observe as little as possible. When a ring fills it wraps,
+// keeping the most recent records and counting the overwritten ones.
 //
 // The collected records can be exported as Chrome trace-event JSON
 // (chrome://tracing, Perfetto's legacy loader) or rendered as an ASCII
@@ -46,7 +46,7 @@ const (
 	// KFreeze is the span a stalled core spends with a frozen clock
 	// waiting for a reply event under an optimistic scheme.
 	KFreeze
-	// KProcess is the span of one manager (or shard worker) processing
+	// KProcess is the span of one manager (or memory shard) processing
 	// pass (arg = events processed).
 	KProcess
 	// KBarrier marks a quantum-barrier visibility point (instant,
