@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slacksim/internal/asm"
+	"slacksim/internal/event"
 	"slacksim/internal/workloads"
 )
 
@@ -98,5 +99,31 @@ func TestAdaptStateController(t *testing.T) {
 	a.adapt(4 * adaptEpoch)
 	if a.window != 1 {
 		t.Fatalf("window floor broken: %d", a.window)
+	}
+}
+
+// TestAdaptiveCountsShardEvents: the Adaptive controller's traffic rate is
+// every event the round's visibility step processes, so on a sharded
+// machine the memory requests its shards process count, not only the
+// manager queue's system calls.
+func TestAdaptiveCountsShardEvents(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.ManagerShards = 2
+	m := mustMachine(t, sumProg, cfg)
+	l := m.newMgrLoop(m.beginRun(SchemeA1000, 1), m.shardBackend())
+	const n = 16
+	for i := 0; i < n; i++ {
+		// Consecutive lines interleave over the banks, so both shards
+		// get requests.
+		m.groups[0].outQ.MustPush(event.Event{Kind: event.KReadShared, Time: int64(i), Addr: uint64(i) * 64})
+	}
+	l.round()
+	for s, h := range m.shards {
+		if h.l2.Stats.Accesses == 0 {
+			t.Fatalf("shard %d processed no request; the test is vacuous", s)
+		}
+	}
+	if got := l.p.ad.events; got != n {
+		t.Errorf("adaptive controller counted %d events, want the %d the shards processed", got, n)
 	}
 }

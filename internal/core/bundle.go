@@ -42,7 +42,7 @@ func (m *Machine) driverName() string {
 		return "serial" // whatever shard geometry the machine was built with
 	case m.remote != nil:
 		return "remote"
-	case m.shards != nil:
+	case m.cfg.ManagerShards > 1:
 		return "sharded"
 	default:
 		return "parallel"

@@ -112,8 +112,8 @@ func (e *StallError) Error() string {
 // StallReport is a forensic snapshot of the engine's pacing state: the
 // global time, every core's clock, window edge and park/freeze/blocked
 // flags, queue depths, last delivered event, and the kernel's thread,
-// lock, barrier and semaphore state. Captured by the watchdog (from the
-// manager goroutine, which owns the kernel and GQ) and by the Run*
+// lock, barrier and semaphore state. Captured by the watchdog (in the
+// manager role, which owns the kernel and GQ) and by the Run*
 // drivers after all goroutines have joined.
 type StallReport struct {
 	Scheme     Scheme            `json:"scheme"`
@@ -415,10 +415,9 @@ func (m *Machine) EnableFaults(p *faultinject.Plan) error {
 	if p == nil {
 		return nil
 	}
-	nShards := len(m.shards)
-	if m.remote != nil && m.remote.n > nShards {
-		nShards = m.remote.n
-	}
+	// Shard targets are the shards the configuration asks for; the one
+	// hosted shard of an unsharded machine (ManagerShards 0) is not one.
+	nShards := max(m.cfg.ManagerShards, m.cfg.RemoteShards)
 	if err := p.Validate(m.cfg.NumCores, nShards); err != nil {
 		return err
 	}

@@ -19,11 +19,11 @@ import (
 // target cores are split into K = min(GOMAXPROCS, NumCores) contiguous
 // groups; one host goroutine per group gives its members their turns
 // round-robin (coreTurn), and waits — as a group, never per core — only
-// when no member can move. On the in-process backends, unsharded and
-// sharded, the groups run the manager's rounds themselves, between their
-// members' turns (the first group on the RunParallel caller), so a run is
-// exactly K goroutines; at K = 1 that is RunFused. See docs/engine.md,
-// "Grouped execution".
+// when no member can move. The groups run the manager's rounds themselves,
+// between their members' turns (the first group on the caller's
+// goroutine), so an in-process run is exactly K goroutines and a remote one
+// adds only its wire goroutines; at K = 1 in process that is RunFused. See
+// docs/engine.md, "Grouped execution".
 
 // optimisticBatch caps the batched inner loop for schemes with no safe
 // conservative horizon (the window may be unbounded). The batch also breaks
@@ -232,10 +232,10 @@ func (m *Machine) arrivedFor(g *coreGroup, mb *member) bool {
 	return mb.arrived
 }
 
-// spawnGroups starts one contained goroutine per group from first on (the
-// in-process drivers keep group 0 for their own goroutine).
-func (m *Machine) spawnGroups(wg *sync.WaitGroup, first int, mgr *mgrLoop) {
-	for k := first; k < m.nGroups; k++ {
+// spawnGroups starts one contained goroutine for each group but the first,
+// which the driver runs on its own goroutine.
+func (m *Machine) spawnGroups(wg *sync.WaitGroup, mgr *mgrLoop) {
+	for k := 1; k < m.nGroups; k++ {
 		wg.Add(1)
 		go func(g *coreGroup) {
 			defer wg.Done()
@@ -375,15 +375,16 @@ func (m *Machine) coreTurn(grp *coreGroup, mb *member, pace corePacing, g, edge 
 }
 
 // runGroup is a group's goroutine: round-robin turns for its members until
-// the run ends. With mgr non-nil (every in-process backend) the groups are
-// the simulation manager as well: whichever group finds the role free (mgrMu)
-// runs the next round — after every pass over its members under a
-// conservative scheme, so the round is run by the group that finished its
-// window first and would otherwise only wait; after every turn under an
-// optimistic one, so a request is answered before a sibling runs further
-// ahead of it. A lone group (K = 1 in process) is always the manager: it
-// never parks, since no other goroutine would wake it, and never yields
-// every 8 passes, since it has no peer to yield to.
+// the run ends. The groups are the simulation manager as well: whichever
+// group finds the role free (mgrMu) runs the next round — after every pass
+// over its members under a conservative scheme, so the round is run by the
+// group that finished its window first and would otherwise only wait; after
+// every turn under an optimistic one, so a request is answered before a
+// sibling runs further ahead of it. A lone group (K = 1 in process) is
+// always the manager: it never parks, since no other goroutine would wake
+// it, and never yields every 8 passes, since it has no peer to yield to. On
+// the remote backend the wire goroutines are such peers, so a single group
+// there parks and yields like one of many.
 //
 // A panic is contained as a SimError naming whichever of the group's
 // members — or the manager — was running (a hosted shard names itself:
@@ -400,8 +401,8 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 		}
 	}()
 	pace := corePacing{conservative: m.scheme.Conservative(), critical: m.cfg.Cache.CriticalLatency(), shared: len(g.members) > 1}
-	roundPerTurn := mgr != nil && !pace.conservative
-	lone := mgr != nil && m.nGroups == 1
+	roundPerTurn := !pace.conservative
+	lone := m.nGroups == 1 && m.remote == nil
 	var idleSince time.Time
 	var turnH, yieldH, parkH *metrics.Histogram // nil (and inert) unless metrics are on
 	if m.met != nil {
@@ -418,11 +419,10 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	}
 	// manage runs one manager round unless another group is running one.
 	// After a round that changed nothing the group keeps the role while it
-	// waits on the activity epoch (parking only if mayPark), exactly as a
-	// manager goroutine would: its own members can only be released by a
-	// round, and it is the one placed to run it.
+	// waits on the activity epoch (parking only if mayPark): its own members
+	// can only be released by a round, and it is the one placed to run it.
 	manage := func(mayPark bool) (ran bool) {
-		if mgr == nil || !m.mgrMu.TryLock() {
+		if !m.mgrMu.TryLock() {
 			return false
 		}
 		cur = faultinject.Manager
@@ -438,9 +438,8 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	idle := false
 	for passes := 1; !m.done.Load(); passes++ {
 		// Yield now and then so an oversubscribed host (the remote
-		// backend's manager and wire goroutines, other processes) cannot
-		// be starved by groups that never wait — the optimistic schemes'
-		// normal state.
+		// backend's wire goroutines, other processes) cannot be starved by
+		// groups that never wait — the optimistic schemes' normal state.
 		if !lone && passes&7 == 0 {
 			runtime.Gosched()
 		}
@@ -480,8 +479,8 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 		}
 		// Nothing to run and somebody else is the manager. Yield first,
 		// always: the host thread may be wanted by the group holding that
-		// role or, on the remote backend, by the manager or a wire
-		// goroutine. Park once the wait has outlasted what a park costs.
+		// role or, on the remote backend, by a wire goroutine. Park once the
+		// wait has outlasted what a park costs.
 		runtime.Gosched()
 		if time.Since(idleSince) >= groupParkBudget {
 			endSpell(yieldH)

@@ -181,14 +181,13 @@ func TestGroupedGoroutineCount(t *testing.T) {
 		t.Run(driver, func(t *testing.T) {
 			cfg, run := driverConfig(driver, 8)
 			m := mustMachine(t, oneThreadProg, cfg)
-			// The caller is one of the run's goroutines: a group (and the
-			// manager between its turns, memory shards included) in
-			// process, the manager alone next to K groups on the remote
-			// backend.
+			// The caller is one of the run's K groups, which run the
+			// manager's rounds between their turns, memory shards included;
+			// the remote backend adds only its wire goroutines.
 			want := map[string]int{
 				"parallel": k - 1,
 				"sharded":  k - 1,
-				"remote":   k + 3, // one worker: sender, receiver, supervisor
+				"remote":   k + 2, // one worker: sender, receiver, supervisor
 			}[driver]
 			base, samples, off := 0, 0, 0
 			m.SetTrace(func(int64, []int64) {
@@ -286,7 +285,9 @@ func TestGroupWaitNeverStarvesBackend(t *testing.T) {
 // TestGroupWaitLostWakeup forces every idle pass of every group to park at
 // once (park budget zero), so each window slide, global-time advance and
 // reply push races a group going to sleep. A lost wake-up ends a run as a
-// watchdog StallError instead of a result.
+// watchdog StallError instead of a result. The K = 1 rows cover the lone
+// group that hosts the sharded round and, on the remote backend, blocks on
+// the wire in it and parks in the manager role until a reply lands.
 func TestGroupWaitLostWakeup(t *testing.T) {
 	old := groupParkBudget
 	groupParkBudget = 0
@@ -309,15 +310,18 @@ func TestGroupWaitLostWakeup(t *testing.T) {
 				t.Fatalf("%v: infinite loop did not abort", s)
 			}
 		}
-		for _, driver := range []string{"parallel", "sharded", "remote"} {
+		for _, row := range []struct {
+			driver string
+			k      int
+		}{{"parallel", 2}, {"sharded", 2}, {"remote", 2}, {"sharded", 1}, {"remote", 1}} {
 			for _, s := range []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU} {
-				cfg, run := driverConfig(driver, 4)
+				cfg, run := driverConfig(row.driver, 4)
 				cfg.StallTimeout = 5 * time.Second
 				m := mustMachine(t, threadsProg, cfg)
 				var res *Result
-				withGOMAXPROCS(2, func() { res = runDriver(t, m, run, s) })
+				withGOMAXPROCS(row.k, func() { res = runDriver(t, m, run, s) })
 				if res.Output != expectTotal(4) {
-					t.Fatalf("%s %v: output %q", driver, s, res.Output)
+					t.Fatalf("%s K=%d %v: output %q", row.driver, row.k, s, res.Output)
 				}
 			}
 		}

@@ -52,7 +52,7 @@ const (
 )
 
 // stragglerState is the manager-owned straggler attribution state. The
-// held/winHeld/ewma slices are touched only by the manager goroutine (and
+// held/winHeld/ewma slices are touched only in the manager role (and
 // read after the run joins); heldPub/ewmaPPM are padded atomic mirrors the
 // live /slack view reads concurrently.
 type stragglerState struct {

@@ -50,12 +50,13 @@ type Config struct {
 	// keeps conservative schemes exact.
 	SyscallLat int64
 	// ManagerShards splits the memory-hierarchy side of the simulation
-	// manager across this many worker goroutines, each owning a disjoint
-	// set of NUCA banks and memory channels (the paper's §2.2 scaling
-	// hook). 0 or 1 keeps the single manager thread. Requires the L2 bank
-	// count to be divisible by the shard count; the cache configuration's
-	// DRAMChannels is pinned to the shard count so channel ownership is
-	// exact.
+	// manager into this many shards, each owning a disjoint set of NUCA
+	// banks and memory channels (the paper's §2.2 scaling hook). The shards
+	// have no threads of their own: the core groups process them inside the
+	// manager round. 0 or 1 is one shard holding the whole hierarchy.
+	// Requires the L2 bank count to be divisible by the shard count; the
+	// cache configuration's DRAMChannels is pinned to the shard count so
+	// channel ownership is exact.
 	ManagerShards int
 	// RemoteShards splits the memory-hierarchy side across this many
 	// shards hosted in separate OS processes (the distributed backend;
@@ -214,16 +215,16 @@ type Machine struct {
 	mgrEpoch  padded
 	mgrParked atomic.Int32
 	mgrWake   chan struct{}
-	// mgrMu is the manager's role on the in-process backends, where the
-	// groups run the rounds themselves: whichever group gets it runs one.
+	// mgrMu is the manager's role: the groups run the rounds themselves,
+	// and whichever group gets it runs one.
 	mgrMu sync.Mutex
 
 	gq evHeap
 	// serialMode marks a RunSerial drive.
 	serialMode bool
 
-	// shards are the §2.2 memory shards the manager round hosts (nil
-	// when unsharded; see sharded.go).
+	// shards are the §2.2 memory shards the manager round hosts: one on an
+	// unsharded machine, none on a remote one (see sharded.go).
 	shards []*hostedShard
 	// remote holds the distributed-backend plumbing (nil unless
 	// Config.RemoteShards > 0; see remote.go).
@@ -263,10 +264,10 @@ type Machine struct {
 	nGroups int
 
 	// drainBuf is the manager-side reusable buffer for Ring.PopBatch
-	// (manager goroutine only).
+	// (manager role only).
 	drainBuf []event.Event
-	// mgrTimer is the reusable park timer for mgrIdleWait (manager
-	// goroutine only); allocating a fresh timer per park shows up as the
+	// mgrTimer is the reusable park timer for mgrIdleWait (manager role
+	// only); allocating a fresh timer per park shows up as the
 	// dominant steady-state allocation of an otherwise quiescent machine.
 	mgrTimer *time.Timer
 
@@ -413,20 +414,17 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		m.pushReply(core, grant)
 		m.resumeFloor[core].Store(grantAt)
 		m.blocked[core].Store(0)
-		// Rejoin the min-tree at the resume floor. Notify runs on the
-		// manager goroutine (inside a processing pass), and the refresh
+		// Rejoin the min-tree at the resume floor. Notify runs in the
+		// manager role (inside a processing pass), and the refresh
 		// leaves the root at most the grant time before the manager's next
 		// globalMin read (mintree.go), which keeps the global time from
 		// racing past the core's resume point.
 		m.refreshLeaf(m.groupOf[core], true)
 	}
-	if cfg.ManagerShards > 1 {
-		if err := m.hostShards(cfg.ManagerShards); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.RemoteShards > 0 {
 		m.remote = newRemoteState(cfg)
+	} else if err := m.hostShards(max(cfg.ManagerShards, 1)); err != nil {
+		return nil, err
 	}
 	// Core 0 runs the initial workload thread.
 	m.cores[0].Start(img.Entry, img.StackTop(0), 0)
@@ -458,8 +456,8 @@ func (m *Machine) DebugState() string {
 	return b.String()
 }
 
-// SetTrace installs a manager-side snapshot hook. Parallel runs invoke it
-// from the manager goroutine on every pacing update.
+// SetTrace installs a manager-side snapshot hook. Paced runs invoke it in
+// the manager role on every pacing update.
 func (m *Machine) SetTrace(fn func(global int64, locals []int64)) { m.trace = fn }
 
 // evHeap is the manager's GQ: a binary min-heap of events ordered by

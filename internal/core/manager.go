@@ -8,15 +8,18 @@ import (
 	"slacksim/internal/sysemu"
 )
 
-// This file is the simulation-manager logic shared by the parallel and
-// serial drivers: draining the groups' OutQs into the GQ, processing GQ
-// entries (directory/L2 accesses and system calls) and emitting replies
-// into the groups' InQs.
-// processBelow consumes events strictly in (timestamp, core, seq) order up
-// to a bound: the global time (or its last quantum barrier) under
-// conservative schemes, no bound at all under optimistic ones — every
-// queued request becomes globally visible immediately, the source of the
-// timing distortions of §3.2.
+// This file is the simulation-manager logic shared by the paced and serial
+// drivers: draining the groups' OutQs, processing requests — directory/L2
+// accesses through applyMemEvent, system calls through the kernel — and
+// emitting replies into the groups' InQs. The serial loop keeps one GQ for
+// both kinds (processBelow, processEvent); a paced run's GQ holds only the
+// system calls, its memory requests waiting on their shards' heaps
+// (sharded.go) until processShardBelow takes them.
+// Every pass consumes events strictly in (timestamp, core, seq) order up to
+// a bound: the global time (or its last quantum barrier) under conservative
+// schemes, no bound at all under optimistic ones — every queued request
+// becomes globally visible immediately, the source of the timing
+// distortions of §3.2.
 
 // drainOutQs moves every request the groups' OutQs hold to sink (the GQ, a
 // shard ring, a wire staging buffer — the backend's choice), one PopBatch
@@ -54,7 +57,7 @@ func (m *Machine) processBelow(bound int64) bool {
 // L2/directory model; system calls go to the emulated kernel. Replies and
 // coherence actions are pushed onto the destination cores' InQs.
 func (m *Machine) processEvent(ev event.Event) {
-	// Manager-goroutine-only counter (observability; see observe.go).
+	// Manager-role-only counter (observability; see observe.go).
 	m.evProcessed++
 	if m.met != nil {
 		m.met.events.Inc()
@@ -90,9 +93,9 @@ func (m *Machine) pushShardReply(s, core int, ev event.Event) {
 // applyMemEvent applies one memory-hierarchy request against the given
 // L2/directory instance, emitting the fill and coherence notifications
 // through push. It needs nothing of the Machine, which is what lets the
-// hosted shards (their own instances; sharded.go) and the remote-shard
-// worker (a separate process with no Machine; see worker.go) run the
-// identical timing path as the unsharded manager.
+// hosted shards (sharded.go), the serial loop and the remote-shard worker
+// (a separate process with no Machine; see worker.go) run the identical
+// timing path.
 func applyMemEvent(l2 *cache.L2System, push func(int, event.Event), ev event.Event) {
 	core := int(ev.Core)
 	// Retire the piggybacked victim first so the directory's presence bits
@@ -193,7 +196,7 @@ func (m *Machine) processSyscall(ev event.Event) {
 		// another thread releases it. Until then the core's frozen clock
 		// must not hold back the global time (the releaser could never
 		// reach its releasing operation otherwise). The refresh of its
-		// group's leaf runs on the manager goroutine, so the next globalMin
+		// group's leaf runs in the manager role, so the next globalMin
 		// read already excludes this core.
 		m.blocked[core].Store(1)
 		m.refreshLeaf(m.groupOf[core], true)

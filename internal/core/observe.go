@@ -100,9 +100,7 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 	m.strag = newStragglerState(m.cfg.NumCores)
 	m.met.outDepth = r.Histogram("event.outq.depth")
 	m.met.inDepth = r.Histogram("event.inq.depth")
-	if m.shards != nil {
-		m.met.shardDepth = r.Histogram("event.shardq.depth")
-	}
+	m.met.shardDepth = r.Histogram("event.shardq.depth")
 	if m.remote != nil {
 		m.met.remoteDepth = r.Histogram("event.remoteq.depth")
 	}

@@ -10,9 +10,9 @@ import (
 // RunParallel executes the simulation on K = min(GOMAXPROCS, NumCores) host
 // goroutines, each driving a contiguous group of target cores (group.go),
 // paced by the given slack scheme. The calling goroutine is the first
-// group, and the groups share the simulation manager's work — the memory
-// shards' included when ManagerShards > 1 (sharded.go). At K = 1 it is
-// RunFused.
+// group, and the groups share the simulation manager's work, the memory
+// shards' included (sharded.go). At K = 1 it is RunFused. Remote shards
+// need the remote driver.
 func (m *Machine) RunParallel(s Scheme) (*Result, error) {
 	return m.runPaced(s, runtime.GOMAXPROCS(0))
 }
@@ -35,29 +35,41 @@ func (m *Machine) RunFused(s Scheme) (*Result, error) {
 	return m.runPaced(s, 1)
 }
 
-// runPaced is RunParallel on at most k groups.
+// runPaced is every paced driver: at most k groups run the manager round
+// over the machine's hosted shards or, once RunRemoteShardedOpts has set
+// its options, over remote workers connected here and shut down after the
+// join.
 func (m *Machine) runPaced(s Scheme, k int) (*Result, error) {
+	if m.remote != nil && m.remote.opts == nil {
+		return nil, fmt.Errorf("core: a machine with RemoteShards=%d runs with RunRemoteSharded", m.remote.n)
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	p := m.beginRun(s, k)
+	backend := m.shardBackend
+	if m.remote != nil {
+		if err := m.remoteConnect(m.remote.opts.Transports); err != nil {
+			return nil, err
+		}
+		backend = m.remoteBackend
+	}
 
 	// Every goroutine of the run (this one included) is contained: a panic
 	// anywhere inside the simulation is recorded as a SimError, the run is
 	// cancelled (done + wakeAll, so every peer unparks and joins), and the
 	// error is returned below — no goroutine leaks, no host-process crash.
+	// The remote backend's wire goroutines are contained the same way.
 	var wg sync.WaitGroup
-	toGQ := m.gq.Push
-	be := mgrBackend{drain: func(int64) bool { return m.drainOutQs(toGQ) }, deadlockSound: true}
-	if m.shards != nil {
-		be = m.shardBackend()
-	}
-	mgr := m.newMgrLoop(p, be)
-	m.spawnGroups(&wg, 1, mgr)
+	mgr := m.newMgrLoop(p, backend())
+	m.spawnGroups(&wg, mgr)
 	m.runGroup(&m.groups[0], mgr)
 	m.wakeAll()
 	wg.Wait()
+	if m.remote != nil {
+		m.remoteShutdown()
+	}
 	return m.finishRun(start)
 }
 
@@ -73,13 +85,12 @@ func (m *Machine) Interrupt() {
 	m.wakeAll()
 }
 
-// bumpMgrEpoch publishes core-side activity to the manager: a clock
+// bumpMgrEpoch publishes core-side activity to the manager role: a clock
 // publication that moved its group's leaf, an OutQ push, or a remote reply
-// batch. The epoch store comes
-// first so a manager checking the epoch before parking either sees the
-// bump (and stays up) or parks with the flag already visible to us — in
-// which case the channel send below wakes it. The Dekker pairing mirrors
-// parkGroup/wake.
+// batch. The epoch store comes first so a group checking the epoch before
+// parking in the role either sees the bump (and stays up) or parks with the
+// flag already visible to us — in which case the channel send below wakes
+// it. The Dekker pairing mirrors parkGroup/wake.
 func (m *Machine) bumpMgrEpoch() {
 	m.mgrEpoch.v.Add(1)
 	if m.mgrParked.Load() != 0 {

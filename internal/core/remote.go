@@ -161,12 +161,12 @@ type remoteState struct {
 	owner   []int // shard index -> worker index
 
 	// stage accumulates the current round's routed events per shard
-	// (manager goroutine only).
+	// (manager role only).
 	stage [][]event.Event
-	book  *gateBook // per worker (manager goroutine only)
+	book  *gateBook // per worker (manager role only)
 
 	// adopted[s] is non-nil once shard s has been migrated into the
-	// parent after its worker was abandoned (manager goroutine only).
+	// parent after its worker was abandoned (manager role only).
 	adopted []*hostedShard
 
 	// closing is set by remoteShutdown: receivers stop re-arming read
@@ -203,7 +203,7 @@ type remoteState struct {
 
 	// wireTW is the parent's wire trace track: one KWireSend instant per
 	// gate frame enqueued, carrying the flow id the worker's matching
-	// KWireRecv echoes. Manager goroutine only (gates are enqueued there).
+	// KWireRecv echoes. Manager role only (gates are enqueued there).
 	wireTW *trace.Writer
 }
 
@@ -286,7 +286,7 @@ type remoteWorker struct {
 	// enqueued counts journal appends (the supervisor's keepalive check).
 	enqueued atomic.Int64
 	// adoptedFlag marks a worker whose shards migrated in-process
-	// (manager goroutine only; supervision is already parked by then).
+	// (manager role only; supervision is already parked by then).
 	adoptedFlag bool
 
 	lastHeard atomic.Int64 // unix nanos of the last received frame
@@ -389,33 +389,11 @@ func (m *Machine) RunRemoteShardedOpts(s Scheme, opts *RemoteOptions) (*Result, 
 	if len(opts.Transports) < 1 || len(opts.Transports) > m.remote.n {
 		return nil, fmt.Errorf("core: %d worker connections for %d shards (need 1..%d)", len(opts.Transports), m.remote.n, m.remote.n)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	p := m.beginRun(s, runtime.GOMAXPROCS(0))
-
+	// runPaced connects the workers, runs the groups — the one holding the
+	// manager role gates the workers and waits for their watermarks inside
+	// the round — and shuts the wire down after the join.
 	m.remote.opts = opts
-	if err := m.remoteConnect(opts.Transports); err != nil {
-		return nil, err
-	}
-
-	// Same containment umbrella as RunParallel: cores, the per-connection
-	// send/recv goroutines, the supervisors, and the manager all convert
-	// panics into a recorded SimError and a clean join.
-	var wg sync.WaitGroup
-	m.spawnGroups(&wg, 0, nil)
-	func() {
-		defer m.containPanic(faultinject.Manager, "manager")
-		m.runManager(p, m.remoteBackend())
-	}()
-	m.wakeAll()
-	wg.Wait()
-	m.remoteShutdown()
-	// Straggler events (pushed after done) are finalized locally against
-	// the parent's own hierarchy instance, exactly as the in-process
-	// sharded driver does.
-	res, err := m.finishRun(start)
+	res, err := m.runPaced(s, runtime.GOMAXPROCS(0))
 	// A run that finished bit-exact but lost a worker for good is still a
 	// post-mortem: the fleet shrank, and whoever operates it wants the
 	// merged trace and incident log. Capture a bundle on the success path
@@ -590,13 +568,16 @@ func (m *Machine) flushStage() {
 
 // remoteGate lets every live worker holding an event below allowed process
 // through it, waits for the watermarks of the gates raised, and processes
-// the adopted shards in-process. The round's batches went out in the drain,
-// before this gate — in-order delivery then gives the worker every event
-// below allowed before it sees the gate, just as an in-process shard's
-// heap holds every request below allowed when the round processes it.
-// Under an optimistic scheme allowed is unbounded from the first round on,
-// so each worker gets exactly one gate and answers on arrival after it.
-func (m *Machine) remoteGate(allowed int64) bool {
+// the adopted shards in-process, returning how many events those took. The
+// round's batches went out in the drain, before this gate — in-order
+// delivery then gives the worker every event below allowed before it sees
+// the gate, just as an in-process shard's heap holds every request below
+// allowed when the round processes it. Under an optimistic scheme allowed
+// is unbounded from the first round on, so each worker gets exactly one
+// gate and answers on arrival after it. The group running the round blocks
+// here, holding the manager role (docs/engine.md, "Blocking on the wire
+// inside the round is safe").
+func (m *Machine) remoteGate(allowed int64) int64 {
 	r := m.remote
 	for _, w := range r.workers {
 		if !w.adoptedFlag && r.book.raise(w.id, allowed) {

@@ -444,7 +444,7 @@ func (m *Machine) resumeWorker(w *remoteWorker, t remote.Transport) bool {
 // the journal's event batches into the local heaps, and let the manager
 // process them through the shared applyMemEvent path from here on. The
 // replies the dead worker already delivered are suppressed by count, so
-// the rings see the sequence exactly once. Manager goroutine only.
+// the rings see the sequence exactly once. Manager role only.
 func (m *Machine) adoptWorker(w *remoteWorker) {
 	r := m.remote
 	w.mu.Lock()
@@ -522,7 +522,7 @@ func (m *Machine) adoptWorker(w *remoteWorker) {
 }
 
 // adoptAbandonedWorkers migrates the shards of every newly abandoned
-// worker (manager goroutine; cheap no-op scan in the common case).
+// worker (manager role; cheap no-op scan in the common case).
 func (m *Machine) adoptAbandonedWorkers() {
 	for _, w := range m.remote.workers {
 		if !w.adoptedFlag && w.sup.State() == remote.SupAbandoned {

@@ -10,27 +10,29 @@ import (
 	"slacksim/internal/trace"
 )
 
-// This file is the simulation manager's round (§2.1), written once. The
-// three paced backends — unsharded, sharded, remote — run the same loop
-// (mgrLoop.round) over a mgrBackend that supplies only where requests go and
-// how their processors are gated. See docs/engine.md, "The manager
-// round", for why each step sits where it does.
+// This file is the simulation manager's round (§2.1), written once. Every
+// paced run is K core groups taking turns at it (runGroup) over S >= 1
+// memory shards, through a mgrBackend that supplies only where requests go
+// and how their processors are gated: hosted in process (sharded.go) or on
+// remote workers (remote.go). See docs/engine.md, "The manager round", for
+// why each step sits where it does.
 
-// mgrBackend is what genuinely differs between the managers. Both funcs run
-// once per round in the manager role — never per event.
+// mgrBackend is what genuinely differs between the two backends. Both funcs
+// run once per round in the manager role — never per event.
 type mgrBackend struct {
 	// drain moves the requests the cores pushed since the last round from
 	// their groups' OutQs toward whatever processes them, and reports
 	// whether any moved. g is the round's global-time candidate.
 	drain func(g int64) bool
-	// gate, when non-nil, has everything routed to the backend's memory
-	// shards below allowed processed, and returns only once their replies
-	// are in the groups' rings: hosted shards are processed inline, remote
-	// workers are gated and waited for (only those whose gateBook holds a
-	// request below allowed). It reports whether it processed events in
-	// the manager role itself, pushing replies the round then wakes their
-	// groups for.
-	gate func(allowed int64) bool
+	// gate has everything routed to the backend's memory shards below
+	// allowed processed, and returns only once their replies are in the
+	// groups' rings: hosted shards are processed inline, remote workers are
+	// gated and waited for (only those whose gateBook holds a request below
+	// allowed). It returns how many events it processed in the manager role
+	// itself, pushing replies the round then wakes their groups for; a
+	// remote worker's events are not among them (its count arrives only
+	// with its final stats).
+	gate func(allowed int64) int64
 	// deadlockSound says the manager can see every in-flight event, so an
 	// "all queues empty, every live thread blocked" verdict is certain.
 	deadlockSound bool
@@ -39,7 +41,7 @@ type mgrBackend struct {
 // gateBook records, per remote worker, the gates raised on it and the
 // requests routed to it that no gate has covered yet, so that a gate
 // covering none of them is elided (docs/engine.md, "Gating only what is
-// pending"). Manager goroutine only.
+// pending"). Manager role only.
 type gateBook struct {
 	procs          []gatedProc
 	raised, elided *metrics.Counter // engine.gates.*; nil when metrics are off
@@ -150,19 +152,6 @@ type mgrLoop struct {
 
 func (m *Machine) newMgrLoop(p pacing, be mgrBackend) *mgrLoop {
 	return &mgrLoop{m: m, p: p, be: be, watch: newProgressWatch(), fi: newInjected(m.fiMgr)}
-}
-
-// runManager is the simulation manager as a goroutine of its own (the
-// remote backend, whose gate blocks on the wire): round after round until
-// the run ends. The in-process drivers' groups run the same rounds between
-// their members' turns instead (runGroup).
-func (m *Machine) runManager(p pacing, be mgrBackend) {
-	l := m.newMgrLoop(p, be)
-	for !m.done.Load() {
-		if !l.round() {
-			l.idle(true)
-		}
-	}
 }
 
 // roundPhases names the phases of a manager round that one round in 64 is
@@ -335,10 +324,12 @@ func (l *mgrLoop) idle(mayPark bool) {
 // visibility rule is applied: everything queued below the scheme's bound
 // for global time g is processed, oldest first — by the backend's gate
 // (its shards) and from the manager's own queue. It reports whether the
-// manager role processed anything.
-func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) bool) (processed bool) {
+// manager role processed anything. Every event processed here, memory
+// shards' included, feeds the Adaptive controller's traffic rate; a remote
+// worker's cannot, as its count is not known round by round.
+func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) int64) bool {
 	mw := m.mgrTW
-	before := m.evProcessed
+	n := int64(0)
 	if bound, barrier := p.s.visibleBound(g); bound > 0 {
 		if barrier && bound > p.lastBarrier {
 			p.lastBarrier = bound
@@ -348,18 +339,15 @@ func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) bool) (proces
 			}
 		}
 		ps := mw.Begin()
-		if gate != nil {
-			processed = gate(bound)
-		}
-		if m.processBelow(bound) {
-			processed = true
-		}
-		if processed {
-			mw.Span(trace.KProcess, ps, m.evProcessed-before)
+		before := m.evProcessed
+		n = gate(bound)
+		m.processBelow(bound)
+		if n += m.evProcessed - before; n > 0 {
+			mw.Span(trace.KProcess, ps, n)
 		}
 	}
 	if ad := p.ad; ad != nil {
-		ad.events += m.evProcessed - before
+		ad.events += n
 		if ad.adapt(g) {
 			mw.Count(trace.KWindow, ad.window)
 			mw.Instant(trace.KPhase, ad.window)
@@ -368,7 +356,7 @@ func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) bool) (proces
 			}
 		}
 	}
-	return processed
+	return n > 0
 }
 
 // slideWindows raises the window edge to the scheme's target for global

@@ -1,8 +1,10 @@
 // Package core implements the paper's contribution: the SlackSim parallel
-// simulation engine. Each target core is simulated by one host goroutine;
-// one simulation-manager goroutine models the shared L2/directory/
-// interconnect and paces the simulation through three shared variables per
-// core — local time, max local time, and the global time — with the
+// simulation engine. The target cores are simulated by K host goroutines,
+// one per group of cores (one per core when the host has the threads); the
+// simulation manager, a role those goroutines take in turn, models the
+// shared L2/directory/interconnect and paces the simulation through three
+// shared variables per core — local time, max local time, and the global
+// time — with the
 // invariant Global <= Local(i) <= MaxLocal(i) (§2.1). The slack schemes
 // differ only in how the manager updates max local times and in when queued
 // events become globally visible (§3.1).

@@ -17,12 +17,14 @@ import (
 // by NUCA bank to S shards, each owning a disjoint set of L2 banks (bank
 // mod S), their directory state, their crossbar ports, and their memory
 // channels (the cache config's DRAMChannels is pinned to S so channel
-// ownership is exact). The shards have no goroutines of their own: the
-// manager round hosts them, on whichever group holds the manager role
-// (parti-gem5's partitioning — the threads that run the cores also run the
-// memory side). The drain routes each memory request onto its shard's heap
-// and each system call onto the GQ; the visibility step processes every
-// shard's heap below the scheme's bound, shard after shard, before the GQ.
+// ownership is exact). An unsharded machine is S = 1: one shard holding
+// every bank on the machine's own L2 instance. The shards have no
+// goroutines of their own: the manager round hosts them, on whichever
+// group holds the manager role (parti-gem5's partitioning — the threads
+// that run the cores also run the memory side). The drain routes each
+// memory request onto its shard's heap and each system call onto the GQ;
+// the visibility step processes every shard's heap below the scheme's
+// bound, shard after shard, before the GQ.
 //
 // Determinism for conservative schemes is preserved because the state the
 // shards mutate is disjoint per line, and each shard processes its requests
@@ -33,9 +35,9 @@ import (
 // configuration (docs/engine.md, "Sharded managers").
 
 // hostedShard is one memory shard whose requests the manager round
-// processes itself: an in-process shard of a sharded run, or a remote
-// shard adopted into the parent after its worker was abandoned
-// (adoptWorker). Manager role only.
+// processes itself: an in-process shard, or a remote shard adopted into
+// the parent after its worker was abandoned (adoptWorker). Manager role
+// only.
 type hostedShard struct {
 	idx int
 	l2  *cache.L2System
@@ -51,12 +53,17 @@ type hostedShard struct {
 	fi    *injected     // faults aimed at ShardWorker(idx) (in-process only)
 }
 
-// hostShards builds the S in-process shards of a sharded machine.
+// hostShards builds the n in-process shards of a machine. A lone shard is
+// the whole hierarchy and runs on m.l2; n > 1 shards get an instance each,
+// and m.l2 is left to the serial loop.
 func (m *Machine) hostShards(n int) error {
 	for s := 0; s < n; s++ {
-		l2, err := cache.NewL2System(m.cfg.Cache)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
+		l2 := m.l2
+		if n > 1 {
+			var err error
+			if l2, err = cache.NewL2System(m.cfg.Cache); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
 		}
 		m.shards = append(m.shards, &hostedShard{idx: s, l2: l2, reply: m.pushReply})
 	}
@@ -68,7 +75,7 @@ func (m *Machine) shardOf(addr uint64) int {
 	return m.shards[0].l2.BankOf(addr) % len(m.shards)
 }
 
-// shardBackend returns the sharded manager backend: the drain routes
+// shardBackend returns the in-process manager backend: the drain routes
 // memory requests onto their shard's heap (system calls onto the GQ) and
 // samples the heaps' depths; the gate processes every shard's heap below
 // allowed, inline, so its replies are in the groups' InQs when it returns.
@@ -89,7 +96,7 @@ func (m *Machine) shardBackend() mgrBackend {
 			}
 			return moved
 		},
-		gate:          func(allowed int64) bool { return m.processHosted(m.shards, allowed) },
+		gate:          func(allowed int64) int64 { return m.processHosted(m.shards, allowed) },
 		deadlockSound: true,
 	}
 }
@@ -105,45 +112,46 @@ func (m *Machine) routeToShard(ev event.Event) {
 }
 
 // processHosted processes every hosted shard's requests stamped below
-// bound, shard after shard, and reports whether it processed any. Runs in
-// the round's visibility step; nil entries (remote shards still on their
+// bound, shard after shard, and returns how many it processed. Runs in the
+// round's visibility step; nil entries (remote shards still on their
 // workers) are skipped.
-func (m *Machine) processHosted(hs []*hostedShard, bound int64) bool {
-	processed := false
+func (m *Machine) processHosted(hs []*hostedShard, bound int64) int64 {
+	n := int64(0)
 	for _, h := range hs {
-		if h != nil && m.processShard(h, bound) {
-			processed = true
+		if h != nil {
+			n += m.processShard(h, bound)
 		}
 	}
-	return processed
+	return n
 }
 
-// processShard is one shard's part of the visibility step. A panic in it,
-// an injected one included, is contained as shard idx's and ends the run.
-func (m *Machine) processShard(h *hostedShard, bound int64) bool {
+// processShard is one shard's part of the visibility step and returns how
+// many events it processed. A panic in it, an injected one included, is
+// contained as shard idx's and ends the run — on an unsharded machine too,
+// whose memory side is shard 0.
+func (m *Machine) processShard(h *hostedShard, bound int64) (n int64) {
 	if top := h.gq.Peek(); h.fi == nil && (top == nil || top.Time >= bound) {
-		return false // most rounds: nothing due, and no deferred recover to pay for
+		return 0 // most rounds: nothing due, and no deferred recover to pay for
 	}
 	defer m.containPanic(faultinject.ShardWorker(h.idx), "shard-worker")
 	if h.fi != nil {
 		applyPanicFaults(h.fi, bound, fmt.Sprintf("shard-worker %d", h.idx))
 	}
 	ps := h.tw.Begin()
-	n := processShardBelow(&h.gq, h.l2, bound, h.reply)
-	if n == 0 {
-		return false
+	if n = processShardBelow(&h.gq, h.l2, bound, h.reply); n == 0 {
+		return 0
 	}
 	m.evShard += n
 	h.tw.Span(trace.KProcess, ps, n)
 	if m.met != nil {
 		m.met.events.Add(n)
 	}
-	return true
+	return n
 }
 
-// aggregateL2Stats sums the hierarchy counters across shards — hosted
-// in-process or remote workers (whose final counters arrive in their
-// FStats frames) — or returns the single manager's stats.
+// aggregateL2Stats sums the hierarchy counters across shards: hosted
+// in-process, or remote workers (whose final counters arrive in their
+// FStats frames).
 func (m *Machine) aggregateL2Stats() cache.L2Stats {
 	if m.serialMode {
 		// The serial loop processes every request on the manager's own
@@ -156,9 +164,6 @@ func (m *Machine) aggregateL2Stats() cache.L2Stats {
 			addL2Stats(&total, m.remote.l2stats[i])
 		}
 		return total
-	}
-	if m.shards == nil {
-		return m.l2.Stats
 	}
 	var total cache.L2Stats
 	for _, h := range m.shards {
