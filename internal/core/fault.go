@@ -415,9 +415,11 @@ func (m *Machine) EnableFaults(p *faultinject.Plan) error {
 	if p == nil {
 		return nil
 	}
-	// Shard targets are the shards the configuration asks for; the one
-	// hosted shard of an unsharded machine (ManagerShards 0) is not one.
-	nShards := max(m.cfg.ManagerShards, m.cfg.RemoteShards)
+	// ManagerShards 0 and 1 are the same unsharded machine: no shard targets.
+	nShards := m.cfg.RemoteShards
+	if m.cfg.ManagerShards > 1 {
+		nShards = m.cfg.ManagerShards
+	}
 	if err := p.Validate(m.cfg.NumCores, nShards); err != nil {
 		return err
 	}

@@ -361,6 +361,20 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 }
 
+// TestFaultPlanShardTargets: ManagerShards 0 and 1 are the same unsharded
+// machine, so both refuse a shard-worker fault; a sharded machine takes it.
+func TestFaultPlanShardTargets(t *testing.T) {
+	for _, shards := range []int{0, 1, 2} {
+		cfg := smallConfig(2)
+		cfg.ManagerShards = shards
+		m := mustMachine(t, sumProg, cfg)
+		err := m.EnableFaults(faultinject.NewPlan(faultinject.Fault{Kind: faultinject.Panic, Core: faultinject.ShardWorker(0)}))
+		if (err == nil) != (shards > 1) {
+			t.Errorf("ManagerShards %d: shard-worker fault accepted = %v", shards, err == nil)
+		}
+	}
+}
+
 // TestContainmentRealPanicPath drives a real (not injected) panic through
 // containment: the core commits an invalid instruction and panics.
 func TestContainmentRealPanicPath(t *testing.T) {

@@ -377,14 +377,15 @@ func (m *Machine) coreTurn(grp *coreGroup, mb *member, pace corePacing, g, edge 
 // runGroup is a group's goroutine: round-robin turns for its members until
 // the run ends. The groups are the simulation manager as well: whichever
 // group finds the role free (mgrMu) runs the next round — after every pass
-// over its members under a conservative scheme, so the round is run by the
-// group that finished its window first and would otherwise only wait; after
-// every turn under an optimistic one, so a request is answered before a
-// sibling runs further ahead of it. A lone group (K = 1 in process) is
-// always the manager: it never parks, since no other goroutine would wake
-// it, and never yields every 8 passes, since it has no peer to yield to. On
-// the remote backend the wire goroutines are such peers, so a single group
-// there parks and yields like one of many.
+// over its members under a conservative scheme (on the remote backend, a
+// pass in which none moved), so the round is run by the group that finished
+// its window first and would otherwise only wait; after every turn under an
+// optimistic one, so a request is answered before a sibling runs further
+// ahead of it. A lone group (K = 1 in process) is always the manager: it
+// never parks, since no other goroutine would wake it, and never yields
+// every 8 passes, since it has no peer to yield to. On the remote backend
+// the wire goroutines are such peers, so a single group there parks and
+// yields like one of many.
 //
 // A panic is contained as a SimError naming whichever of the group's
 // members — or the manager — was running (a hosted shard names itself:
@@ -402,7 +403,8 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	}()
 	pace := corePacing{conservative: m.scheme.Conservative(), critical: m.cfg.Cache.CriticalLatency(), shared: len(g.members) > 1}
 	roundPerTurn := !pace.conservative
-	lone := m.nGroups == 1 && m.remote == nil
+	wire := m.remote != nil
+	lone := m.nGroups == 1 && !wire
 	var idleSince time.Time
 	var turnH, yieldH, parkH *metrics.Histogram // nil (and inert) unless metrics are on
 	if m.met != nil {
@@ -473,8 +475,10 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 		case !moved && !idle:
 			idle, idleSince = true, time.Now()
 		}
-		// The end-of-pass round (the per-turn ones make it redundant).
-		if !(roundPerTurn && moved) && manage(!moved) || moved {
+		// The end-of-pass round (the per-turn ones make it redundant). A
+		// remote round blocks on the wire, so there only a pass in which no
+		// member moved takes it: members that can move keep their window.
+		if (!moved || !roundPerTurn && !wire) && manage(!moved) || moved {
 			continue
 		}
 		// Nothing to run and somebody else is the manager. Yield first,

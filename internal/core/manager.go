@@ -39,8 +39,9 @@ func (m *Machine) drainOutQs(sink func(event.Event)) bool {
 // processBelow handles every queued event with Time < bound, oldest first
 // (math.MaxInt64: everything). Deterministic given the event set.
 func (m *Machine) processBelow(bound int64) bool {
-	if m.audit != nil && bound != math.MaxInt64 {
-		m.auditVisibility(bound)
+	if a := m.audit; a != nil && bound != math.MaxInt64 {
+		m.auditVisibility(&m.gq)
+		a.procBound = max(a.procBound, bound)
 	}
 	did := false
 	for {
@@ -187,6 +188,9 @@ func (m *Machine) processSyscall(ev event.Event) {
 			m.endTime = ev.Time
 			m.exitCode = eff.Code
 			m.done.Store(true)
+			// No reply, as in the serial loop: the exiting core would run
+			// on past its exit, into whatever follows, until it saw done.
+			return
 		case sysemu.EffectResetStats:
 			m.roiTime.Store(ev.Time)
 		}

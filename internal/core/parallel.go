@@ -14,7 +14,7 @@ import (
 // shards' included (sharded.go). At K = 1 it is RunFused. Remote shards
 // need the remote driver.
 func (m *Machine) RunParallel(s Scheme) (*Result, error) {
-	return m.runPaced(s, runtime.GOMAXPROCS(0))
+	return m.runPaced(s, runtime.GOMAXPROCS(0), nil)
 }
 
 // RunFused executes the simulation entirely on the calling goroutine: all
@@ -29,18 +29,15 @@ func (m *Machine) RunParallel(s Scheme) (*Result, error) {
 // bit-exact against RunSerial and RunParallel at any K (the determinism
 // suite enforces this). Remote shards need the remote driver.
 func (m *Machine) RunFused(s Scheme) (*Result, error) {
-	if m.cfg.RemoteShards > 0 {
-		return nil, fmt.Errorf("core: RunFused supports only in-process managers (RemoteShards=%d)", m.cfg.RemoteShards)
-	}
-	return m.runPaced(s, 1)
+	return m.runPaced(s, 1, nil)
 }
 
 // runPaced is every paced driver: at most k groups run the manager round
-// over the machine's hosted shards or, once RunRemoteShardedOpts has set
-// its options, over remote workers connected here and shut down after the
-// join.
-func (m *Machine) runPaced(s Scheme, k int) (*Result, error) {
-	if m.remote != nil && m.remote.opts == nil {
+// over the machine's hosted shards or, given remote options, over remote
+// workers connected here and shut down after the join. The in-process
+// drivers pass none, so they refuse a machine with remote shards.
+func (m *Machine) runPaced(s Scheme, k int, opts *RemoteOptions) (*Result, error) {
+	if opts == nil && m.remote != nil {
 		return nil, fmt.Errorf("core: a machine with RemoteShards=%d runs with RunRemoteSharded", m.remote.n)
 	}
 	if err := s.Validate(); err != nil {
@@ -49,8 +46,8 @@ func (m *Machine) runPaced(s Scheme, k int) (*Result, error) {
 	start := time.Now()
 	p := m.beginRun(s, k)
 	backend := m.shardBackend
-	if m.remote != nil {
-		if err := m.remoteConnect(m.remote.opts.Transports); err != nil {
+	if opts != nil {
+		if err := m.remoteConnect(opts); err != nil {
 			return nil, err
 		}
 		backend = m.remoteBackend
@@ -67,7 +64,7 @@ func (m *Machine) runPaced(s Scheme, k int) (*Result, error) {
 	m.runGroup(&m.groups[0], mgr)
 	m.wakeAll()
 	wg.Wait()
-	if m.remote != nil {
+	if opts != nil {
 		m.remoteShutdown()
 	}
 	return m.finishRun(start)

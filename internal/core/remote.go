@@ -392,8 +392,7 @@ func (m *Machine) RunRemoteShardedOpts(s Scheme, opts *RemoteOptions) (*Result, 
 	// runPaced connects the workers, runs the groups — the one holding the
 	// manager role gates the workers and waits for their watermarks inside
 	// the round — and shuts the wire down after the join.
-	m.remote.opts = opts
-	res, err := m.runPaced(s, runtime.GOMAXPROCS(0))
+	res, err := m.runPaced(s, runtime.GOMAXPROCS(0), opts)
 	// A run that finished bit-exact but lost a worker for good is still a
 	// post-mortem: the fleet shrank, and whoever operates it wants the
 	// merged trace and incident log. Capture a bundle on the success path
@@ -412,16 +411,17 @@ func (m *Machine) RunRemoteShardedOpts(s Scheme, opts *RemoteOptions) (*Result, 
 // and returns a SimError naming the worker: the initial handshake is
 // where configuration mistakes surface, so it stays fatal rather than
 // entering the recovery path.
-func (m *Machine) remoteConnect(transports []remote.Transport) error {
+func (m *Machine) remoteConnect(opts *RemoteOptions) error {
 	r := m.remote
+	r.opts = opts
 	r.session = fmt.Sprintf("slacksim-%d-%d", os.Getpid(), time.Now().UnixNano())
-	nw := len(transports)
+	nw := len(opts.Transports)
 	r.owner = make([]int, r.n)
 	r.workers = make([]*remoteWorker, nw)
 	for wi := 0; wi < nw; wi++ {
 		w := &remoteWorker{
 			id:       wi,
-			conn:     remote.NewConn(transports[wi]),
+			conn:     remote.NewConn(opts.Transports[wi]),
 			stopSend: make(chan struct{}),
 			sendDone: make(chan struct{}),
 			recvDone: make(chan struct{}),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"slacksim/internal/event"
+	"slacksim/internal/sysemu"
 	"slacksim/internal/trace"
 )
 
@@ -195,5 +196,51 @@ func TestAuditFlagsRequestBehindVisibilityPass(t *testing.T) {
 	se, ok := m.Fault().(*SimError)
 	if !ok || se.Op != "invariant-audit" || se.Event == nil || se.Event.Time != 42 {
 		t.Fatalf("late request not flagged: %v", m.Fault())
+	}
+}
+
+// TestAuditFlagsLateRequestOnHostedShard plants the same violation on the
+// memory side of an unsharded machine — its one hosted shard's heap, which
+// the hosted backend's gate audits before it processes it.
+func TestAuditFlagsLateRequestOnHostedShard(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.Audit = true
+	m := mustMachine(t, sumProg, cfg)
+	m.scheme = SchemeCC
+	h := m.shards[0]
+	h.reply = func(int, event.Event) {} // no run, no groups: drop the replies
+	be := m.shardBackend()
+	pass := func(bound int64) {
+		be.gate(bound)
+		m.processBelow(bound)
+	}
+	pass(100)
+	req := func(t int64) event.Event { return event.Event{Kind: event.KReadShared, Time: t} }
+	h.gq.Push(req(99)) // on the last cycle below the bound: tolerated
+	pass(101)
+	if err := m.Fault(); err != nil {
+		t.Fatalf("request on the bound's last cycle flagged: %v", err)
+	}
+	h.gq.Push(req(42))
+	pass(102)
+	se, ok := m.Fault().(*SimError)
+	if !ok || se.Op != "invariant-audit" || se.Event == nil || se.Event.Time != 42 {
+		t.Fatalf("late request on the shard not flagged: %v", m.Fault())
+	}
+}
+
+// TestExitGetsNoReply: the exit syscall ends the run and, as in the serial
+// loop, is never answered. A reply would let the exiting core commit past
+// its exit — into data, at worst, where it panicked on an invalid
+// instruction before it saw done.
+func TestExitGetsNoReply(t *testing.T) {
+	m := mustMachine(t, sumProg, smallConfig(2))
+	m.beginRun(SchemeCC, 1)
+	m.processSyscall(event.Event{Kind: event.KSyscall, Core: 1, Time: 100, Aux: sysemu.SysExit})
+	if !m.done.Load() || m.endTime != 100 {
+		t.Fatalf("exit did not end the run at its time: done %v, end %d", m.done.Load(), m.endTime)
+	}
+	if in, _ := m.ringDepths(1); in != 0 {
+		t.Fatalf("exiting core got %d replies", in)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/event"
@@ -77,8 +78,9 @@ func (m *Machine) shardOf(addr uint64) int {
 
 // shardBackend returns the in-process manager backend: the drain routes
 // memory requests onto their shard's heap (system calls onto the GQ) and
-// samples the heaps' depths; the gate processes every shard's heap below
-// allowed, inline, so its replies are in the groups' InQs when it returns.
+// samples the heaps' depths; the gate audits (Config.Audit) and processes
+// every shard's heap below allowed, inline, so its replies are in the
+// groups' InQs when it returns.
 func (m *Machine) shardBackend() mgrBackend {
 	for s, h := range m.shards {
 		if m.fiShard != nil {
@@ -96,7 +98,14 @@ func (m *Machine) shardBackend() mgrBackend {
 			}
 			return moved
 		},
-		gate:          func(allowed int64) int64 { return m.processHosted(m.shards, allowed) },
+		gate: func(allowed int64) int64 {
+			if m.audit != nil && allowed != math.MaxInt64 {
+				for _, h := range m.shards {
+					m.auditVisibility(&h.gq)
+				}
+			}
+			return m.processHosted(m.shards, allowed)
+		},
 		deadlockSound: true,
 	}
 }
