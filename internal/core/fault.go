@@ -393,19 +393,16 @@ func (m *Machine) coreReports() []CoreReport {
 	return out
 }
 
-// ringDepths returns the depths of core i's group rings: all its reply
-// rings together, and its OutQ. Safe from any goroutine: before the run
-// publishes its scheme (beginRun, RunSerial), which it does after
-// formGroups, there are no rings and both are 0.
+// ringDepths returns the depths of core i's group InQ and OutQ. Safe from
+// any goroutine: before the run publishes its scheme (beginRun,
+// RunSerial), which it does after formGroups, there are no rings and both
+// are 0.
 func (m *Machine) ringDepths(i int) (in, out int) {
 	if m.schemeLive.Load() == nil {
 		return 0, 0
 	}
 	g := m.groupOf[i]
-	for _, r := range g.in {
-		in += r.Len()
-	}
-	return in, g.outQ.Len()
+	return g.inQ.Len(), g.outQ.Len()
 }
 
 // EnableFaults installs a deterministic fault-injection plan (see

@@ -137,9 +137,7 @@ func TestFaultShardWorkerPanicContainment(t *testing.T) {
 }
 
 func TestFaultRingOverflowContainment(t *testing.T) {
-	cfg := smallConfig(1)
-	cfg.RingCap = 64
-	m := mustMachine(t, sumProg, cfg)
+	m := mustMachine(t, sumProg, smallConfig(1))
 	if err := m.EnableFaults(faultinject.NewPlan(faultinject.Fault{
 		Kind: faultinject.RingFlood, Core: 0, At: 1,
 	})); err != nil {
@@ -157,8 +155,8 @@ func TestFaultRingOverflowContainment(t *testing.T) {
 	if of.Ring != "outq.c0" {
 		t.Fatalf("overflow ring = %q, want outq.c0", of.Ring)
 	}
-	if of.Cap != 64 {
-		t.Fatalf("overflow cap = %d, want 64", of.Cap)
+	if of.Cap != ringShare {
+		t.Fatalf("overflow cap = %d, want %d", of.Cap, ringShare)
 	}
 	if of.HighWater < int64(of.Cap) {
 		t.Fatalf("high water %d below capacity %d", of.HighWater, of.Cap)

@@ -27,7 +27,7 @@ import (
 
 // optimisticBatch caps the batched inner loop for schemes with no safe
 // conservative horizon (the window may be unbounded). The batch also breaks
-// as soon as a reply for the core lands in its group's rings, so this only
+// as soon as a reply for the core lands in its group's InQ, so this only
 // bounds the uninterrupted hit-streak run length.
 const optimisticBatch = 256
 
@@ -104,12 +104,12 @@ type coreGroup struct {
 	cond *sync.Cond
 	leaf int // index of the group's min-tree leaf
 	// The group's event fabric (formGroups): its members push their
-	// requests into outQ, which the manager drains; their replies arrive
-	// on in — the manager's InQ (in[0]), then one ring per remote shard
-	// (in[1+s]) — and demux sorts them into the members' inboxes. Each
-	// ring has one producer and, in the group's goroutine, one consumer.
+	// requests into outQ, which the manager role drains; the manager role
+	// pushes every reply into inQ, whatever shard or worker produced it,
+	// and demux sorts them into the members' inboxes. Each ring has one
+	// producer and, in the group's goroutine, one consumer.
 	outQ  *event.Ring
-	in    []*event.Ring
+	inQ   *event.Ring
 	evBuf []event.Event // demux's PopBatch buffer
 	// waiting is the Dekker flag of the park protocol: non-zero while the
 	// group is (about to be) parked, holding the wait* reasons. A waker
@@ -145,7 +145,7 @@ func (m *Machine) formGroups(k int) {
 		mb.local = m.local[i].v.Load()
 		// Sized so a core's share of a full ring never grows the slice
 		// mid-run.
-		mb.inbox = make([]event.Event, 0, m.cfg.RingCap)
+		mb.inbox = make([]event.Event, 0, m.coreSlots)
 		if m.coreTW != nil {
 			mb.tw = m.coreTW[i]
 		}
@@ -155,20 +155,19 @@ func (m *Machine) formGroups(k int) {
 	}
 }
 
-// makeFabric gives each of the run's groups an OutQ, an InQ and, on the
-// remote backend, one reply ring per remote shard, RingCap slots per
-// member each: 2K rings for K groups in process (hosted shards reply into
-// the InQ), 2K + S·K with S remote shards. A ring is named after the cores
-// it serves ("outq.c0-3", "remote1.c4-7"). The metric handles
-// EnableMetrics and EnableIntrospection made are attached here.
+// ringShare is each core's share of its group's rings: a group of n cores
+// gets an OutQ and an InQ of ringShare·n slots each (ROADMAP 3(g) asks for
+// a derived bound instead).
+const ringShare = 512
+
+// makeFabric gives each of the run's groups an OutQ and an InQ of
+// m.coreSlots slots per member: 2K rings for K groups on every backend. A
+// ring is named after the cores it serves ("outq.c0-3"). The metric
+// handles EnableMetrics and EnableIntrospection made are attached here.
 func (m *Machine) makeFabric() {
-	shards := 0
-	if m.remote != nil {
-		shards = m.remote.n
-	}
 	for k := 0; k < m.nGroups; k++ {
 		g := &m.groups[k]
-		slots := m.cfg.RingCap * len(g.members)
+		slots := m.coreSlots * len(g.members)
 		cores := fmt.Sprintf("c%d", g.members[0].id)
 		if last := g.members[len(g.members)-1].id; last != g.members[0].id {
 			cores += fmt.Sprintf("-%d", last)
@@ -178,52 +177,36 @@ func (m *Machine) makeFabric() {
 			r.SetName(name + "." + cores)
 			return r
 		}
-		g.outQ = ring("outq")
-		g.in = []*event.Ring{ring("inq")}
-		for s := 0; s < shards; s++ {
-			g.in = append(g.in, ring(fmt.Sprintf("remote%d", s)))
-		}
-		g.evBuf = make([]event.Event, 0, m.cfg.RingCap)
+		g.outQ, g.inQ = ring("outq"), ring("inq")
+		g.evBuf = make([]event.Event, 0, m.coreSlots)
 		if m.met != nil {
 			g.outQ.ObserveDepth(m.met.outDepth)
-			g.in[0].ObserveDepth(m.met.inDepth)
-			for _, r := range g.in[1:] {
-				r.ObserveDepth(m.met.remoteDepth)
-			}
+			g.inQ.ObserveDepth(m.met.inDepth)
 		}
 		if m.hwIn != nil {
-			g.in[0].ObserveHighWater(gaugeMax{m.hwIn})
+			g.inQ.ObserveHighWater(gaugeMax{m.hwIn})
 			g.outQ.ObserveHighWater(gaugeMax{m.hwOut})
 		}
 	}
 }
 
-// demux sorts every reply queued on the group's rings into its members'
-// inboxes, ring by ring, in ring order, and marks each member that got one
-// (arrived). Group goroutine only.
+// demux sorts every reply queued on the group's InQ into its members'
+// inboxes, in ring order, and marks each member that got one (arrived).
+// Group goroutine only.
 func (m *Machine) demux(g *coreGroup) {
-	for _, r := range g.in {
-		g.evBuf = r.PopBatch(g.evBuf[:0])
-		for j := range g.evBuf {
-			mb := &m.members[g.evBuf[j].Core]
-			mb.inbox = append(mb.inbox, g.evBuf[j])
-			mb.arrived = true
-		}
+	g.evBuf = g.inQ.PopBatch(g.evBuf[:0])
+	for j := range g.evBuf {
+		mb := &m.members[g.evBuf[j].Core]
+		mb.inbox = append(mb.inbox, g.evBuf[j])
+		mb.arrived = true
 	}
 }
 
-// hasEvents reports whether any of the group's reply rings holds an event.
-func (g *coreGroup) hasEvents() bool {
-	for _, r := range g.in {
-		if r.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
+// hasEvents reports whether the group's InQ holds an event.
+func (g *coreGroup) hasEvents() bool { return g.inQ.Len() > 0 }
 
 // arrivedFor reports whether a reply for mb has arrived since it last
-// looked at its inbox, demultiplexing the group's rings first if they hold
+// looked at its inbox, demultiplexing the group's InQ first if it holds
 // anything. Group goroutine only.
 func (m *Machine) arrivedFor(g *coreGroup, mb *member) bool {
 	if !mb.arrived && g.hasEvents() {
@@ -285,7 +268,7 @@ func (m *Machine) setWait(mb *member, to int32) {
 // per-cycle path. Under conservative schemes every event is still applied
 // exactly at its timestamp, so they stay bit-exact against the serial
 // reference. Under optimistic schemes the batch breaks as soon as a reply
-// for the core lands in its group's rings, preserving delivery on arrival.
+// for the core lands in its group's InQ, preserving delivery on arrival.
 //
 // A core whose Tick made no progress (fully stalled pipeline) does not burn
 // simulated cycles at host speed: it fast-forwards to its next deterministic
@@ -380,12 +363,13 @@ func (m *Machine) coreTurn(grp *coreGroup, mb *member, pace corePacing, g, edge 
 // over its members under a conservative scheme (on the remote backend, a
 // pass in which none moved), so the round is run by the group that finished
 // its window first and would otherwise only wait; after every turn under an
-// optimistic one, so a request is answered before a sibling runs further
-// ahead of it. A lone group (K = 1 in process) is always the manager: it
-// never parks, since no other goroutine would wake it, and never yields
-// every 8 passes, since it has no peer to yield to. On the remote backend
-// the wire goroutines are such peers, so a single group there parks and
-// yields like one of many.
+// optimistic one, so a request is answered, and a reply delivered, before a
+// sibling runs further ahead of it. A single group takes those per-turn
+// rounds on every backend: the round is how any reply reaches it. A lone
+// group (K = 1 in process) is always the manager: it never parks, since no
+// other goroutine would wake it, and never yields every 8 passes, since it
+// has no peer to yield to. On the remote backend the wire goroutines are
+// such peers, so a single group there parks and yields like one of many.
 //
 // A panic is contained as a SimError naming whichever of the group's
 // members — or the manager — was running (a hosted shard names itself:
@@ -404,7 +388,8 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	pace := corePacing{conservative: m.scheme.Conservative(), critical: m.cfg.Cache.CriticalLatency(), shared: len(g.members) > 1}
 	roundPerTurn := !pace.conservative
 	wire := m.remote != nil
-	lone := m.nGroups == 1 && !wire
+	single := m.nGroups == 1
+	lone := single && !wire
 	var idleSince time.Time
 	var turnH, yieldH, parkH *metrics.Histogram // nil (and inert) unless metrics are on
 	if m.met != nil {
@@ -464,7 +449,7 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			// The per-turn round, unless this very group's leaf holds the
 			// global time back: everybody is waiting for this group, so one
 			// that is ahead (and would wait anyway) takes the round.
-			if roundPerTurn && (lone || m.lt.argmin() != g.leaf) {
+			if roundPerTurn && (single || m.lt.argmin() != g.leaf) {
 				manage(false)
 			}
 		}
@@ -503,7 +488,7 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 // failing that, what would make one runnable (wait* bits). It demultiplexes
 // once, before looking at any member: a drain made while checking a later
 // member would hide an earlier one's arrival from this check, and the round
-// that pushed it, finding the rings empty, would not wake the group.
+// that pushed it, finding the InQ empty, would not wake the group.
 func (m *Machine) groupRunnable(g *coreGroup, pace corePacing) (bool, int32) {
 	m.demux(g)
 	need := int32(0)

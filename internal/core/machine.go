@@ -38,17 +38,9 @@ type Config struct {
 	StackSize  uint64
 	// MaxCycles aborts a runaway simulation (0 = a large default).
 	MaxCycles int64
-	// RingCap is each core's share of its group's rings: a group of n
-	// cores gets an OutQ, an InQ and one reply ring per shard of
-	// RingCap·n slots each.
-	RingCap int
 	// StallTimeout aborts a parallel run whose simulated time stops
 	// advancing (deadlocked workload); defaults to 60s of host time.
 	StallTimeout time.Duration
-	// SyscallLat is the round-trip latency of a system call through the
-	// manager; defaults to the cache hierarchy's critical latency, which
-	// keeps conservative schemes exact.
-	SyscallLat int64
 	// ManagerShards splits the memory-hierarchy side of the simulation
 	// manager into this many shards, each owning a disjoint set of NUCA
 	// banks and memory channels (the paper's §2.2 scaling hook). The shards
@@ -118,12 +110,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 20_000_000_000
-	}
-	if c.RingCap == 0 {
-		c.RingCap = 512
-	}
-	if c.SyscallLat == 0 {
-		c.SyscallLat = c.Cache.CriticalLatency()
 	}
 	if c.AuditEvery == 0 {
 		c.AuditEvery = 64
@@ -262,6 +248,9 @@ type Machine struct {
 	groups  []coreGroup
 	groupOf []*coreGroup
 	nGroups int
+	// coreSlots is each core's share of its group's rings: ringShare, less
+	// only on the bare machines of the fabric tests, which fill them.
+	coreSlots int
 
 	// drainBuf is the manager-side reusable buffer for Ring.PopBatch
 	// (manager role only).
@@ -298,6 +287,10 @@ type Machine struct {
 	// both manager-role or post-join only.
 	evProcessed int64
 	evShard     int64
+	// replied is set by pushReply and cleared by each round's visibility
+	// step, which reports it so the round wakes the groups replied to
+	// (manager role only).
+	replied bool
 
 	// strag is the manager-owned straggler attribution state (latency.go;
 	// nil when metrics are disabled).
@@ -357,7 +350,8 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		lastEvTime:  make([]padded, cfg.NumCores),
 		lt:          new(minTree),
 		mgrWake:     make(chan struct{}, 1),
-		drainBuf:    make([]event.Event, 0, cfg.RingCap),
+		coreSlots:   ringShare,
+		drainBuf:    make([]event.Event, 0, ringShare),
 	}
 	m.roiTime.Store(-1)
 	if cfg.Audit {
@@ -404,7 +398,7 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		if m.kernel.Trace != nil {
 			m.kernel.Trace(fmt.Sprintf("  grant core=%d t=%d ret=%d", core, t, ret))
 		}
-		grantAt := t + m.cfg.SyscallLat
+		grantAt := t + m.cfg.Cache.CriticalLatency()
 		grant := event.Event{
 			Kind: event.KSyscallDone,
 			Core: int32(core),

@@ -75,20 +75,13 @@ func (m *Machine) processMem(ev event.Event) {
 	applyMemEvent(m.l2, m.pushReply, ev)
 }
 
-// pushReply puts one manager-produced reply for core into its group's
-// InQ. It runs inside the round's visibility step, after which the round
-// wakes every group with a reply waiting.
+// pushReply puts one reply for core into its group's InQ: the one way a
+// reply reaches a core, from a shard hosted here or remote, or from the
+// kernel. It runs inside the round's visibility step, after which the
+// round wakes every group with a reply waiting (replied).
 func (m *Machine) pushReply(core int, ev event.Event) {
-	m.groupOf[core].in[0].MustPush(ev)
-}
-
-// pushShardReply puts remote shard s's reply for core into the group's
-// ring for that shard and wakes the group if it waits for one: the remote
-// receivers push outside the round.
-func (m *Machine) pushShardReply(s, core int, ev event.Event) {
-	g := m.groupOf[core]
-	g.in[1+s].MustPush(ev)
-	g.wake(waitEvent)
+	m.groupOf[core].inQ.MustPush(ev)
+	m.replied = true
 }
 
 // applyMemEvent applies one memory-hierarchy request against the given
@@ -167,7 +160,9 @@ func sendInvVia(push func(int, event.Event), inv cache.InvMsg) {
 func (m *Machine) processSyscall(ev event.Event) {
 	core := int(ev.Core)
 	res := m.kernel.Syscall(core, ev.Time, ev.Aux, ev.Args)
-	replyAt := ev.Time + m.cfg.SyscallLat
+	// A critical latency after the call, as the fastest memory reply:
+	// the cores' skip horizon (coreTurn) relies on no reply landing sooner.
+	replyAt := ev.Time + m.cfg.Cache.CriticalLatency()
 	for _, eff := range res.Effects {
 		switch eff.Kind {
 		case sysemu.EffectStartCore:

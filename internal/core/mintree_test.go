@@ -17,7 +17,7 @@ import (
 // groupBare runs.
 func bareMachine(n, ringCap int) *Machine {
 	m := &Machine{
-		cfg:         Config{RingCap: ringCap},
+		coreSlots:   ringCap,
 		local:       make([]padded, n),
 		blocked:     make([]atomic.Int64, n),
 		resumeFloor: make([]atomic.Int64, n),
@@ -321,7 +321,7 @@ func TestFabricRace(t *testing.T) {
 			}
 			for answered := 0; answered < tc.n*perCore; {
 				m.drainOutQs(func(ev event.Event) {
-					for !m.groupOf[ev.Core].in[0].Push(ev) {
+					for !m.groupOf[ev.Core].inQ.Push(ev) {
 						runtime.Gosched() // InQ full: wait for the demux
 					}
 					answered++

@@ -39,9 +39,8 @@ type engineMet struct {
 	gqDepth      *metrics.Histogram // engine.gq.depth
 	// Ring depths, attached to the groups' rings when the run makes them
 	// (makeFabric).
-	outDepth    *metrics.Histogram // event.outq.depth
-	inDepth     *metrics.Histogram // event.inq.depth
-	remoteDepth *metrics.Histogram // event.remoteq.depth (remote runs only)
+	outDepth *metrics.Histogram // event.outq.depth
+	inDepth  *metrics.Histogram // event.inq.depth
 	// shardDepth samples each hosted shard's heap once per round, after
 	// the drain (sharded runs only).
 	shardDepth *metrics.Histogram // event.shardq.depth
@@ -101,9 +100,6 @@ func (m *Machine) EnableMetrics(r *metrics.Registry) {
 	m.met.outDepth = r.Histogram("event.outq.depth")
 	m.met.inDepth = r.Histogram("event.inq.depth")
 	m.met.shardDepth = r.Histogram("event.shardq.depth")
-	if m.remote != nil {
-		m.met.remoteDepth = r.Histogram("event.remoteq.depth")
-	}
 }
 
 // EnableTrace attaches a trace collector to the machine. Must be called

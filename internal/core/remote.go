@@ -33,11 +33,11 @@ import (
 // preserves order, so a worker that has seen gate=allowed has every
 // event below allowed queued; the worker writes all its reply batches
 // before the watermark, so a parent that has seen watermark >= allowed
-// has every reply below allowed in the cores' rings before it raises any
-// window. Only a worker holding an event below allowed is gated at all
-// (the gate book, round.go). The wire adds only host latency — which a
-// slack window of s cycles absorbs exactly as it absorbs host scheduling
-// jitter.
+// has every reply below allowed handed to the round, which pushes them
+// into the groups' InQs before it raises any window. Only a worker
+// holding an event below allowed is gated at all (the gate book,
+// round.go). The wire adds only host latency — which a slack window of s
+// cycles absorbs exactly as it absorbs host scheduling jitter.
 //
 // Fault tolerance rests on the same in-order invariants. Every outbound
 // frame is appended to a per-worker replay journal and sent from it;
@@ -89,15 +89,18 @@ type RemoteOptions struct {
 	RetryBackoff remote.Backoff
 }
 
-func (o *RemoteOptions) heartbeat() time.Duration {
-	if o.Heartbeat < 0 {
+// optDefault reads a remote knob: 0 means def, and < 0 off (0).
+func optDefault[T int | time.Duration](v, def T) T {
+	switch {
+	case v < 0:
 		return 0
+	case v == 0:
+		return def
 	}
-	if o.Heartbeat == 0 {
-		return time.Second
-	}
-	return o.Heartbeat
+	return v
 }
+
+func (o *RemoteOptions) heartbeat() time.Duration { return optDefault(o.Heartbeat, time.Second) }
 
 // heartbeatMS renders the heartbeat for the Hello frame (-1 = disabled,
 // so the worker's own "0 means default" rule cannot re-enable it).
@@ -109,25 +112,9 @@ func (o *RemoteOptions) heartbeatMS() int64 {
 	return hb.Milliseconds()
 }
 
-func (o *RemoteOptions) checkpointEvery() int {
-	if o.CheckpointEvery < 0 {
-		return 0
-	}
-	if o.CheckpointEvery == 0 {
-		return 64
-	}
-	return o.CheckpointEvery
-}
+func (o *RemoteOptions) checkpointEvery() int { return optDefault(o.CheckpointEvery, 64) }
 
-func (o *RemoteOptions) retryBudget() int {
-	if o.RetryBudget < 0 {
-		return 0
-	}
-	if o.RetryBudget == 0 {
-		return 3
-	}
-	return o.RetryBudget
-}
+func (o *RemoteOptions) retryBudget() int { return optDefault(o.RetryBudget, 3) }
 
 // RecoveryStats summarises the fault-tolerance activity of a remote run
 // (all zero on an undisturbed run).
@@ -148,9 +135,7 @@ type RecoveryStats struct {
 }
 
 // remoteState is the per-machine distributed plumbing (nil unless
-// Config.RemoteShards > 0). Shard s replies on each group's ring in[1+s]
-// (makeFabric; the recv goroutines produce); the workers are attached by
-// RunRemoteSharded.
+// Config.RemoteShards > 0); the workers are attached by RunRemoteSharded.
 type remoteState struct {
 	n int
 
@@ -260,12 +245,18 @@ type remoteWorker struct {
 	ckptGate    int64
 	ckptBatches int64
 
-	// delivered[p] counts replies for shards[p] pushed into the rings
-	// since the last checkpoint truncation — the suppression count a
-	// replay needs. Written only by the live receiver goroutine (or the
-	// manager at adoption); handed between generations by the join in
-	// the supervisor.
+	// delivered[p] counts replies for shards[p] handed to the round since
+	// the last checkpoint truncation — the suppression count a replay
+	// needs. Written only by the live receiver goroutine; handed between
+	// generations by the join in the supervisor.
 	delivered []int64
+
+	// replies is the receivers' hand-off to the round: the replies they
+	// keep, in arrival order, until the manager role pushes them into the
+	// InQs (takeReplies), swapping in spare. It grows with what is in
+	// flight, so it cannot overflow.
+	repMu          sync.Mutex
+	replies, spare []event.Event
 
 	// Per-connection channels, replaced by the supervisor on recovery
 	// (under mu; each generation's goroutines capture their own).
@@ -567,16 +558,18 @@ func (m *Machine) flushStage() {
 }
 
 // remoteGate lets every live worker holding an event below allowed process
-// through it, waits for the watermarks of the gates raised, and processes
+// through it, waits for the watermarks of the gates raised, pushes every
+// reply the receivers handed over into the groups' InQs, and processes
 // the adopted shards in-process, returning how many events those took. The
 // round's batches went out in the drain, before this gate — in-order
 // delivery then gives the worker every event below allowed before it sees
 // the gate, just as an in-process shard's heap holds every request below
 // allowed when the round processes it. Under an optimistic scheme allowed
 // is unbounded from the first round on, so each worker gets exactly one
-// gate and answers on arrival after it. The group running the round blocks
-// here, holding the manager role (docs/engine.md, "Blocking on the wire
-// inside the round is safe").
+// gate, answers on arrival after it, and every round pushes what has
+// arrived since the last. The group running the round blocks here, holding
+// the manager role (docs/engine.md, "Blocking on the wire inside the round
+// is safe").
 func (m *Machine) remoteGate(allowed int64) int64 {
 	r := m.remote
 	for _, w := range r.workers {
@@ -589,7 +582,23 @@ func (m *Machine) remoteGate(allowed int64) int64 {
 		}
 	}
 	m.waitRemoteWatermarks()
+	m.takeReplies() // before the adopted shards: their skip counts these
 	return m.processHosted(r.adopted, allowed)
+}
+
+// takeReplies pushes the replies every worker's receivers handed over
+// into the groups' InQs, worker after worker, in arrival order.
+func (m *Machine) takeReplies() {
+	for _, w := range m.remote.workers {
+		w.repMu.Lock()
+		evs := w.replies
+		w.replies = w.spare[:0]
+		w.repMu.Unlock()
+		for i := range evs {
+			m.pushReply(int(evs[i].Core), evs[i])
+		}
+		w.spare = evs
+	}
 }
 
 // waitRemoteWatermarks blocks until every live worker has acknowledged
@@ -625,13 +634,8 @@ func (m *Machine) waitRemoteWatermarks() {
 					expired = m.armMgrTimer(wait)
 					continue
 				}
-				m.setFault(&SimError{
-					Core:   w.faultTarget(),
-					Op:     "remote-watermark",
-					Scheme: m.scheme, GlobalTime: m.global.Load(), SimTime: gate,
-					Detail: fmt.Sprintf("%s: no watermark for gate %d within %v (last %d, supervisor %v, %d reconnects)",
-						w.name(), gate, 2*m.stallTimeout(), w.mark.v.Load(), w.sup.State(), w.sup.Reconnects()),
-				})
+				m.workerFault(w, "remote-watermark", "%s: no watermark for gate %d within %v (last %d, supervisor %v, %d reconnects)",
+					w.name(), gate, 2*m.stallTimeout(), w.mark.v.Load(), w.sup.State(), w.sup.Reconnects())
 				return
 			}
 		}

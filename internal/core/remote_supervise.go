@@ -84,9 +84,17 @@ func (m *Machine) remoteSender(w *remoteWorker, conn *remote.Conn, stopSend chan
 	}
 }
 
+// workerFault ends the run with a SimError charged to worker w.
+func (m *Machine) workerFault(w *remoteWorker, op, format string, args ...any) {
+	m.setFault(&SimError{
+		Core: w.faultTarget(), Op: op, Scheme: m.scheme, GlobalTime: m.global.Load(),
+		Detail: fmt.Sprintf(format, args...),
+	})
+}
+
 // remoteReceiver consumes one connection incarnation's inbound stream:
-// reply batches into the per-shard per-core rings (this goroutine is
-// each ring's single producer), watermarks into the worker's mark,
+// reply batches into the worker's hand-off to the round (w.replies),
+// watermarks into the worker's mark,
 // checkpoints into the journal-truncation path, stats into the worker
 // handle. Connection-level failures — broken transport, checksum
 // mismatch, deadline past the stall window — end the incarnation
@@ -137,31 +145,25 @@ func (m *Machine) remoteReceiver(w *remoteWorker, conn *remote.Conn, skip []int6
 				pos = w.shardPos(shard)
 			}
 			if derr != nil || pos < 0 {
-				m.setFault(&SimError{
-					Core:   w.faultTarget(),
-					Op:     "remote-recv",
-					Scheme: m.scheme, GlobalTime: m.global.Load(), SimTime: m.global.Load(),
-					Detail: fmt.Sprintf("%s: bad reply batch (shard %d): %v", w.name(), shard, derr),
-				})
+				m.workerFault(w, "remote-recv", "%s: bad reply batch (shard %d): %v", w.name(), shard, derr)
 				return
 			}
 			scratch = evs[:0]
+			w.repMu.Lock()
 			for i := range evs {
 				if skip[pos] > 0 {
 					skip[pos]--
 					continue
 				}
-				m.pushShardReply(shard, int(evs[i].Core), evs[i])
+				w.replies = append(w.replies, evs[i])
 				w.delivered[pos]++
 			}
+			w.repMu.Unlock()
 			m.bumpMgrEpoch()
 		case remote.FWatermark:
 			t, derr := remote.DecodeTime(f.Payload)
 			if derr != nil {
-				m.setFault(&SimError{
-					Core: w.faultTarget(), Op: "remote-recv", Scheme: m.scheme,
-					Detail: fmt.Sprintf("%s: bad watermark: %v", w.name(), derr),
-				})
+				m.workerFault(w, "remote-recv", "%s: bad watermark: %v", w.name(), derr)
 				return
 			}
 			if t > w.mark.v.Load() {
@@ -174,10 +176,7 @@ func (m *Machine) remoteReceiver(w *remoteWorker, conn *remote.Conn, skip []int6
 		case remote.FCheckpoint:
 			wid, gate, batches, perr := remote.PeekCheckpoint(f.Payload)
 			if perr != nil || wid != w.id {
-				m.setFault(&SimError{
-					Core: w.faultTarget(), Op: "remote-recv", Scheme: m.scheme,
-					Detail: fmt.Sprintf("%s: bad checkpoint header (worker %d): %v", w.name(), wid, perr),
-				})
+				m.workerFault(w, "remote-recv", "%s: bad checkpoint header (worker %d): %v", w.name(), wid, perr)
 				return
 			}
 			w.storeCheckpoint(f.Payload, gate, batches)
@@ -216,10 +215,7 @@ func (m *Machine) remoteReceiver(w *remoteWorker, conn *remote.Conn, skip []int6
 			w.finished.Store(true)
 			return
 		default:
-			m.setFault(&SimError{
-				Core: w.faultTarget(), Op: "remote-recv", Scheme: m.scheme,
-				Detail: fmt.Sprintf("%s: unexpected %s frame", w.name(), remote.FrameName(f.Type)),
-			})
+			m.workerFault(w, "remote-recv", "%s: unexpected %s frame", w.name(), remote.FrameName(f.Type))
 			return
 		}
 	}
@@ -440,11 +436,11 @@ func (m *Machine) resumeWorker(w *remoteWorker, t remote.Transport) bool {
 }
 
 // adoptWorker migrates an abandoned worker's shards into the parent:
-// rebuild each shard's timing state from the stored checkpoint, replay
-// the journal's event batches into the local heaps, and let the manager
-// process them through the shared applyMemEvent path from here on. The
-// replies the dead worker already delivered are suppressed by count, so
-// the rings see the sequence exactly once. Manager role only.
+// restore each shard from the stored checkpoint, replay the journal's
+// event batches into the local heaps, and let the manager process them
+// through the shared applyMemEvent path from here on. The replies the dead
+// worker already delivered are suppressed by count, so the InQs see the
+// sequence exactly once. Manager role only.
 func (m *Machine) adoptWorker(w *remoteWorker) {
 	r := m.remote
 	w.mu.Lock()
@@ -453,11 +449,7 @@ func (m *Machine) adoptWorker(w *remoteWorker) {
 	w.mu.Unlock()
 	dec, err := remote.DecodeCheckpoint(ck)
 	if err != nil {
-		m.setFault(&SimError{
-			Core: w.faultTarget(), Op: "remote-adopt", Scheme: m.scheme,
-			GlobalTime: m.global.Load(),
-			Detail:     fmt.Sprintf("%s: stored checkpoint unusable: %v", w.name(), err),
-		})
+		m.workerFault(w, "remote-adopt", "%s: stored checkpoint unusable: %v", w.name(), err)
 		return
 	}
 	w.adoptedFlag = true
@@ -468,33 +460,21 @@ func (m *Machine) adoptWorker(w *remoteWorker) {
 		if pos < 0 || sc.Shard >= r.n {
 			continue
 		}
-		l2, lerr := cache.NewL2System(m.cfg.Cache)
-		if lerr != nil {
-			m.setFault(&SimError{
-				Core: w.faultTarget(), Op: "remote-adopt", Scheme: m.scheme,
-				Detail: fmt.Sprintf("shard %d: %v", sc.Shard, lerr),
-			})
+		l2, err := cache.NewL2System(m.cfg.Cache)
+		as := &hostedShard{idx: sc.Shard, l2: l2, skip: w.delivered[pos]}
+		if err == nil {
+			err = as.restore(sc)
+		}
+		if err != nil {
+			m.workerFault(w, "remote-adopt", "shard %d: %v", sc.Shard, err)
 			return
 		}
-		if len(sc.L2) > 0 {
-			if rerr := l2.RestoreState(sc.L2); rerr != nil {
-				m.setFault(&SimError{
-					Core: w.faultTarget(), Op: "remote-adopt", Scheme: m.scheme,
-					Detail: fmt.Sprintf("shard %d: %v", sc.Shard, rerr),
-				})
-				return
-			}
-		}
-		as := &hostedShard{idx: sc.Shard, l2: l2, skip: w.delivered[pos]}
 		as.reply = func(core int, ev event.Event) {
 			if as.skip > 0 {
 				as.skip--
 				return
 			}
-			m.pushShardReply(as.idx, core, ev)
-		}
-		for _, ev := range sc.Pending {
-			as.gq.Push(ev)
+			m.pushReply(core, ev)
 		}
 		r.adopted[sc.Shard] = as
 	}

@@ -15,6 +15,7 @@ import (
 
 	"slacksim/internal/asm"
 	"slacksim/internal/faultinject"
+	"slacksim/internal/metrics"
 	"slacksim/internal/remote"
 	"slacksim/internal/workloads"
 )
@@ -24,10 +25,19 @@ import (
 // timing configuration.
 func remoteMachine(t *testing.T, prog *asm.Program, w *workloads.Workload, cores, shards int) *Machine {
 	t.Helper()
+	return remoteMachineCfg(t, prog, w, remoteConfig(cores, shards))
+}
+
+func remoteConfig(cores, shards int) Config {
 	cfg := smallConfig(cores)
 	cfg.MemSize = 64 << 20
 	cfg.MaxCycles = 200_000_000
 	cfg.RemoteShards = shards
+	return cfg
+}
+
+func remoteMachineCfg(t *testing.T, prog *asm.Program, w *workloads.Workload, cfg Config) *Machine {
+	t.Helper()
 	m, err := NewMachine(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -479,5 +489,103 @@ func TestRemoteInterrupt(t *testing.T) {
 	}
 	if n := settleGoroutines(before); n > before {
 		t.Errorf("goroutine leak: %d before, %d after", before, n)
+	}
+}
+
+// TestRemoteOptimistic runs every optimistic scheme over two remote workers
+// at K = 1 and 2 groups. Their replies reach the cores only through the
+// manager rounds, as a hosted shard's do, so a single group takes a round
+// per turn. Each run must pass the workload's own check, keep the invariant
+// auditor clean and leave no goroutine behind.
+func TestRemoteOptimistic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("workload sweep")
+	}
+	w, err := workloads.Get("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.Assemble(w.Source(1), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Scheme{SchemeS9, SchemeS100, SchemeSU, SchemeA1000} {
+		for _, k := range []int{1, 2} {
+			name := fmt.Sprintf("%v/K=%d", s, k)
+			before := runtime.NumGoroutine()
+			cfg := remoteConfig(4, 2)
+			cfg.Audit = true
+			m := remoteMachineCfg(t, prog, w, cfg)
+			transports, join := startRemoteWorkers(2)
+			var res *Result
+			withGOMAXPROCS(k, func() { res, err = m.RunRemoteSharded(s, transports) })
+			for _, werr := range join() {
+				if werr != nil {
+					t.Errorf("%s: worker exit: %v", name, werr)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Groups != k {
+				t.Errorf("%s: %d groups", name, res.Groups)
+			}
+			if verr := w.Verify(m.Image(), res.Output, 1); verr != nil {
+				t.Errorf("%s: %v", name, verr)
+			}
+			if n := settleGoroutines(before); n > before {
+				t.Errorf("%s: goroutine leak: %d before, %d after", name, before, n)
+			}
+		}
+	}
+}
+
+// TestRemoteFabricOneRingPair: a remote run's fabric is the in-process
+// one, an OutQ and an InQ per group. Every remote shard's replies reach the
+// cores through their group's InQ, and no ring or depth histogram of its
+// own exists for them.
+func TestRemoteFabricOneRingPair(t *testing.T) {
+	w, err := workloads.Get("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.Assemble(w.Source(1), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := remoteMachine(t, prog, w, 4, 2)
+	reg := metrics.NewRegistry()
+	m.EnableMetrics(reg)
+	transports, join := startRemoteWorkers(2)
+	var res *Result
+	withGOMAXPROCS(2, func() { res, err = m.RunRemoteSharded(SchemeCC, transports) })
+	for _, werr := range join() {
+		if werr != nil {
+			t.Errorf("worker exit: %v", werr)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Groups != 2 {
+		t.Fatalf("%d groups, want 2", res.Groups)
+	}
+	for k, cores := range []string{"c0-1", "c2-3"} {
+		g := &m.groups[k]
+		if g.outQ.Name() != "outq."+cores || g.inQ.Name() != "inq."+cores {
+			t.Errorf("group %d rings %q and %q, want outq.%s and inq.%s", k, g.outQ.Name(), g.inQ.Name(), cores, cores)
+		}
+		if g.inQ.HighWater() == 0 {
+			t.Errorf("group %d: no reply went through its InQ", k)
+		}
+	}
+	snap := reg.Snapshot()
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "event.") && name != "event.outq.depth" && name != "event.inq.depth" && name != "event.shardq.depth" {
+			t.Errorf("ring histogram %q beside the OutQ's and the InQ's", name)
+		}
+	}
+	if snap.Histograms["event.inq.depth"].Count == 0 {
+		t.Error("event.inq.depth saw no reply")
 	}
 }

@@ -26,10 +26,10 @@ type mgrBackend struct {
 	drain func(g int64) bool
 	// gate has everything routed to the backend's memory shards below
 	// allowed processed, and returns only once their replies are in the
-	// groups' rings: hosted shards are processed inline, remote workers are
+	// groups' InQs: hosted shards are processed inline, remote workers are
 	// gated and waited for (only those whose gateBook holds a request below
-	// allowed). It returns how many events it processed in the manager role
-	// itself, pushing replies the round then wakes their groups for; a
+	// allowed) and the replies their receivers handed over are pushed. It
+	// returns how many events it processed in the manager role itself; a
 	// remote worker's events are not among them (its count arrives only
 	// with its final stats).
 	gate func(allowed int64) int64
@@ -258,9 +258,9 @@ func (l *mgrLoop) round() bool {
 	lt.lap()
 	// State first, flags second: the waker's half of the groups' park
 	// protocol (coreGroup.waiting). A group with a reply waiting from this
-	// round's visibility step is woken for its frozen members too; the
-	// producers outside the round (remote receivers) wake theirs on each
-	// push.
+	// round's visibility step — processed here or handed over by a remote
+	// receiver — is woken for its frozen members too: every reply reaches
+	// an InQ here, so no other waker exists.
 	for k := 0; k < m.nGroups; k++ {
 		gr := &m.groups[k]
 		why := wake
@@ -324,12 +324,14 @@ func (l *mgrLoop) idle(mayPark bool) {
 // visibility rule is applied: everything queued below the scheme's bound
 // for global time g is processed, oldest first — by the backend's gate
 // (its shards) and from the manager's own queue. It reports whether the
-// manager role processed anything. Every event processed here, memory
-// shards' included, feeds the Adaptive controller's traffic rate; a remote
-// worker's cannot, as its count is not known round by round.
+// manager role processed anything or pushed a reply, a remote worker's
+// included. Every event processed here, memory shards' included, feeds
+// the Adaptive controller's traffic rate; a remote worker's cannot, as its
+// count is not known round by round.
 func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) int64) bool {
 	mw := m.mgrTW
 	n := int64(0)
+	m.replied = false
 	if bound, barrier := p.s.visibleBound(g); bound > 0 {
 		if barrier && bound > p.lastBarrier {
 			p.lastBarrier = bound
@@ -356,7 +358,7 @@ func (m *Machine) makeVisible(p *pacing, g int64, gate func(int64) int64) bool {
 			}
 		}
 	}
-	return n > 0
+	return n > 0 || m.replied
 }
 
 // slideWindows raises the window edge to the scheme's target for global
@@ -379,12 +381,11 @@ func (m *Machine) slideWindows(p *pacing, g int64) bool {
 }
 
 // progressWatch is a manager's liveness bookkeeping: when the simulation
-// last changed, how long the current productive or idle streak is, and how
-// many rounds have passed without a single event.
+// last changed, how long the current idle streak is, and how many rounds
+// have passed without a single event.
 type progressWatch struct {
 	lastChange time.Time
 	lastGlobal int64
-	prodStreak int
 	idleRounds int
 	quiet      int
 	parkT      time.Duration
@@ -406,25 +407,24 @@ func (w *progressWatch) deadlockCheckDue(eventful bool) bool {
 	return w.quiet&511 == 0
 }
 
-// productive records a round that changed something. The watchdog stamp is
-// only consulted after the machine goes idle, so during a hot productive
-// streak it is refreshed 1-in-32 (time.Now is ~3% of manager CPU
-// otherwise). The idle→productive transition always stamps, so a workload
-// that is productive only rarely never accumulates false stall time.
+// productive records a round that changed something. It reads no clock:
+// the watchdog stamp is only consulted in an idle streak, which idle
+// stamps as it begins.
 func (w *progressWatch) productive(g int64) {
-	if w.idleRounds != 0 || w.prodStreak&31 == 0 {
-		w.lastChange = time.Now()
-	}
-	w.prodStreak++
 	w.idleRounds = 0
 	w.parkT = 0
 	w.lastGlobal = g
 }
 
 // idle records a round that changed nothing and reports whether the stall
-// watchdog is due (every 1024th idle round in a row).
+// watchdog is due (every 1024th idle round in a row). The first idle round
+// of a streak stamps the watchdog: the simulation changed in the round
+// before it, however long that round blocked (on the wire, say), so the
+// stall time counts from here — one clock read per streak.
 func (w *progressWatch) idle() (checkStall bool) {
-	w.prodStreak = 0
+	if w.idleRounds == 0 {
+		w.lastChange = time.Now()
+	}
 	w.idleRounds++
 	return w.idleRounds&1023 == 0
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"testing"
+	"time"
 
 	"slacksim/internal/event"
 	"slacksim/internal/sysemu"
@@ -242,5 +243,30 @@ func TestExitGetsNoReply(t *testing.T) {
 	}
 	if in, _ := m.ringDepths(1); in != 0 {
 		t.Fatalf("exiting core got %d replies", in)
+	}
+}
+
+// TestProgressWatchStampsStreakEnd: the watchdog measures an idle streak
+// from its start, however long the productive rounds before it took. A
+// remote round can block on the wire for milliseconds, so a stamp left from
+// early in a productive streak would count those rounds as stall time.
+func TestProgressWatchStampsStreakEnd(t *testing.T) {
+	w := newProgressWatch()
+	for g := int64(1); g <= 8; g++ {
+		w.productive(g)
+		time.Sleep(time.Millisecond) // a round blocked on the wire
+	}
+	end := time.Now()
+	if w.idle() {
+		t.Fatal("watchdog due on the first idle round")
+	}
+	if w.lastChange.Before(end) {
+		t.Fatalf("idle streak stamped %v before the productive streak ended", end.Sub(w.lastChange))
+	}
+	stamp := w.lastChange
+	time.Sleep(time.Millisecond)
+	w.idle()
+	if !w.lastChange.Equal(stamp) {
+		t.Fatal("a later idle round of the same streak moved the stamp")
 	}
 }

@@ -142,7 +142,7 @@ func (m *Machine) runSerialLoop() {
 	}
 }
 
-// deliverInbox demultiplexes the group's rings into its members' inboxes
+// deliverInbox demultiplexes the group's InQ into its members' inboxes
 // and applies every event in mb's whose timestamp has been reached, in
 // arrival order among the eligible — the manager's deterministic
 // processing order under conservative schemes. It reports whether anything

@@ -35,10 +35,10 @@ import (
 // bit-identical to the serial reference built from the same cache
 // configuration (docs/engine.md, "Sharded managers").
 
-// hostedShard is one memory shard whose requests the manager round
-// processes itself: an in-process shard, or a remote shard adopted into
-// the parent after its worker was abandoned (adoptWorker). Manager role
-// only.
+// hostedShard is one memory shard and the loop that processes it: an
+// in-process shard, or a remote one at either end of the wire — on its
+// worker (worker.go), or adopted into the parent after that worker was
+// abandoned (adoptWorker). In the parent it is manager role only.
 type hostedShard struct {
 	idx int
 	l2  *cache.L2System
@@ -46,9 +46,9 @@ type hostedShard struct {
 	// skip suppresses an adopted shard's first replies, the ones its
 	// replay regenerates and the dead worker had already delivered.
 	skip int64
-	// reply delivers one of the shard's replies: into the group's InQ for
-	// an in-process shard, onto the shard's remote reply ring (minus skip)
-	// for an adopted one, so the receiver's per-shard count still lines up.
+	// reply delivers one of the shard's replies: into the group's InQ in
+	// the parent (pushReply; minus skip for an adopted shard), into the
+	// shard's next reply batch on a worker.
 	reply func(core int, ev event.Event)
 	tw    *trace.Writer // the "shard <idx>" trace row (in-process only)
 	fi    *injected     // faults aimed at ShardWorker(idx) (in-process only)

@@ -19,19 +19,10 @@ import (
 // This file is the worker side of the distributed remote-shard backend:
 // the loop a slackworker process (or a slacksim -remote-spawn session)
 // runs per connection. It is deliberately in package core, not
-// internal/remote — the whole point is that a worker's timing path is
-// an in-process hosted shard's, applied through the same applyMemEvent
-// used by every other driver, so the two backends cannot drift apart.
-
-// remoteShard is one shard's state inside a worker: its own timing-only
-// L2/directory instance and its pending-event heap, mirroring an
-// in-process hosted shard (sharded.go).
-type remoteShard struct {
-	idx     int
-	l2      *cache.L2System
-	gq      event.Heap
-	replies []event.Event
-}
+// internal/remote — the whole point is that a worker's shards are hosted
+// shards (sharded.go), processed through the same processShardBelow and
+// checkpointed and restored by the same methods as an adopted shard in the
+// parent, so the two ends of the wire cannot drift apart.
 
 // ServeRemoteShards runs one worker session over t: handshake, then the
 // event/gate/reply/watermark loop, until the parent's FFinish (answered
@@ -98,7 +89,7 @@ func serveRemoteShards(t remote.Transport, logf func(format string, args ...any)
 			c.Close()
 			return fmt.Errorf("core: %s", detail)
 		}
-		w.shards = append(w.shards, &remoteShard{idx: idx, l2: l2})
+		w.shards = append(w.shards, &hostedShard{idx: idx, l2: l2, reply: w.batchReply})
 	}
 	if hello.ResumeSession {
 		if err := w.restoreFromParent(); err != nil {
@@ -115,7 +106,8 @@ func serveRemoteShards(t remote.Transport, logf func(format string, args ...any)
 type remoteWorkerLoop struct {
 	conn    *remote.Conn
 	hello   *remote.Hello
-	shards  []*remoteShard
+	shards  []*hostedShard
+	batch   []event.Event // the reply batch the shard being processed fills
 	gate    int64
 	gates   int64 // FGate frames processed this session (checkpoint cadence)
 	batches int64 // FEvents frames consumed since the session started
@@ -242,14 +234,7 @@ func (w *remoteWorkerLoop) logln(format string, args ...any) {
 // an FHeartbeat frame so the parent's staleness detector can tell a
 // slow round from a hung or dead worker; 0 disables heartbeats.
 func (w *remoteWorkerLoop) heartbeat() time.Duration {
-	ms := w.hello.HeartbeatMS
-	if ms < 0 {
-		return 0
-	}
-	if ms == 0 {
-		return time.Second
-	}
-	return time.Duration(ms) * time.Millisecond
+	return optDefault(time.Duration(w.hello.HeartbeatMS)*time.Millisecond, time.Second)
 }
 
 // restoreFromParent rebuilds a resumed session: the parent follows a
@@ -284,13 +269,8 @@ func (w *remoteWorkerLoop) restoreFromParent() error {
 		if sh == nil {
 			return fmt.Errorf("core: remote worker %d: resume checkpoint covers foreign shard %d", w.hello.WorkerID, cs.Shard)
 		}
-		if len(cs.L2) > 0 {
-			if err := sh.l2.RestoreState(cs.L2); err != nil {
-				return fmt.Errorf("core: remote worker %d shard %d: %w", w.hello.WorkerID, cs.Shard, err)
-			}
-		}
-		for _, ev := range cs.Pending {
-			sh.gq.Push(ev)
+		if err := sh.restore(cs); err != nil {
+			return fmt.Errorf("core: remote worker %d shard %d: %w", w.hello.WorkerID, cs.Shard, err)
 		}
 	}
 	w.gate, w.batches, w.events = ck.Gate, ck.Batches, ck.Events
@@ -470,7 +450,7 @@ func (w *remoteWorkerLoop) sendHeartbeat() error {
 	return nil
 }
 
-func (w *remoteWorkerLoop) shardByIndex(idx int) *remoteShard {
+func (w *remoteWorkerLoop) shardByIndex(idx int) *hostedShard {
 	for _, sh := range w.shards {
 		if sh.idx == idx {
 			return sh
@@ -478,6 +458,10 @@ func (w *remoteWorkerLoop) shardByIndex(idx int) *remoteShard {
 	}
 	return nil
 }
+
+// batchReply is every worker shard's reply: it joins the batch of the
+// shard being processed.
+func (w *remoteWorkerLoop) batchReply(_ int, ev event.Event) { w.batch = append(w.batch, ev) }
 
 // processAndReply pops every queued event below the gate through the
 // shared timing path and ships the accumulated replies, one batch per
@@ -487,13 +471,10 @@ func (w *remoteWorkerLoop) processAndReply() error {
 	ps := w.procTW.Begin()
 	before := w.events
 	for _, sh := range w.shards {
-		sh.replies = sh.replies[:0]
-		w.events += processShardBelow(&sh.gq, sh.l2, w.gate, func(core int, out event.Event) {
-			out.Core = int32(core)
-			sh.replies = append(sh.replies, out)
-		})
-		if len(sh.replies) > 0 {
-			if err := w.conn.SendBatch(remote.FReplies, sh.idx, sh.replies); err != nil {
+		w.batch = w.batch[:0]
+		w.events += processShardBelow(&sh.gq, sh.l2, w.gate, sh.reply)
+		if len(w.batch) > 0 {
+			if err := w.conn.SendBatch(remote.FReplies, sh.idx, w.batch); err != nil {
 				return err
 			}
 		}
@@ -507,9 +488,7 @@ func (w *remoteWorkerLoop) processAndReply() error {
 
 // sendCheckpoint serializes every shard's full timing state — L2 lines,
 // resource clocks, stats, and the pending-event heap in pop order — into
-// one FCheckpoint frame. The pending heap is exported destructively
-// (successive pops) and rebuilt, which both yields the deterministic pop
-// order the restore relies on and leaves the live heap untouched.
+// one FCheckpoint frame.
 func (w *remoteWorkerLoop) sendCheckpoint() error {
 	ck := remote.Checkpoint{
 		WorkerID: w.hello.WorkerID,
@@ -518,17 +497,7 @@ func (w *remoteWorkerLoop) sendCheckpoint() error {
 		Events:   w.events,
 	}
 	for _, sh := range w.shards {
-		sc := remote.ShardCheckpoint{Shard: sh.idx, L2: sh.l2.AppendState(nil)}
-		if n := sh.gq.Len(); n > 0 {
-			sc.Pending = make([]event.Event, 0, n)
-			for sh.gq.Len() > 0 {
-				sc.Pending = append(sc.Pending, sh.gq.Pop())
-			}
-			for _, ev := range sc.Pending {
-				sh.gq.Push(ev)
-			}
-		}
-		ck.Shards = append(ck.Shards, sc)
+		ck.Shards = append(ck.Shards, sh.checkpoint())
 	}
 	w.ckptBuf = remote.AppendCheckpoint(w.ckptBuf[:0], &ck)
 	if err := w.conn.WriteFrame(remote.FCheckpoint, w.ckptBuf); err != nil {
@@ -589,4 +558,38 @@ func (w *remoteWorkerLoop) sendError(se *SimError) {
 	if w.conn.WriteFrame(remote.FError, body) == nil {
 		w.conn.Flush()
 	}
+}
+
+// checkpoint is the shard's part of a worker checkpoint: its timing state
+// and its pending heap in pop order. The heap is exported destructively
+// (successive pops) and rebuilt, which both yields the deterministic pop
+// order restore relies on and leaves the live heap as it was.
+func (h *hostedShard) checkpoint() remote.ShardCheckpoint {
+	sc := remote.ShardCheckpoint{Shard: h.idx, L2: h.l2.AppendState(nil)}
+	if n := h.gq.Len(); n > 0 {
+		sc.Pending = make([]event.Event, 0, n)
+		for h.gq.Len() > 0 {
+			sc.Pending = append(sc.Pending, h.gq.Pop())
+		}
+		for _, ev := range sc.Pending {
+			h.gq.Push(ev)
+		}
+	}
+	return sc
+}
+
+// restore loads a checkpointed shard: its timing state, then its pending
+// requests in the order the checkpoint recorded. A resumed worker
+// (restoreFromParent) and a shard the parent adopts (adoptWorker) restore
+// the same way.
+func (h *hostedShard) restore(sc *remote.ShardCheckpoint) error {
+	if len(sc.L2) > 0 {
+		if err := h.l2.RestoreState(sc.L2); err != nil {
+			return err
+		}
+	}
+	for _, ev := range sc.Pending {
+		h.gq.Push(ev)
+	}
+	return nil
 }
