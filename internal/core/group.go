@@ -97,12 +97,10 @@ type member struct {
 }
 
 // coreGroup is one host goroutine's block of target cores, the one
-// condition variable the whole block parks on, the min-tree leaf that
-// publishes the block's clock (mintree.go), and the block's event rings.
+// condition variable the whole block parks on, and the block's event rings.
 type coreGroup struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	leaf int // index of the group's min-tree leaf
 	// The group's event fabric (formGroups): its members push their
 	// requests into outQ, which the manager role drains; the manager role
 	// pushes every reply into inQ, whatever shard or worker produced it,
@@ -134,7 +132,6 @@ func (m *Machine) formGroups(k int) {
 	m.nGroups = 0
 	for lo := 0; lo < n; lo += per {
 		m.groups[m.nGroups].members = m.members[lo:min(lo+per, n)]
-		m.groups[m.nGroups].leaf = m.nGroups
 		m.nGroups++
 	}
 	m.makeFabric()
@@ -213,6 +210,27 @@ func (m *Machine) arrivedFor(g *coreGroup, mb *member) bool {
 		m.demux(g)
 	}
 	return mb.arrived
+}
+
+// publishLocal publishes core i's local clock to the round's global-time
+// scan (globalMin), to forensics, audits and /slack. Called from the group
+// goroutine at batch boundaries, fast-forwards and injected clock warps;
+// the group tells a parked manager role once per pass (runGroup).
+func (m *Machine) publishLocal(i int, v int64) { m.local[i].v.Store(v) }
+
+// holdsGlobal reports whether a member of g not blocked in the kernel has
+// an effective local time, max(local, resumeFloor), at or below the
+// published global time: the group is then what holds the global time
+// back. Group goroutine only.
+func (m *Machine) holdsGlobal(g *coreGroup) bool {
+	global := m.global.Load()
+	for k := range g.members {
+		mb := &g.members[k]
+		if m.blocked[mb.id].Load() == 0 && max(mb.local, m.resumeFloor[mb.id].Load()) <= global {
+			return true
+		}
+	}
+	return false
 }
 
 // spawnGroups starts one contained goroutine for each group but the first,
@@ -408,13 +426,20 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	// After a round that changed nothing the group keeps the role while it
 	// waits on the activity epoch (parking only if mayPark): its own members
 	// can only be released by a round, and it is the one placed to run it.
+	// It parks only if none of them can move: another group's round, run
+	// since their turns, may have released them, and a round bumps no epoch.
 	manage := func(mayPark bool) (ran bool) {
 		if !m.mgrMu.TryLock() {
 			return false
 		}
 		cur = faultinject.Manager
 		if !mgr.round() {
-			mgr.idle(mayPark && !lone)
+			park := mayPark && !lone
+			if park {
+				runnable, _ := m.groupRunnable(g, pace)
+				park = !runnable
+			}
+			mgr.idle(park)
 			if lone {
 				runtime.Gosched() // stay polite to the host while nothing moves
 			}
@@ -446,10 +471,10 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			if sample {
 				turnH.Observe(time.Since(t0).Nanoseconds())
 			}
-			// The per-turn round, unless this very group's leaf holds the
-			// global time back: everybody is waiting for this group, so one
-			// that is ahead (and would wait anyway) takes the round.
-			if roundPerTurn && (single || m.lt.argmin() != g.leaf) {
+			// The per-turn round, unless this very group holds the global
+			// time back: everybody is waiting for this group, so one that
+			// is ahead (and would wait anyway) takes the round.
+			if roundPerTurn && (single || !m.holdsGlobal(g)) {
 				manage(false)
 			}
 		}
@@ -463,7 +488,14 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 		// The end-of-pass round (the per-turn ones make it redundant). A
 		// remote round blocks on the wire, so there only a pass in which no
 		// member moved takes it: members that can move keep their window.
-		if (!moved || !roundPerTurn && !wire) && manage(!moved) || moved {
+		if (!moved || !roundPerTurn && !wire) && manage(!moved) {
+			continue
+		}
+		if moved {
+			// Clocks moved and this pass ran no round after them: bump the
+			// epoch once, so that a group parked in the manager role wakes
+			// to read them (docs/engine.md, "Who runs the manager").
+			m.bumpMgrEpoch()
 			continue
 		}
 		// Nothing to run and somebody else is the manager. Yield first,

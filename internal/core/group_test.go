@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -284,14 +286,17 @@ func TestGroupWaitNeverStarvesBackend(t *testing.T) {
 
 // TestGroupWaitLostWakeup forces every idle pass of every group to park at
 // once (park budget zero), so each window slide, global-time advance and
-// reply push races a group going to sleep. A lost wake-up ends a run as a
-// watchdog StallError instead of a result. The K = 1 rows cover the lone
-// group that hosts the sharded round and, on the remote backend, blocks on
-// the wire in it and parks in the manager role until a reply lands.
+// reply push races a group going to sleep, and makes the manager role's
+// park untimed, so a clock publication that fails to bump the activity
+// epoch is not covered by the park's timeout. A lost wake-up of either kind
+// hangs the run; each row runs under a deadline that interrupts it and
+// fails the row. The K = 1 rows cover the lone group that hosts the sharded
+// round and, on the remote backend, blocks on the wire in it and parks in
+// the manager role until a reply lands.
 func TestGroupWaitLostWakeup(t *testing.T) {
-	old := groupParkBudget
-	groupParkBudget = 0
-	defer func() { groupParkBudget = old }()
+	oldBudget, oldFirst, oldCeil := groupParkBudget, mgrParkFirst, mgrParkCeil
+	groupParkBudget, mgrParkFirst, mgrParkCeil = 0, time.Hour, time.Hour
+	defer func() { groupParkBudget, mgrParkFirst, mgrParkCeil = oldBudget, oldFirst, oldCeil }()
 	rounds := 6
 	if testing.Short() {
 		rounds = 2
@@ -304,9 +309,7 @@ func TestGroupWaitLostWakeup(t *testing.T) {
 			cfg := smallConfig(4)
 			cfg.MaxCycles = 3000
 			m := mustMachine(t, "main:\n j main\n", cfg)
-			var res *Result
-			withGOMAXPROCS(2, func() { res = runDriver(t, m, "parallel", s) })
-			if !res.Aborted {
+			if res := runUnderDeadline(t, m, 2, "parallel", s); !res.Aborted {
 				t.Fatalf("%v: infinite loop did not abort", s)
 			}
 		}
@@ -316,16 +319,47 @@ func TestGroupWaitLostWakeup(t *testing.T) {
 		}{{"parallel", 2}, {"sharded", 2}, {"remote", 2}, {"sharded", 1}, {"remote", 1}} {
 			for _, s := range []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU} {
 				cfg, run := driverConfig(row.driver, 4)
-				cfg.StallTimeout = 5 * time.Second
 				m := mustMachine(t, threadsProg, cfg)
-				var res *Result
-				withGOMAXPROCS(row.k, func() { res = runDriver(t, m, run, s) })
-				if res.Output != expectTotal(4) {
+				if res := runUnderDeadline(t, m, row.k, run, s); res.Output != expectTotal(4) {
 					t.Fatalf("%s K=%d %v: output %q", row.driver, row.k, s, res.Output)
 				}
 			}
 		}
 	}
+}
+
+// lostWakeupDeadline is how long a TestGroupWaitLostWakeup row may run:
+// about a thousand times what one takes under the race detector on two
+// host threads.
+const lostWakeupDeadline = 30 * time.Second
+
+// runUnderDeadline runs m under s on the named driver at K = k (runDriver),
+// failing the test if it is still running after lostWakeupDeadline: the
+// deadline interrupts it, which is the only way a run whose wake-up was
+// lost ever ends.
+func runUnderDeadline(t *testing.T, m *Machine, k int, driver string, s Scheme) *Result {
+	t.Helper()
+	what := fmt.Sprintf("%s K=%d %v (ManagerShards %d)", driver, k, s, m.cfg.ManagerShards)
+	logged := make(chan struct{})
+	deadline := time.AfterFunc(lostWakeupDeadline, func() {
+		defer close(logged)
+		// Atomics only: the run's goroutines are still going. (Groups past
+		// the run's K read 0.)
+		flags := make([]int32, len(m.groups))
+		for k := range flags {
+			flags[k] = m.groups[k].waiting.Load()
+		}
+		t.Logf("%s: edge %d, manager parked %d, group park flags %b, %+v",
+			what, m.edge.v.Load(), m.mgrParked.Load(), flags, m.LiveSnapshot())
+		m.Interrupt()
+	})
+	var res *Result
+	withGOMAXPROCS(k, func() { res = runDriver(t, m, driver, s) })
+	if !deadline.Stop() {
+		<-logged
+		t.Fatalf("%s: still running after %v, interrupted: a lost wake-up", what, lostWakeupDeadline)
+	}
+	return res
 }
 
 // TestFrozenMemberWakesOnOwnReply checks the demultiplexed wake: two cores
@@ -360,5 +394,112 @@ func TestFrozenMemberWakesOnOwnReply(t *testing.T) {
 	reply(0)
 	if ok, _ := m.groupRunnable(g, pace); !ok {
 		t.Fatal("core 0's own reply left the group unrunnable")
+	}
+}
+
+// bareMachine builds a Machine with just the pacing state and event rings
+// the global-time and fabric tests exercise — no cores, no kernel, no cache
+// hierarchy. Like a fresh NewMachine, each core is a group of one until
+// groupBare runs.
+func bareMachine(n, ringCap int) *Machine {
+	m := &Machine{
+		coreSlots:   ringCap,
+		local:       make([]padded, n),
+		blocked:     make([]atomic.Int64, n),
+		resumeFloor: make([]atomic.Int64, n),
+		members:     make([]member, n),
+		groups:      make([]coreGroup, n),
+		groupOf:     make([]*coreGroup, n),
+		mgrWake:     make(chan struct{}, 1),
+	}
+	groupBare(m, n)
+	return m
+}
+
+// groupBare splits a bare machine's cores into k contiguous groups of
+// ceil(n/k) with their rings, as formGroups does (k = 3 is uneven for most
+// n).
+func groupBare(m *Machine, k int) {
+	n := len(m.local)
+	per := (n + k - 1) / k
+	m.nGroups = 0
+	for lo := 0; lo < n; lo += per {
+		m.groups[m.nGroups].members = m.members[lo:min(lo+per, n)]
+		m.nGroups++
+	}
+	for i := range m.members {
+		m.members[i].id, m.groupOf[i] = i, &m.groups[i/per]
+	}
+	m.makeFabric()
+}
+
+// TestFabricRace drives the event fabric from its three ends at once. One
+// producer goroutine per group pushes each member's numbered requests into
+// the group's OutQ, as the members' Send does; the manager drains every
+// OutQ (drainOutQs) and answers each request into its group's InQ, as
+// pushReply does; one goroutine per group demultiplexes its InQ into the
+// members' inboxes (demux). Every core must get exactly its own events,
+// once each and in order, and be marked arrived. Cases: one group, three
+// uneven groups, and 70 cores in two groups. Run under -race in CI.
+func TestFabricRace(t *testing.T) {
+	const perCore = 300
+	for _, tc := range []struct{ n, k int }{{8, 1}, {8, 3}, {70, 2}} {
+		t.Run(fmt.Sprintf("cores=%d/groups=%d", tc.n, tc.k), func(t *testing.T) {
+			m := bareMachine(tc.n, 4)
+			groupBare(m, tc.k)
+			var wg sync.WaitGroup
+			for k := 0; k < m.nGroups; k++ {
+				g := &m.groups[k]
+				wg.Add(2)
+				go func() { // the members' requests, round-robin
+					defer wg.Done()
+					for seq := 0; seq < perCore; seq++ {
+						for j := range g.members {
+							ev := event.Event{Core: int32(g.members[j].id), Time: int64(seq), Seq: int64(seq)}
+							for !g.outQ.Push(ev) {
+								runtime.Gosched() // ring full: wait for the manager
+							}
+							m.bumpMgrEpoch()
+						}
+					}
+				}()
+				go func() { // the group's demux, until every reply is in
+					defer wg.Done()
+					for want, got := len(g.members)*perCore, 0; got < want; {
+						m.demux(g)
+						got = 0
+						for j := range g.members {
+							got += len(g.members[j].inbox)
+						}
+						runtime.Gosched()
+					}
+				}()
+			}
+			for answered := 0; answered < tc.n*perCore; {
+				m.drainOutQs(func(ev event.Event) {
+					for !m.groupOf[ev.Core].inQ.Push(ev) {
+						runtime.Gosched() // InQ full: wait for the demux
+					}
+					answered++
+				})
+			}
+			wg.Wait()
+			for k := 0; k < m.nGroups; k++ {
+				if m.groups[k].hasEvents() || m.groups[k].outQ.Len() != 0 {
+					t.Fatalf("group %d: events left in its rings", k)
+				}
+			}
+			for i := range m.members {
+				mb := &m.members[i]
+				if len(mb.inbox) != perCore || !mb.arrived {
+					t.Fatalf("core %d: %d events (arrived=%v), want %d", i, len(mb.inbox), mb.arrived, perCore)
+				}
+				for seq, ev := range mb.inbox {
+					if int(ev.Core) != i || ev.Seq != int64(seq) {
+						t.Fatalf("core %d: event %d is core %d seq %d", i, seq, ev.Core, ev.Seq)
+					}
+				}
+			}
+		})
 	}
 }

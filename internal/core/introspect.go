@@ -85,7 +85,7 @@ func (m *Machine) slackSnapshot() introspect.SlackSnapshot {
 	if sc := m.schemeLive.Load(); sc != nil {
 		s.Scheme = sc.String()
 	}
-	if v := m.lt.root(); v != minTreeInf {
+	if v, held := m.globalMin(); held >= 0 {
 		s.Root = v
 	} else {
 		s.Root = -1

@@ -140,7 +140,7 @@ func TestIntrospectionLive(t *testing.T) {
 }
 
 // TestIntrospectionLiveFused is the K = 1 counterpart: the lone group
-// stores the same per-core clock atomics and feeds the same min-tree as K
+// stores the same per-core clock atomics, which the round scans, as K
 // groups, so /slack, /metrics, and /stallz must answer from another
 // goroutine while RunFused runs.
 func TestIntrospectionLiveFused(t *testing.T) {

@@ -13,9 +13,10 @@ import (
 // sharded drivers) attributes the full request→reply latency in simulated
 // cycles and in host time to the requesting core's histograms. On top of
 // that sits per-round straggler attribution: each manager round the
-// min-tree's argmin identifies the core whose effective local time held
-// the global time back, feeding a per-core held-round count and an EWMA of
-// the held fraction — the live answer to "which core is the straggler?".
+// global-time scan (globalMin) names the core whose effective local time
+// held the global time back, feeding a per-core held-round count and an
+// EWMA of the held fraction — the live answer to "which core is the
+// straggler?".
 //
 // Everything here is behind the established nil-fast-path gate: with
 // metrics disabled the stamps stay zero and each site pays one predictable
@@ -43,9 +44,9 @@ func (m *Machine) observeMemLatency(i int, ev *event.Event, local int64) {
 }
 
 // stragglerAlpha is the EWMA smoothing factor and stragglerWindow the
-// number of manager rounds per EWMA update. The per-round cost is O(1)
-// (one argmin walk + one counter bump); the O(N) decay pass runs once per
-// window, keeping the manager's activity-proportional round cost intact.
+// number of manager rounds per EWMA update. The per-round cost is one
+// counter bump (the round's scan names the core); the O(N) decay pass runs
+// once per window.
 const (
 	stragglerAlpha  = 0.125
 	stragglerWindow = 64
@@ -56,7 +57,7 @@ const (
 // read after the run joins); heldPub/ewmaPPM are padded atomic mirrors the
 // live /slack view reads concurrently.
 type stragglerState struct {
-	held    []int64 // total rounds core i's leaf held the min-tree root
+	held    []int64 // total rounds core i held the global-time minimum
 	winHeld []int64 // held counts within the current EWMA window
 	rounds  int64
 	ewma    []float64
@@ -99,8 +100,8 @@ func (m *Machine) noteStraggler(i int) {
 
 // Straggler summarises one core's share of the blame for the global time's
 // pace over a run: how many manager rounds its effective local time held
-// the min-tree root (HeldRounds, HeldFrac of all attributed rounds) and
-// the end-of-run EWMA of that held fraction.
+// the global-time minimum (HeldRounds, HeldFrac of all attributed rounds)
+// and the end-of-run EWMA of that held fraction.
 type Straggler struct {
 	Core       int     `json:"core"`
 	HeldRounds int64   `json:"held_rounds"`

@@ -10,7 +10,8 @@ import (
 // Tests for memory-event latency attribution: every request stamped at
 // Env.Send must be observed at delivery, under every driver, in both
 // simulated cycles and host nanoseconds — and the parallel drivers must
-// attribute manager rounds to the straggler core holding the min-tree.
+// attribute manager rounds to the straggler core holding the global-time
+// minimum.
 
 func runWithMetrics(t *testing.T, driver string) (*metrics.Registry, *Result, int) {
 	t.Helper()

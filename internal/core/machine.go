@@ -179,25 +179,21 @@ type Machine struct {
 	// there), so the global time cannot race past the core's resume point
 	// while its goroutine is waiting to be scheduled — which would let it
 	// inject events into the manager's past and break the conservative
-	// schemes' determinism. Only the manager writes blocked and
-	// resumeFloor, on syscall transitions, so neither is padded: a group's
-	// leaf refresh (mintree.go) reads each for eight cores from one line.
+	// schemes' determinism. Only the manager role writes blocked and
+	// resumeFloor, on syscall transitions, so neither is padded: the
+	// round's scan (globalMin) reads each for eight cores from one line.
 	resumeFloor []atomic.Int64
 	global      atomic.Int64
 	done        atomic.Bool
 	intr        atomic.Bool  // Interrupt() requested (signal handler)
 	roiTime     atomic.Int64 // simulated time the ROI began (-1 until then)
 
-	// lt is the tournament min-tree with one leaf per core group (see
-	// mintree.go): a group updates its leaf when a clock publication moves
-	// the group's minimum, the manager reads the root in O(1).
-	lt *minTree
-	// mgrEpoch counts core-side activity (leaf moves, OutQ pushes, remote
-	// reply batches); the manager records it at the
-	// start of a round and parks when a round was idle and the epoch did
-	// not move. mgrParked flags a manager waiting on mgrWake so the bump
-	// path can skip the channel when the manager is running (same Dekker
-	// pattern as the groups' waiting flag).
+	// mgrEpoch counts core-side activity (group passes that moved a member
+	// and did not end in a round, OutQ pushes, remote reply batches); the
+	// manager records it at the start of a round and parks when a round
+	// was idle and the epoch did not move. mgrParked flags a manager
+	// waiting on mgrWake so the bump path can skip the channel when the
+	// manager is running (same Dekker pattern as the groups' waiting flag).
 	mgrEpoch  padded
 	mgrParked atomic.Int32
 	mgrWake   chan struct{}
@@ -348,7 +344,6 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		waitCycles:  make([]int64, cfg.NumCores),
 		lastEvKind:  make([]padded, cfg.NumCores),
 		lastEvTime:  make([]padded, cfg.NumCores),
-		lt:          new(minTree),
 		mgrWake:     make(chan struct{}, 1),
 		coreSlots:   ringShare,
 		drainBuf:    make([]event.Event, 0, ringShare),
@@ -383,13 +378,12 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		// Until beginRun forms the run's groups, each core is a group of
-		// one with a leaf of its own.
+		// one.
 		m.groups[i].cond = sync.NewCond(&m.groups[i].mu)
-		m.groups[i].members, m.groups[i].leaf = m.members[i:i+1], i
+		m.groups[i].members = m.members[i : i+1]
 		m.members[i].id = i
 		m.groupOf[i] = &m.groups[i]
 	}
-	m.sizeTree(cfg.NumCores)
 	// Deferred grants for blocked syscalls (lock handoff, barrier release,
 	// semaphore signal, join) come back through the same InQ reply path;
 	// Notify runs inside the round's visibility step, which wakes the
@@ -405,15 +399,13 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			Time: grantAt,
 			Aux:  ret,
 		}
+		// Rejoin the global minimum at the resume floor. Notify runs in
+		// the manager role (inside a processing pass), so the role's next
+		// globalMin scan reads both stores, which keeps the global time
+		// from racing past the core's resume point.
 		m.pushReply(core, grant)
 		m.resumeFloor[core].Store(grantAt)
 		m.blocked[core].Store(0)
-		// Rejoin the min-tree at the resume floor. Notify runs in the
-		// manager role (inside a processing pass), and the refresh
-		// leaves the root at most the grant time before the manager's next
-		// globalMin read (mintree.go), which keeps the global time from
-		// racing past the core's resume point.
-		m.refreshLeaf(m.groupOf[core], true)
 	}
 	if cfg.RemoteShards > 0 {
 		m.remote = newRemoteState(cfg)
@@ -431,9 +423,6 @@ func (m *Machine) Image() *loader.Image { return m.img }
 
 // Kernel returns the emulated OS (workload output, violation counters).
 func (m *Machine) Kernel() *sysemu.Kernel { return m.kernel }
-
-// L2 returns the shared hierarchy model (statistics).
-func (m *Machine) L2() *cache.L2System { return m.l2 }
 
 // DebugState renders the engine's pacing state plus each core's debug dump
 // (diagnostics for aborted runs).

@@ -194,11 +194,10 @@ func (m *Machine) processSyscall(ev event.Event) {
 		// The kernel queued the caller; the grant arrives via Notify when
 		// another thread releases it. Until then the core's frozen clock
 		// must not hold back the global time (the releaser could never
-		// reach its releasing operation otherwise). The refresh of its
-		// group's leaf runs in the manager role, so the next globalMin
-		// read already excludes this core.
+		// reach its releasing operation otherwise). The store is made in
+		// the manager role, so the role's next globalMin scan already
+		// excludes this core.
 		m.blocked[core].Store(1)
-		m.refreshLeaf(m.groupOf[core], true)
 		return
 	}
 	m.pushReply(core, event.Event{

@@ -82,12 +82,12 @@ func (m *Machine) Interrupt() {
 	m.wakeAll()
 }
 
-// bumpMgrEpoch publishes core-side activity to the manager role: a clock
-// publication that moved its group's leaf, an OutQ push, or a remote reply
-// batch. The epoch store comes first so a group checking the epoch before
-// parking in the role either sees the bump (and stays up) or parks with the
-// flag already visible to us — in which case the channel send below wakes
-// it. The Dekker pairing mirrors parkGroup/wake.
+// bumpMgrEpoch publishes core-side activity to the manager role: a group
+// pass that moved a member and did not end in a round, an OutQ push, or a
+// remote reply batch. The epoch store comes first so a group checking the
+// epoch before parking in the role either sees the bump (and stays up) or
+// parks with the flag already visible to us — in which case the channel
+// send below wakes it. The Dekker pairing mirrors parkGroup/wake.
 func (m *Machine) bumpMgrEpoch() {
 	m.mgrEpoch.v.Add(1)
 	if m.mgrParked.Load() != 0 {

@@ -102,15 +102,14 @@ type pacing struct {
 }
 
 // beginRun installs the scheme for a paced run, opens the initial window,
-// forms at most k core groups with their rings, sizes the min-tree to one
-// leaf per group and returns the manager's pacing state. The scheme is
-// published last: a snapshot that sees it sees the groups' rings.
+// forms at most k core groups with their rings and returns the manager's
+// pacing state. The scheme is published last: a snapshot that sees it sees
+// the groups' rings.
 func (m *Machine) beginRun(s Scheme, k int) pacing {
 	m.scheme = s
 	m.captureHostMem()
 	m.edge.v.Store(s.maxLocal(0))
 	m.formGroups(k)
-	m.sizeTree(m.nGroups)
 	m.schemeLive.Store(&s)
 	return pacing{s: s, ad: newAdaptState(s)}
 }
@@ -179,11 +178,12 @@ func (lt *lapTimer) lap() {
 // It reports whether the round changed anything; the run's end (MaxCycles,
 // a certain deadlock) is left in done.
 //
-// Its cost follows the group count K, not the core count: the global-time
-// candidate is the min-tree root (O(1); groups pay O(log K) on
-// publication), the drain pops K OutQs, the slide is one store, the notify
-// is at most K wakes, and a quiescent machine parks the manager on its
-// wake channel (idle).
+// Its cost is O(N) in the core count N for the global-time candidate, one
+// pass over the cores' clocks (globalMin), and O(K) in the group count K
+// elsewhere: the drain pops K OutQs, the slide is one store, the notify is
+// at most K wakes, and a quiescent machine parks the manager on its wake
+// channel (idle). At the paper's eight cores one scan costs less than
+// keeping a tree of the clocks current would (docs/performance.md).
 func (l *mgrLoop) round() bool {
 	m, mw := l.m, l.m.mgrTW
 	measure := m.met != nil
@@ -201,12 +201,12 @@ func (l *mgrLoop) round() bool {
 	l.epoch = m.mgrEpoch.v.Load()
 	// Snapshot the global-time candidate BEFORE draining: every event
 	// with a timestamp below this minimum was pushed before its core's
-	// clock passed it — the push precedes the group's leaf update in the
-	// total order of atomic operations, which precedes this root read —
+	// clock passed it — the push precedes the core's clock store in the
+	// total order of atomic operations, which precedes this scan's load —
 	// so the drain below is guaranteed to contain it. Draining first
 	// would let cores advance between the drain and the minimum,
 	// overstating the bound past events still sitting in the OutQs.
-	g, held := m.globalMin(measure)
+	g, held := m.globalMin()
 	if measure {
 		// Straggler attribution: charge the round to the core that holds
 		// the candidate (latency.go).
@@ -297,6 +297,35 @@ func (l *mgrLoop) round() bool {
 		return true
 	}
 	return false
+}
+
+// globalMin returns the manager's global-time candidate (§2.1): the
+// minimum, over the cores not blocked in the kernel, of max(local,
+// resumeFloor) — a core granted out of a blocking wait counts at its resume
+// time until its frozen clock catches up — and the lowest-numbered core at
+// that minimum, which straggler attribution charges the round to. When
+// every core is blocked it returns the current global time unchanged and
+// -1 (an all-blocked deadlock, which the watchdog handles).
+//
+// One pass over the per-core atomics, safe from any goroutine. blocked and
+// resumeFloor are written only in the manager role (processSyscall,
+// kernel.Notify), so a scan run in the role reads its own writes: a grant
+// is never hidden from the round that follows it. A clock it reads may be
+// stale only by being low, which keeps the minimum conservative.
+func (m *Machine) globalMin() (int64, int) {
+	lo, held := int64(math.MaxInt64), -1
+	for i := range m.local {
+		if m.blocked[i].Load() != 0 {
+			continue
+		}
+		if v := max(m.local[i].v.Load(), m.resumeFloor[i].Load()); v < lo {
+			lo, held = v, i
+		}
+	}
+	if held < 0 {
+		return m.global.Load(), -1
+	}
+	return lo, held
 }
 
 // idle follows a round that observed no activity. After a few of those, if
@@ -433,17 +462,20 @@ func (w *progressWatch) idle() (checkStall bool) {
 // host core back.
 func (w *progressWatch) shouldPark() bool { return w.idleRounds > 4 }
 
-// mgrParkCeil caps the manager's escalating park timeout: long enough to
-// make a fully parked manager's background wake-ups negligible, short
-// enough that deadlock detection and the watchdog stay responsive.
-const mgrParkCeil = 10 * time.Millisecond
+// mgrParkFirst and mgrParkCeil bound the manager's escalating park
+// timeout: the ceiling is long enough to make a fully parked manager's
+// background wake-ups negligible, short enough that deadlock detection and
+// the watchdog stay responsive. Variables only so the lost-wakeup stress
+// test can make every park outlast the run: a missed epoch bump then hangs
+// the run instead of costing one timeout.
+var mgrParkFirst, mgrParkCeil = 100 * time.Microsecond, 10 * time.Millisecond
 
-// nextParkTimeout escalates the park timeout from 100µs toward the
+// nextParkTimeout escalates the park timeout from mgrParkFirst toward the
 // ceiling; a productive round resets it.
 func (w *progressWatch) nextParkTimeout() time.Duration {
 	switch {
 	case w.parkT == 0:
-		w.parkT = 100 * time.Microsecond
+		w.parkT = mgrParkFirst
 	case w.parkT < mgrParkCeil:
 		if w.parkT *= 2; w.parkT > mgrParkCeil {
 			w.parkT = mgrParkCeil

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +31,119 @@ loop:
     li   a0, 0
     syscall 0
 `
+
+// blockCore and grantCore are the manager role's two transitions of a
+// core's blocked state, as processSyscall and kernel.Notify make them.
+func blockCore(m *Machine, i int) { m.blocked[i].Store(1) }
+
+func grantCore(m *Machine, i int, floor int64) {
+	m.resumeFloor[i].Store(floor)
+	m.blocked[i].Store(0)
+}
+
+// runGroupedRace checks the grant-safety property of the global-time scan.
+// One goroutine per group publishes monotone clocks for its members in
+// turn, pubs[k] holding group k's clock steps, while the calling goroutine
+// — the manager role — applies mgr: blocks and grants of members whose
+// siblings keep publishing. After every grant globalMin must be at most the
+// granted core's max(local, floor), so the global time cannot pass a core
+// about to resume and the core cannot inject events into the manager's
+// past.
+func runGroupedRace(t *testing.T, m *Machine, pubs [][]int64, mgr []byte) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for k := 0; k < m.nGroups; k++ {
+		wg.Add(1)
+		go func(g *coreGroup, steps []int64) {
+			defer wg.Done()
+			for s, d := range steps {
+				i := g.members[s%len(g.members)].id
+				m.publishLocal(i, m.local[i].v.Load()+d)
+			}
+		}(&m.groups[k], pubs[k])
+	}
+	n := len(m.local)
+	for j := 0; j+1 < len(mgr); j += 2 {
+		i := int(mgr[j]>>1) % n
+		if mgr[j]&1 == 0 {
+			blockCore(m, i)
+			continue
+		}
+		grantCore(m, i, m.local[i].v.Load()+int64(mgr[j+1]))
+		got, _ := m.globalMin()
+		if bound := max(m.local[i].v.Load(), m.resumeFloor[i].Load()); got > bound {
+			t.Errorf("grant %d of core %d: globalMin=%d passes its max(local, floor)=%d", j/2, i, got, bound)
+			break
+		}
+	}
+	wg.Wait()
+}
+
+// TestGrantSafetyRace runs runGroupedRace on 16 cores in one group, three
+// uneven ones and a group per core. Run under -race in CI.
+func TestGrantSafetyRace(t *testing.T) {
+	const n = 16
+	for round := 0; round < 8; round++ {
+		for _, k := range []int{1, 3, n} {
+			rng := rand.New(rand.NewSource(int64(round*n + k)))
+			m := bareMachine(n, 8)
+			groupBare(m, k)
+			pubs := make([][]int64, m.nGroups)
+			for g := range pubs {
+				for s := 0; s < 2000; s++ {
+					pubs[g] = append(pubs[g], int64(s%7)+1)
+				}
+			}
+			mgr := make([]byte, 4000)
+			rng.Read(mgr)
+			runGroupedRace(t, m, pubs, mgr)
+			if t.Failed() {
+				t.Fatalf("round %d, K=%d", round, k)
+			}
+		}
+	}
+}
+
+// TestGlobalMinHolder pins the global-time candidate and the core straggler
+// attribution charges: the lowest-numbered core at the minimum of the
+// effective local times, max(local, floor), with cores blocked in the
+// kernel skipped, and the current global time held by none when every core
+// is blocked. It also pins holdsGlobal, the test a group makes before its
+// per-turn round.
+func TestGlobalMinHolder(t *testing.T) {
+	m := bareMachine(8, 8)
+	groupBare(m, 3) // {0 1 2} {3 4 5} {6 7}
+	for i, v := range []int64{50, 30, 40, 45, 30, 60, 70, 30} {
+		m.members[i].local = v
+		m.publishLocal(i, v)
+	}
+	m.global.Store(30)
+	check := func(step string, wantMin int64, wantHeld int, wantHolds [3]bool) {
+		t.Helper()
+		if got, held := m.globalMin(); got != wantMin || held != wantHeld {
+			t.Errorf("%s: globalMin = %d held by %d, want %d held by %d", step, got, held, wantMin, wantHeld)
+		}
+		for k, want := range wantHolds {
+			if got := m.holdsGlobal(&m.groups[k]); got != want {
+				t.Errorf("%s: group %d holdsGlobal = %v, want %v", step, k, got, want)
+			}
+		}
+	}
+	check("a three-way tie", 30, 1, [3]bool{true, true, true})
+	blockCore(m, 1)
+	check("lowest tied core blocked", 30, 4, [3]bool{false, true, true})
+	grantCore(m, 1, 35)
+	check("granted at a floor above its clock", 30, 4, [3]bool{false, true, true})
+	blockCore(m, 4)
+	blockCore(m, 7)
+	check("the floor is the minimum", 35, 1, [3]bool{false, false, false})
+	for i := range m.local {
+		blockCore(m, i)
+	}
+	check("all blocked", 30, -1, [3]bool{false, false, false})
+	grantCore(m, 2, 9000)
+	check("core 2 granted at 9000", 9000, 2, [3]bool{false, false, false})
+}
 
 // runDriver runs m under s on the named driver ("serial", "parallel" —
 // which is the sharded manager when m was built with ManagerShards —
@@ -268,5 +384,34 @@ func TestProgressWatchStampsStreakEnd(t *testing.T) {
 	w.idle()
 	if !w.lastChange.Equal(stamp) {
 		t.Fatal("a later idle round of the same streak moved the stamp")
+	}
+}
+
+// BenchmarkDrainOutQs measures one manager drain at ~10% activity: 10% of
+// 256 cores pushed one request since the last round, into their groups'
+// OutQs, and the drain pops every group's ring once. At 256 groups of one it
+// is a scan of one ring per core, what K = N pays.
+func BenchmarkDrainOutQs(b *testing.B) {
+	const n = 256
+	for _, k := range []int{1, 2, 16, n} {
+		b.Run(fmt.Sprintf("groups=%d", k), func(b *testing.B) {
+			m := bareMachine(n, 8)
+			groupBare(m, k)
+			b.ResetTimer()
+			for r := 0; r < b.N; r++ {
+				b.StopTimer()
+				for i := 0; i < n/10; i++ {
+					c := (i*37 + r) % n
+					m.groupOf[c].outQ.MustPush(event.Event{Core: int32(c), Time: int64(r)})
+				}
+				b.StartTimer()
+				m.drainOutQs(m.gq.Push)
+				b.StopTimer()
+				for m.gq.Len() > 0 { // keep the heap from growing across rounds
+					m.gq.Pop()
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

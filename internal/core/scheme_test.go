@@ -310,3 +310,36 @@ func TestEvHeapPeek(t *testing.T) {
 		t.Fatalf("peek = %d", h.Peek().Time)
 	}
 }
+
+// TestQuantumBarrierCrossedByJump is the regression test for the unified
+// barrier detection. Batched stepping can move the global time across a
+// quantum boundary without ever landing on a multiple of the window; the old
+// managerLoop check (g%Window == 0) never fires on such a trajectory and the
+// barrier's processing is skipped — under the new rounding-down detection the
+// barrier is found the moment the global time passes it.
+func TestQuantumBarrierCrossedByJump(t *testing.T) {
+	const window = 10
+	// A global-time trajectory that jumps 7..23: it crosses the boundaries
+	// at 10 and 20 without ever equalling a multiple of the window.
+	trajectory := []int64{7, 13, 23}
+
+	oldFired, newBarrier := false, int64(0)
+	lastBarrier := int64(0)
+	for _, g := range trajectory {
+		if g > 0 && g%window == 0 { // the pre-unification managerLoop check
+			oldFired = true
+		}
+		if allowed := quantumBarrier(g, window); allowed > 0 && allowed > lastBarrier {
+			lastBarrier = allowed
+			newBarrier = allowed
+		}
+	}
+	if oldFired {
+		t.Fatal("old g%Window==0 check fired on a boundary-jumping trajectory; test is vacuous")
+	}
+	if newBarrier != 20 {
+		t.Fatalf("unified detection found barrier %d, want 20 (last boundary below 23)", newBarrier)
+	}
+	// (The rounding arithmetic itself — off-multiple, below the first
+	// boundary, exactly on one — is tabled in TestVisibleBound.)
+}

@@ -83,10 +83,10 @@ func (m *Machine) runSerialLoop() {
 			}
 			m.local[i].v.Store(t + 1)
 		}
-		// The min-tree is deliberately not consulted here: the serial global
-		// time is the loop induction variable, and paying the O(log N) leaf
-		// path per core per cycle would tax the reference run for a minimum
-		// it never reads.
+		// globalMin is deliberately not consulted here: the serial global
+		// time is the loop induction variable, and a scan of the clocks
+		// every cycle would tax the reference run for a minimum it never
+		// reads.
 		if m.drainOutQs(toGQ) {
 			anyProgress = true
 		}

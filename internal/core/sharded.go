@@ -54,13 +54,14 @@ type hostedShard struct {
 	fi    *injected     // faults aimed at ShardWorker(idx) (in-process only)
 }
 
-// hostShards builds the n in-process shards of a machine. A lone shard is
-// the whole hierarchy and runs on m.l2; n > 1 shards get an instance each,
-// and m.l2 is left to the serial loop.
+// hostShards builds the n in-process shards of a machine. Shard 0 runs on
+// m.l2, which a serial run uses whole, and every other shard on an instance
+// of its own: a Machine is single-use, so a paced run and a serial one
+// never share m.l2.
 func (m *Machine) hostShards(n int) error {
 	for s := 0; s < n; s++ {
 		l2 := m.l2
-		if n > 1 {
+		if s > 0 {
 			var err error
 			if l2, err = cache.NewL2System(m.cfg.Cache); err != nil {
 				return fmt.Errorf("core: %w", err)

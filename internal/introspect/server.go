@@ -39,9 +39,9 @@ type SlackSnapshot struct {
 	Attached bool `json:"attached"`
 	// Scheme is the running scheme's name ("CC", "S9*", ...).
 	Scheme string `json:"scheme,omitempty"`
-	// Global is the published global simulated time and Root the min-tree
-	// root (the next global-time candidate); Root is -1 while every live
-	// core is blocked in the kernel.
+	// Global is the published global simulated time and Root the next
+	// global-time candidate, the minimum of the cores' effective local
+	// times; Root is -1 while every live core is blocked in the kernel.
 	Global int64 `json:"global"`
 	Root   int64 `json:"root"`
 	// GQDepth mirrors the manager's global event-queue depth.
@@ -97,7 +97,7 @@ type SlackCore struct {
 	MemLatP50   int64 `json:"mem_lat_p50,omitempty"`
 	MemLatP99   int64 `json:"mem_lat_p99,omitempty"`
 	// Straggler attribution: manager rounds this core's local time held
-	// the min-tree root, and the EWMA of its held fraction.
+	// the global-time minimum, and the EWMA of its held fraction.
 	StragglerHeld int64   `json:"straggler_held,omitempty"`
 	StragglerEWMA float64 `json:"straggler_ewma,omitempty"`
 }
