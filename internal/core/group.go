@@ -71,6 +71,7 @@ const (
 	waitEdge   int32 = 1 << iota // a member's window edge to rise
 	waitGlobal                   // the global time to advance (idle members follow it)
 	waitEvent                    // a reply for a frozen member
+	waitRound                    // the K-th group at the edge to run its rounds
 )
 
 // member is one target core's loop-owned run state. Only the goroutine
@@ -82,6 +83,7 @@ type member struct {
 	local  int64
 	inbox  []event.Event // demultiplexed replies not yet delivered
 	turns  int           // turns offered, runnable or not (audit cadence)
+	parks  int64         // arrivals at the window edge (Result.BlockedParks)
 	sample int           // the turn count from which the next slack sample is due
 	fi     *injected     // this core's injected faults (nil: none)
 	pinned bool          // an injected Stall: the core never moves again
@@ -120,7 +122,44 @@ type coreGroup struct {
 	// of it in which no member could move (metrics only; read after the
 	// join). Both are every member's: a group waits only when all of them do.
 	hostNS, waitNS int64
+	// slot is what the group recorded at its last arrival at a window edge
+	// (meetAtEdge), on a cache line of its own: the group writes it, the
+	// K-th group to arrive reads it.
+	_    [64]byte
+	slot edgeSlot
+	_    [48]byte
+	// wokePeer: the group's last release at an edge woke a parked group,
+	// so its next wait there spins wokeSpins times longer (awaitRound).
+	wokePeer bool
 }
+
+// edgeSlot is a group's share of the global-time candidate: the minimum
+// effective local time, max(local, resumeFloor), over its members not
+// blocked in the kernel, and the lowest-numbered member at it
+// (math.MaxInt64 and -1 when all of them are blocked).
+type edgeSlot struct {
+	min  int64
+	held int
+}
+
+// groupMin returns g's edge slot, reading each member's clock through
+// clock.
+func (m *Machine) groupMin(g *coreGroup, clock func(mb *member) int64) edgeSlot {
+	s := edgeSlot{math.MaxInt64, -1}
+	for k := range g.members {
+		mb := &g.members[k]
+		if m.blocked[mb.id].Load() != 0 {
+			continue
+		}
+		if v := max(clock(mb), m.resumeFloor[mb.id].Load()); v < s.min {
+			s = edgeSlot{v, mb.id}
+		}
+	}
+	return s
+}
+
+// ownClock is a member's clock as its group sees it.
+func ownClock(mb *member) int64 { return mb.local }
 
 // formGroups splits the cores into K = min(k, N) contiguous groups of
 // ceil(N/K), gives each its rings (makeFabric) and resets every member's
@@ -257,7 +296,7 @@ func (m *Machine) setWait(mb *member, to int32) {
 	}
 	switch {
 	case to == memberAtEdge:
-		m.waitCycles[mb.id]++
+		mb.parks++
 		if m.met != nil {
 			m.met.parks.Inc()
 		}
@@ -376,11 +415,14 @@ func (m *Machine) coreTurn(grp *coreGroup, mb *member, pace corePacing, g, edge 
 }
 
 // runGroup is a group's goroutine: round-robin turns for its members until
-// the run ends. The groups are the simulation manager as well: whichever
-// group finds the role free (mgrMu) runs the next round — after every pass
-// over its members under a conservative scheme (on the remote backend, a
-// pass in which none moved), so the round is run by the group that finished
-// its window first and would otherwise only wait; after every turn under an
+// the run ends. The groups are the simulation manager as well. Under a
+// conservative scheme on the hosted backend at K >= 2 they meet at each
+// window edge, and the last to arrive runs the rounds (meetAtEdge).
+// Otherwise whichever group finds the role free (mgrMu) runs the next
+// round: after every pass over its members under a conservative scheme (on
+// the remote backend, a pass in which none moved), so the round is run by
+// the group that finished its window first and would otherwise only wait;
+// after every turn under an
 // optimistic one, so a request is answered, and a reply delivered, before a
 // sibling runs further ahead of it. A single group takes those per-turn
 // rounds on every backend: the round is how any reply reaches it. A lone
@@ -452,7 +494,8 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 		// Yield now and then so an oversubscribed host (the remote
 		// backend's wire goroutines, other processes) cannot be starved by
 		// groups that never wait — the optimistic schemes' normal state.
-		if !lone && passes&7 == 0 {
+		// Groups that meet at the edge wait at every one.
+		if !lone && !m.atEdge && passes&7 == 0 {
 			runtime.Gosched()
 		}
 		moved := false
@@ -464,7 +507,7 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			if sample {
 				t0 = time.Now()
 			}
-			if !m.coreTurn(g, mb, pace, m.global.Load(), m.edge.v.Load()) {
+			if !m.coreTurn(g, mb, pace, m.global.Load(), m.edge.Load()) {
 				continue
 			}
 			moved = true
@@ -477,6 +520,13 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			if roundPerTurn && (single || !m.holdsGlobal(g)) {
 				manage(false)
 			}
+		}
+		if m.atEdge {
+			if !moved || m.settled(g, pace) {
+				cur = faultinject.Manager // if this group runs the rounds
+				m.meetAtEdge(g, mgr)
+			}
+			continue
 		}
 		switch {
 		case moved && idle:
@@ -516,6 +566,119 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 	m.wakeAll()
 }
 
+// settled reports whether no member of g can move before the next round,
+// after a pass in which some did, and if so marks each running member at
+// its window edge as the empty pass it saves would have (setWait).
+func (m *Machine) settled(g *coreGroup, pace corePacing) bool {
+	if ok, _ := m.groupRunnable(g, pace); ok {
+		return false
+	}
+	for k := range g.members {
+		mb := &g.members[k]
+		if !mb.pinned && mb.wait.Load() != memberFrozen && mb.core.Active() {
+			m.setWait(mb, memberAtEdge)
+		}
+	}
+	return true
+}
+
+// meetAtEdge is the edge rendezvous of a conservative run on the hosted
+// backend at K >= 2 (docs/engine.md, "Edge rendezvous"), entered by a group
+// whose pass left no member able to move. The group stores its edge slot,
+// then arrives: it adds one to the rendezvous word's count. The K-th group
+// to arrive runs manager rounds until one changes something (the round's
+// candidate comes from the K slots), then resets the count and bumps the
+// generation in one store and wakes the groups parked for it; every other
+// group waits for that store (awaitRound). Nothing a round reads can change
+// between a group's arrival and the K-th: its members cannot move, and only
+// a round writes blocked, resumeFloor, the edge, the global time or a reply.
+func (m *Machine) meetAtEdge(g *coreGroup, mgr *mgrLoop) {
+	var t0 time.Time
+	if m.met != nil {
+		t0 = time.Now()
+		defer func() { g.waitNS += time.Since(t0).Nanoseconds() }()
+	}
+	g.slot = m.groupMin(g, ownClock)
+	v := m.meet.Add(1)
+	gen := v >> 32
+	if int(uint32(v)) < m.nGroups {
+		m.awaitRound(g, gen, t0)
+		return
+	}
+	for !m.done.Load() && !mgr.round() {
+		mgr.idle(true)
+	}
+	m.meet.Store((gen + 1) << 32)
+	g.wokePeer = false
+	for k := 0; k < m.nGroups; k++ {
+		gr := &m.groups[k]
+		g.wokePeer = g.wokePeer || gr.waiting.Load()&waitRound != 0
+		gr.wake(waitRound)
+	}
+}
+
+// roundSpin is how much host time a group that arrived at an edge before
+// the K-th polls the rendezvous word before it parks. A wait lasts the
+// slowest peer's pass plus the rounds, a few µs under CC; a spin shorter
+// than that only adds a park and a wake-up to most edges. A variable only
+// so the lost-wakeup stress test can make every waiter park.
+var roundSpin = 20 * time.Microsecond
+
+// wokeSpins is how many times roundSpin a group spins at its next edge
+// after it woke a parked peer: that peer's pass starts only after its
+// wake-up, which can take 100 µs on a virtual machine, so a roundSpin wait
+// would end in a park of its own, whose wake-up would delay the edge after
+// that, and so on (docs/performance.md measures such a chain).
+const wokeSpins = 25
+
+// awaitRound waits until the generation of the rendezvous word is past gen
+// or the run ends: it spins for roundSpin of host time (reading the clock
+// once every 64 polls), then parks under waitRound. Parking follows the
+// groups' protocol: the flag is raised before the last check under mu, and
+// meetAtEdge stores the word before it reads the flag. t0 is when the group
+// arrived (metrics only: zero otherwise).
+func (m *Machine) awaitRound(g *coreGroup, gen uint64, t0 time.Time) {
+	spin := roundSpin
+	if g.wokePeer {
+		spin, g.wokePeer = wokeSpins*spin, false
+	}
+	if spin > 0 {
+		// The spin polls the rendezvous word alone: the run's end wakes
+		// parked groups (wakeAll), so a spinner learns of it at its park.
+		start := t0
+		if start.IsZero() {
+			start = time.Now()
+		}
+		for n := 1; m.meet.Load()>>32 == gen; n++ {
+			if n&63 == 0 && time.Since(start) >= spin {
+				break
+			}
+		}
+	}
+	released := func() bool { return m.meet.Load()>>32 != gen || m.done.Load() }
+	if released() {
+		if m.met != nil {
+			m.met.groupYieldNS.Observe(time.Since(t0).Nanoseconds())
+		}
+		return
+	}
+	var p0 time.Time
+	if m.met != nil {
+		p0 = time.Now()
+		m.met.groupYieldNS.Observe(p0.Sub(t0).Nanoseconds())
+	}
+	g.waiting.Store(waitRound)
+	g.mu.Lock()
+	for !released() {
+		g.cond.Wait()
+	}
+	g.mu.Unlock()
+	g.waiting.Store(0)
+	if m.met != nil {
+		m.met.groupParkNS.Observe(time.Since(p0).Nanoseconds())
+	}
+}
+
 // groupRunnable reports whether any member could take a turn now and,
 // failing that, what would make one runnable (wait* bits). It demultiplexes
 // once, before looking at any member: a drain made while checking a later
@@ -524,7 +687,7 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 func (m *Machine) groupRunnable(g *coreGroup, pace corePacing) (bool, int32) {
 	m.demux(g)
 	need := int32(0)
-	global, edge := m.global.Load(), m.edge.v.Load()
+	global, edge := m.global.Load(), m.edge.Load()
 	for k := range g.members {
 		mb := &g.members[k]
 		switch {

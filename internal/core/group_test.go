@@ -10,6 +10,7 @@ import (
 
 	"slacksim/internal/asm"
 	"slacksim/internal/event"
+	"slacksim/internal/metrics"
 	"slacksim/internal/workloads"
 )
 
@@ -288,15 +289,20 @@ func TestGroupWaitNeverStarvesBackend(t *testing.T) {
 // once (park budget zero), so each window slide, global-time advance and
 // reply push races a group going to sleep, and makes the manager role's
 // park untimed, so a clock publication that fails to bump the activity
-// epoch is not covered by the park's timeout. A lost wake-up of either kind
-// hangs the run; each row runs under a deadline that interrupts it and
-// fails the row. The K = 1 rows cover the lone group that hosts the sharded
-// round and, on the remote backend, blocks on the wire in it and parks in
-// the manager role until a reply lands.
+// epoch is not covered by the park's timeout. The edge rendezvous's spin is
+// zero too, so every group that arrives before the K-th parks, racing the
+// K-th's release. A lost wake-up of any kind hangs the run; each row runs
+// under a deadline that interrupts it and fails the row. The K = 1 rows
+// cover the lone group that hosts the sharded round and, on the remote
+// backend, blocks on the wire in it and parks in the manager role until a
+// reply lands; the K = 3 rows (eight cores in groups of 3, 3 and 2) put two
+// waiters on every edge of the rendezvous.
 func TestGroupWaitLostWakeup(t *testing.T) {
-	oldBudget, oldFirst, oldCeil := groupParkBudget, mgrParkFirst, mgrParkCeil
-	groupParkBudget, mgrParkFirst, mgrParkCeil = 0, time.Hour, time.Hour
-	defer func() { groupParkBudget, mgrParkFirst, mgrParkCeil = oldBudget, oldFirst, oldCeil }()
+	oldBudget, oldSpin, oldFirst, oldCeil := groupParkBudget, roundSpin, mgrParkFirst, mgrParkCeil
+	groupParkBudget, roundSpin, mgrParkFirst, mgrParkCeil = 0, 0, time.Hour, time.Hour
+	defer func() {
+		groupParkBudget, roundSpin, mgrParkFirst, mgrParkCeil = oldBudget, oldSpin, oldFirst, oldCeil
+	}()
 	rounds := 6
 	if testing.Short() {
 		rounds = 2
@@ -314,17 +320,52 @@ func TestGroupWaitLostWakeup(t *testing.T) {
 			}
 		}
 		for _, row := range []struct {
-			driver string
-			k      int
-		}{{"parallel", 2}, {"sharded", 2}, {"remote", 2}, {"sharded", 1}, {"remote", 1}} {
-			for _, s := range []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU} {
-				cfg, run := driverConfig(row.driver, 4)
+			driver  string
+			k       int
+			cores   int
+			schemes []Scheme
+		}{
+			{"parallel", 2, 4, []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU}},
+			{"sharded", 2, 4, []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU}},
+			{"remote", 2, 4, []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU}},
+			{"sharded", 1, 4, []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU}},
+			{"remote", 1, 4, []Scheme{SchemeCC, SchemeL10, SchemeS9, SchemeSU}},
+			{"parallel", 3, 8, []Scheme{SchemeCC, SchemeL10, SchemeS9x}},
+			{"sharded", 3, 8, []Scheme{SchemeCC, SchemeL10, SchemeS9x}},
+		} {
+			for _, s := range row.schemes {
+				cfg, run := driverConfig(row.driver, row.cores)
 				m := mustMachine(t, threadsProg, cfg)
-				if res := runUnderDeadline(t, m, row.k, run, s); res.Output != expectTotal(4) {
+				if res := runUnderDeadline(t, m, row.k, run, s); res.Output != expectTotal(row.cores) {
 					t.Fatalf("%s K=%d %v: output %q", row.driver, row.k, s, res.Output)
 				}
 			}
 		}
+	}
+}
+
+// TestEdgeRendezvousRoundCount holds a conservative run at K = 2 to ROADMAP
+// item 3's target of at most 1.2 manager rounds per simulated cycle: the
+// groups meet at each window edge and the last to arrive runs one round
+// there (CC's window is one cycle, so every cycle is an edge). One round in
+// 64 is timed, so the count of a round-phase histogram times 64 is the
+// round count; every cycle advances the global time once. Racing for the
+// manager role after every pass took about three rounds a cycle.
+func TestEdgeRendezvousRoundCount(t *testing.T) {
+	prog, w := oceanProg(t, 1)
+	m := paperMachine(t, prog, w, 1, 1)
+	reg := metrics.NewRegistry()
+	m.EnableMetrics(reg)
+	var res *Result
+	withGOMAXPROCS(2, func() { res = runDriver(t, m, "parallel", SchemeCC) })
+	if res.Groups != 2 {
+		t.Fatalf("ran %d groups, want 2", res.Groups)
+	}
+	rounds := reg.Histogram("engine.round.min_ns").Count() * 64
+	advances := reg.Counter("engine.global.advances").Value()
+	t.Logf("%d rounds (sampled) for %d global-time advances", rounds, advances)
+	if advances == 0 || rounds*10 > advances*12 {
+		t.Fatalf("%d rounds for %d global-time advances: more than 1.2 a cycle", rounds, advances)
 	}
 }
 
@@ -349,8 +390,9 @@ func runUnderDeadline(t *testing.T, m *Machine, k int, driver string, s Scheme) 
 		for k := range flags {
 			flags[k] = m.groups[k].waiting.Load()
 		}
-		t.Logf("%s: edge %d, manager parked %d, group park flags %b, %+v",
-			what, m.edge.v.Load(), m.mgrParked.Load(), flags, m.LiveSnapshot())
+		meet := m.meet.Load()
+		t.Logf("%s: edge %d, manager parked %d, group park flags %b, rendezvous generation %d with %d arrived, %+v",
+			what, m.edge.Load(), m.mgrParked.Load(), flags, meet>>32, uint32(meet), m.LiveSnapshot())
 		m.Interrupt()
 	})
 	var res *Result
@@ -380,7 +422,7 @@ func TestFrozenMemberWakesOnOwnReply(t *testing.T) {
 	}
 
 	reply(1)
-	if m.coreTurn(g, frozen, pace, 0, m.edge.v.Load()) || frozen.wait.Load() != memberFrozen {
+	if m.coreTurn(g, frozen, pace, 0, m.edge.Load()) || frozen.wait.Load() != memberFrozen {
 		t.Fatal("a reply for core 1 unfroze core 0's turn")
 	}
 	reply(1)

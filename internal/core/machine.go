@@ -152,6 +152,23 @@ type padded struct {
 	_ [7]int64
 }
 
+// roundLine is what a manager round publishes and every group reads after
+// it, on one cache line of its own: a group released from an edge
+// rendezvous fetches all three with one miss, and the line holds nothing
+// written more often.
+type roundLine struct {
+	// global is the global time (§2.1).
+	global atomic.Int64
+	// edge is the window edge: every core's max local time, the paper's
+	// MaxLocal(i), which no scheme sets differently for two cores. Only
+	// the manager raises it (slideWindows).
+	edge atomic.Int64
+	// meet is the edge rendezvous word (meetAtEdge): the generation in the
+	// high 32 bits, the groups arrived at its edge in the low 32.
+	meet atomic.Uint64
+	_    [5]int64
+}
+
 // Machine is an instantiated target system ready to simulate. A Machine is
 // single-use: build one per simulation run.
 type Machine struct {
@@ -164,10 +181,9 @@ type Machine struct {
 	cores  []*cpu.OoO
 
 	local []padded
-	// edge is the window edge: every core's max local time, the paper's
-	// MaxLocal(i), which no scheme sets differently for two cores. Only
-	// the manager raises it (slideWindows).
-	edge padded
+	// The round's outputs, which every group reads after it (roundLine).
+	_ [64]byte
+	roundLine
 	// blocked[i] marks a core whose thread is asleep inside a blocking
 	// system call (the kernel holds it on a wait queue). Blocked cores are
 	// excluded from the global-time minimum — their clocks are frozen and
@@ -183,7 +199,6 @@ type Machine struct {
 	// resumeFloor, on syscall transitions, so neither is padded: the
 	// round's scan (globalMin) reads each for eight cores from one line.
 	resumeFloor []atomic.Int64
-	global      atomic.Int64
 	done        atomic.Bool
 	intr        atomic.Bool  // Interrupt() requested (signal handler)
 	roiTime     atomic.Int64 // simulated time the ROI began (-1 until then)
@@ -200,6 +215,10 @@ type Machine struct {
 	// mgrMu is the manager's role: the groups run the rounds themselves,
 	// and whichever group gets it runs one.
 	mgrMu sync.Mutex
+	// atEdge says the run's groups meet at each window edge instead
+	// (meetAtEdge): a conservative scheme on the hosted backend at K >= 2.
+	// Set by beginRun before any group starts.
+	atEdge bool
 
 	gq evHeap
 	// serialMode marks a RunSerial drive.
@@ -262,7 +281,7 @@ type Machine struct {
 	hostMemValid bool
 
 	// Per-core engine-level counters.
-	waitCycles []int64 // simulated cycles spent blocked at the window edge
+	waitCycles []int64 // arrivals at the window edge, from the members after the join
 
 	// trace, when non-nil, receives manager snapshots (used by the Figure 2
 	// style visualisation example).
@@ -359,7 +378,8 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 			CacheCfg: cfg.Cache,
 			// Push into the group's OutQ, then bump the manager's wake
 			// epoch, so a parked manager is woken only after the work is
-			// visible.
+			// visible. Groups that meet at the edge need no bump: no
+			// round runs while any of them can still push.
 			Send: func(ev event.Event) {
 				if m.met != nil {
 					// Latency-attribution stamps (latency.go): the reply
@@ -369,7 +389,9 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 					ev.SendNS = m.hostNS()
 				}
 				m.groupOf[i].outQ.MustPush(ev)
-				m.bumpMgrEpoch()
+				if !m.atEdge {
+					m.bumpMgrEpoch()
+				}
 			},
 			TextBase: prog.TextBase,
 			TextEnd:  prog.TextEnd(),
@@ -428,7 +450,7 @@ func (m *Machine) Kernel() *sysemu.Kernel { return m.kernel }
 // (diagnostics for aborted runs).
 func (m *Machine) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "global=%d maxLocal=%d gq=%d\n", m.global.Load(), m.edge.v.Load(), m.gq.Len())
+	fmt.Fprintf(&b, "global=%d maxLocal=%d gq=%d\n", m.global.Load(), m.edge.Load(), m.gq.Len())
 	for i := range m.cores {
 		in, out := m.ringDepths(i)
 		fmt.Fprintf(&b, "core %d: local=%d blocked=%d floor=%d inQ=%d outQ=%d\n",

@@ -144,6 +144,9 @@ func (m *Machine) result(wall time.Duration) *Result {
 	if m.intr.Load() {
 		m.aborted = true
 	}
+	for i := range m.waitCycles {
+		m.waitCycles[i] = m.members[i].parks
+	}
 	res := &Result{
 		Scheme:       m.scheme,
 		ExitCode:     m.exitCode,
