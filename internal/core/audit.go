@@ -57,7 +57,7 @@ func (m *Machine) auditCore(i int, local, gSnap int64) {
 		return
 	}
 	a.prevLocal[i] = local
-	ml := m.edge.Load()
+	ml := m.edge.v.Load()
 	if ml < a.prevMax[i] {
 		m.auditFail(i, local, gSnap, nil,
 			fmt.Sprintf("window edge moved backwards: %d -> %d", a.prevMax[i], ml))
@@ -135,30 +135,4 @@ func (m *Machine) auditFail(core int, local, global int64, ev *event.Event, deta
 		Scheme:     m.scheme,
 		Event:      ev,
 	})
-}
-
-// auditSlots checks the edge slots' global-time candidate, lo held by core
-// held, against the per-core scan (globalMin's) before a round uses it. The
-// failure names the first group whose slot disagrees with its own members'
-// published clocks: stored before one of them moved, or never refreshed.
-func (m *Machine) auditSlots(lo int64, held int) {
-	if held < 0 {
-		lo = m.global.Load()
-	}
-	want, wantHeld := m.globalMin()
-	if lo == want && held == wantHeld {
-		return
-	}
-	published := func(mb *member) int64 { return m.local[mb.id].v.Load() }
-	bad := 0
-	for k := m.nGroups - 1; k >= 0; k-- {
-		if m.groups[k].slot != m.groupMin(&m.groups[k], published) {
-			bad = k
-		}
-	}
-	gr := &m.groups[bad]
-	m.auditFail(wantHeld, want, m.global.Load(), nil,
-		fmt.Sprintf("stale edge slot of group %d (cores %d-%d): it holds %d at core %d, its members' published minimum is %d; the slots' candidate is %d at core %d, the per-core scan's %d at core %d",
-			bad, gr.members[0].id, gr.members[len(gr.members)-1].id, gr.slot.min, gr.slot.held,
-			m.groupMin(gr, published).min, lo, held, want, wantHeld))
 }

@@ -370,7 +370,7 @@ func (m *Machine) snapshot(withKernel bool, stalledFor time.Duration) *StallRepo
 // LiveSnapshot (introspect.go).
 func (m *Machine) coreReports() []CoreReport {
 	out := make([]CoreReport, 0, len(m.cores))
-	edge := m.edge.Load()
+	edge := m.edge.v.Load()
 	for i := range m.cores {
 		in, outQ := m.ringDepths(i)
 		cr := CoreReport{

@@ -122,44 +122,10 @@ type coreGroup struct {
 	// of it in which no member could move (metrics only; read after the
 	// join). Both are every member's: a group waits only when all of them do.
 	hostNS, waitNS int64
-	// slot is what the group recorded at its last arrival at a window edge
-	// (meetAtEdge), on a cache line of its own: the group writes it, the
-	// K-th group to arrive reads it.
-	_    [64]byte
-	slot edgeSlot
-	_    [48]byte
 	// wokePeer: the group's last release at an edge woke a parked group,
 	// so its next wait there spins wokeSpins times longer (awaitRound).
 	wokePeer bool
 }
-
-// edgeSlot is a group's share of the global-time candidate: the minimum
-// effective local time, max(local, resumeFloor), over its members not
-// blocked in the kernel, and the lowest-numbered member at it
-// (math.MaxInt64 and -1 when all of them are blocked).
-type edgeSlot struct {
-	min  int64
-	held int
-}
-
-// groupMin returns g's edge slot, reading each member's clock through
-// clock.
-func (m *Machine) groupMin(g *coreGroup, clock func(mb *member) int64) edgeSlot {
-	s := edgeSlot{math.MaxInt64, -1}
-	for k := range g.members {
-		mb := &g.members[k]
-		if m.blocked[mb.id].Load() != 0 {
-			continue
-		}
-		if v := max(clock(mb), m.resumeFloor[mb.id].Load()); v < s.min {
-			s = edgeSlot{v, mb.id}
-		}
-	}
-	return s
-}
-
-// ownClock is a member's clock as its group sees it.
-func ownClock(mb *member) int64 { return mb.local }
 
 // formGroups splits the cores into K = min(k, N) contiguous groups of
 // ceil(N/K), gives each its rings (makeFabric) and resets every member's
@@ -507,7 +473,7 @@ func (m *Machine) runGroup(g *coreGroup, mgr *mgrLoop) {
 			if sample {
 				t0 = time.Now()
 			}
-			if !m.coreTurn(g, mb, pace, m.global.Load(), m.edge.Load()) {
+			if !m.coreTurn(g, mb, pace, m.global.Load(), m.edge.v.Load()) {
 				continue
 			}
 			moved = true
@@ -584,10 +550,9 @@ func (m *Machine) settled(g *coreGroup, pace corePacing) bool {
 
 // meetAtEdge is the edge rendezvous of a conservative run on the hosted
 // backend at K >= 2 (docs/engine.md, "Edge rendezvous"), entered by a group
-// whose pass left no member able to move. The group stores its edge slot,
-// then arrives: it adds one to the rendezvous word's count. The K-th group
-// to arrive runs manager rounds until one changes something (the round's
-// candidate comes from the K slots), then resets the count and bumps the
+// whose pass left no member able to move. The group arrives: it adds one to
+// the rendezvous word's count. The K-th group to arrive runs manager rounds
+// until one changes something, then resets the count and bumps the
 // generation in one store and wakes the groups parked for it; every other
 // group waits for that store (awaitRound). Nothing a round reads can change
 // between a group's arrival and the K-th: its members cannot move, and only
@@ -598,8 +563,7 @@ func (m *Machine) meetAtEdge(g *coreGroup, mgr *mgrLoop) {
 		t0 = time.Now()
 		defer func() { g.waitNS += time.Since(t0).Nanoseconds() }()
 	}
-	g.slot = m.groupMin(g, ownClock)
-	v := m.meet.Add(1)
+	v := m.meet.v.Add(1)
 	gen := v >> 32
 	if int(uint32(v)) < m.nGroups {
 		m.awaitRound(g, gen, t0)
@@ -608,7 +572,7 @@ func (m *Machine) meetAtEdge(g *coreGroup, mgr *mgrLoop) {
 	for !m.done.Load() && !mgr.round() {
 		mgr.idle(true)
 	}
-	m.meet.Store((gen + 1) << 32)
+	m.meet.v.Store((gen + 1) << 32)
 	g.wokePeer = false
 	for k := 0; k < m.nGroups; k++ {
 		gr := &m.groups[k]
@@ -620,8 +584,10 @@ func (m *Machine) meetAtEdge(g *coreGroup, mgr *mgrLoop) {
 // roundSpin is how much host time a group that arrived at an edge before
 // the K-th polls the rendezvous word before it parks. A wait lasts the
 // slowest peer's pass plus the rounds, a few µs under CC; a spin shorter
-// than that only adds a park and a wake-up to most edges. A variable only
-// so the lost-wakeup stress test can make every waiter park.
+// than that only adds a park and a wake-up to most edges. Groups spin only
+// when each can have a host CPU of its own (beginRun sets Machine.edgeSpin):
+// otherwise a spinner holds the CPU that the last group to arrive needs. A
+// variable only so the lost-wakeup stress test can make every waiter park.
 var roundSpin = 20 * time.Microsecond
 
 // wokeSpins is how many times roundSpin a group spins at its next edge
@@ -632,13 +598,13 @@ var roundSpin = 20 * time.Microsecond
 const wokeSpins = 25
 
 // awaitRound waits until the generation of the rendezvous word is past gen
-// or the run ends: it spins for roundSpin of host time (reading the clock
+// or the run ends: it spins for edgeSpin of host time (reading the clock
 // once every 64 polls), then parks under waitRound. Parking follows the
 // groups' protocol: the flag is raised before the last check under mu, and
 // meetAtEdge stores the word before it reads the flag. t0 is when the group
 // arrived (metrics only: zero otherwise).
-func (m *Machine) awaitRound(g *coreGroup, gen uint64, t0 time.Time) {
-	spin := roundSpin
+func (m *Machine) awaitRound(g *coreGroup, gen int64, t0 time.Time) {
+	spin := m.edgeSpin
 	if g.wokePeer {
 		spin, g.wokePeer = wokeSpins*spin, false
 	}
@@ -649,13 +615,13 @@ func (m *Machine) awaitRound(g *coreGroup, gen uint64, t0 time.Time) {
 		if start.IsZero() {
 			start = time.Now()
 		}
-		for n := 1; m.meet.Load()>>32 == gen; n++ {
+		for n := 1; m.meet.v.Load()>>32 == gen; n++ {
 			if n&63 == 0 && time.Since(start) >= spin {
 				break
 			}
 		}
 	}
-	released := func() bool { return m.meet.Load()>>32 != gen || m.done.Load() }
+	released := func() bool { return m.meet.v.Load()>>32 != gen || m.done.Load() }
 	if released() {
 		if m.met != nil {
 			m.met.groupYieldNS.Observe(time.Since(t0).Nanoseconds())
@@ -687,7 +653,7 @@ func (m *Machine) awaitRound(g *coreGroup, gen uint64, t0 time.Time) {
 func (m *Machine) groupRunnable(g *coreGroup, pace corePacing) (bool, int32) {
 	m.demux(g)
 	need := int32(0)
-	global, edge := m.global.Load(), m.edge.Load()
+	global, edge := m.global.Load(), m.edge.v.Load()
 	for k := range g.members {
 		mb := &g.members[k]
 		switch {

@@ -390,9 +390,9 @@ func runUnderDeadline(t *testing.T, m *Machine, k int, driver string, s Scheme) 
 		for k := range flags {
 			flags[k] = m.groups[k].waiting.Load()
 		}
-		meet := m.meet.Load()
+		meet := m.meet.v.Load()
 		t.Logf("%s: edge %d, manager parked %d, group park flags %b, rendezvous generation %d with %d arrived, %+v",
-			what, m.edge.Load(), m.mgrParked.Load(), flags, meet>>32, uint32(meet), m.LiveSnapshot())
+			what, m.edge.v.Load(), m.mgrParked.Load(), flags, meet>>32, uint32(meet), m.LiveSnapshot())
 		m.Interrupt()
 	})
 	var res *Result
@@ -422,7 +422,7 @@ func TestFrozenMemberWakesOnOwnReply(t *testing.T) {
 	}
 
 	reply(1)
-	if m.coreTurn(g, frozen, pace, 0, m.edge.Load()) || frozen.wait.Load() != memberFrozen {
+	if m.coreTurn(g, frozen, pace, 0, m.edge.v.Load()) || frozen.wait.Load() != memberFrozen {
 		t.Fatal("a reply for core 1 unfroze core 0's turn")
 	}
 	reply(1)

@@ -90,7 +90,7 @@ func (m *Machine) slackSnapshot() introspect.SlackSnapshot {
 	} else {
 		s.Root = -1
 	}
-	ml := m.edge.Load()
+	ml := m.edge.v.Load()
 	if ml == math.MaxInt64 {
 		ml = -1
 	}

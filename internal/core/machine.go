@@ -152,23 +152,6 @@ type padded struct {
 	_ [7]int64
 }
 
-// roundLine is what a manager round publishes and every group reads after
-// it, on one cache line of its own: a group released from an edge
-// rendezvous fetches all three with one miss, and the line holds nothing
-// written more often.
-type roundLine struct {
-	// global is the global time (§2.1).
-	global atomic.Int64
-	// edge is the window edge: every core's max local time, the paper's
-	// MaxLocal(i), which no scheme sets differently for two cores. Only
-	// the manager raises it (slideWindows).
-	edge atomic.Int64
-	// meet is the edge rendezvous word (meetAtEdge): the generation in the
-	// high 32 bits, the groups arrived at its edge in the low 32.
-	meet atomic.Uint64
-	_    [5]int64
-}
-
 // Machine is an instantiated target system ready to simulate. A Machine is
 // single-use: build one per simulation run.
 type Machine struct {
@@ -181,9 +164,13 @@ type Machine struct {
 	cores  []*cpu.OoO
 
 	local []padded
-	// The round's outputs, which every group reads after it (roundLine).
-	_ [64]byte
-	roundLine
+	// edge is the window edge: every core's max local time, the paper's
+	// MaxLocal(i), which no scheme sets differently for two cores. Only
+	// the manager raises it (slideWindows).
+	edge padded
+	// meet is the edge rendezvous word (meetAtEdge): the generation in the
+	// high 32 bits, the groups arrived at its edge in the low 32.
+	meet padded
 	// blocked[i] marks a core whose thread is asleep inside a blocking
 	// system call (the kernel holds it on a wait queue). Blocked cores are
 	// excluded from the global-time minimum — their clocks are frozen and
@@ -199,6 +186,7 @@ type Machine struct {
 	// resumeFloor, on syscall transitions, so neither is padded: the
 	// round's scan (globalMin) reads each for eight cores from one line.
 	resumeFloor []atomic.Int64
+	global      atomic.Int64
 	done        atomic.Bool
 	intr        atomic.Bool  // Interrupt() requested (signal handler)
 	roiTime     atomic.Int64 // simulated time the ROI began (-1 until then)
@@ -217,8 +205,10 @@ type Machine struct {
 	mgrMu sync.Mutex
 	// atEdge says the run's groups meet at each window edge instead
 	// (meetAtEdge): a conservative scheme on the hosted backend at K >= 2.
-	// Set by beginRun before any group starts.
-	atEdge bool
+	// Set by beginRun before any group starts, as is edgeSpin, how long a
+	// group waiting there spins before it parks (awaitRound).
+	atEdge   bool
+	edgeSpin time.Duration
 
 	gq evHeap
 	// serialMode marks a RunSerial drive.
@@ -279,9 +269,6 @@ type Machine struct {
 	// entry points; result() reports the deltas (see result.go).
 	hostMem      hostMemBaseline
 	hostMemValid bool
-
-	// Per-core engine-level counters.
-	waitCycles []int64 // arrivals at the window edge, from the members after the join
 
 	// trace, when non-nil, receives manager snapshots (used by the Figure 2
 	// style visualisation example).
@@ -360,7 +347,6 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 		members:     make([]member, cfg.NumCores),
 		groups:      make([]coreGroup, cfg.NumCores),
 		groupOf:     make([]*coreGroup, cfg.NumCores),
-		waitCycles:  make([]int64, cfg.NumCores),
 		lastEvKind:  make([]padded, cfg.NumCores),
 		lastEvTime:  make([]padded, cfg.NumCores),
 		mgrWake:     make(chan struct{}, 1),
@@ -450,7 +436,7 @@ func (m *Machine) Kernel() *sysemu.Kernel { return m.kernel }
 // (diagnostics for aborted runs).
 func (m *Machine) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "global=%d maxLocal=%d gq=%d\n", m.global.Load(), m.edge.Load(), m.gq.Len())
+	fmt.Fprintf(&b, "global=%d maxLocal=%d gq=%d\n", m.global.Load(), m.edge.v.Load(), m.gq.Len())
 	for i := range m.cores {
 		in, out := m.ringDepths(i)
 		fmt.Fprintf(&b, "core %d: local=%d blocked=%d floor=%d inQ=%d outQ=%d\n",

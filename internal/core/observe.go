@@ -147,8 +147,8 @@ func (m *Machine) publishObservability(res *Result) {
 	r.Gauge("engine.global.final").Set(m.global.Load())
 	r.Gauge("engine.gq.final_depth").Set(int64(m.gq.Len()))
 	r.Gauge("engine.time_warps").Set(m.kernel.TimeWarps)
-	for i := range m.waitCycles {
-		r.Gauge(fmt.Sprintf("engine.c%d.wait_cycles", i)).Set(m.waitCycles[i])
+	for i := range m.members {
+		r.Gauge(fmt.Sprintf("engine.c%d.wait_cycles", i)).Set(m.members[i].parks)
 	}
 
 	// Straggler attribution (latency.go). Published for every driver —

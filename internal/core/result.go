@@ -144,8 +144,9 @@ func (m *Machine) result(wall time.Duration) *Result {
 	if m.intr.Load() {
 		m.aborted = true
 	}
-	for i := range m.waitCycles {
-		m.waitCycles[i] = m.members[i].parks
+	parks := make([]int64, len(m.members))
+	for i := range m.members {
+		parks[i] = m.members[i].parks
 	}
 	res := &Result{
 		Scheme:       m.scheme,
@@ -156,7 +157,7 @@ func (m *Machine) result(wall time.Duration) *Result {
 		Aborted:      m.aborted,
 		Output:       m.kernel.Output(),
 		TimeWarps:    m.kernel.TimeWarps,
-		BlockedParks: m.waitCycles,
+		BlockedParks: parks,
 		L2Stats:      m.aggregateL2Stats(),
 	}
 	res.CoherenceWarps = res.L2Stats.OrderViolations

@@ -108,9 +108,13 @@ type pacing struct {
 func (m *Machine) beginRun(s Scheme, k int) pacing {
 	m.scheme = s
 	m.captureHostMem()
-	m.edge.Store(s.maxLocal(0))
+	m.edge.v.Store(s.maxLocal(0))
 	m.formGroups(k)
 	m.atEdge = s.Conservative() && m.remote == nil && m.nGroups > 1
+	m.edgeSpin = 0
+	if m.nGroups <= min(runtime.NumCPU(), runtime.GOMAXPROCS(0)) {
+		m.edgeSpin = roundSpin
+	}
 	m.schemeLive.Store(&s)
 	return pacing{s: s, ad: newAdaptState(s)}
 }
@@ -180,11 +184,10 @@ func (lt *lapTimer) lap() {
 // a certain deadlock) is left in done.
 //
 // Its cost is O(N) in the core count N for the global-time candidate, one
-// pass over the cores' clocks (globalMin) — O(K) where the groups meet at
-// the edge and the candidate comes from their slots (slotMin) — and O(K)
-// in the group count K elsewhere: the drain pops K OutQs, the slide is one
-// store, the notify is at most K wakes, and a quiescent machine parks the
-// manager on its wake channel (idle). At the paper's eight cores one scan costs less than
+// pass over the cores' clocks (globalMin), and O(K) in the group count K
+// elsewhere: the drain pops K OutQs, the slide is one store, the notify is
+// at most K wakes, and a quiescent machine parks the manager on its wake
+// channel (idle). At the paper's eight cores one scan costs less than
 // keeping a tree of the clocks current would (docs/performance.md).
 func (l *mgrLoop) round() bool {
 	m, mw := l.m, l.m.mgrTW
@@ -208,7 +211,7 @@ func (l *mgrLoop) round() bool {
 	// so the drain below is guaranteed to contain it. Draining first
 	// would let cores advance between the drain and the minimum,
 	// overstating the bound past events still sitting in the OutQs.
-	g, held := m.candidate()
+	g, held := m.globalMin()
 	if measure {
 		// Straggler attribution: charge the round to the core that holds
 		// the candidate (latency.go).
@@ -330,40 +333,6 @@ func (m *Machine) globalMin() (int64, int) {
 	return lo, held
 }
 
-// candidate returns the round's global-time candidate and its holder: from
-// the K groups' edge slots when the groups meet at the edge (slotMin),
-// otherwise from the per-core scan.
-func (m *Machine) candidate() (int64, int) {
-	if m.atEdge {
-		return m.slotMin()
-	}
-	return m.globalMin()
-}
-
-// slotMin is globalMin read from the groups' edge slots: the minimum of the
-// K per-group minima, with the lowest-numbered core at it (the groups are
-// in core order, and each slot already names its lowest). Only the K-th
-// group to arrive at an edge calls it, in the rounds it runs there, when no
-// member of any group can move: every slot was stored at its group's
-// arrival, and the blocked and resumeFloor stores it read were made by
-// earlier rounds. Under Config.Audit it is checked against the per-core
-// scan (auditSlots).
-func (m *Machine) slotMin() (int64, int) {
-	lo, held := int64(math.MaxInt64), -1
-	for k := 0; k < m.nGroups; k++ {
-		if s := &m.groups[k].slot; s.min < lo {
-			lo, held = s.min, s.held
-		}
-	}
-	if m.audit != nil {
-		m.auditSlots(lo, held)
-	}
-	if held < 0 {
-		return m.global.Load(), -1
-	}
-	return lo, held
-}
-
 // idle follows a round that observed no activity. After a few of those, if
 // mayPark and the epoch proves none arrived since the round started, it
 // spins briefly, then parks until a core publishes, pushes, or is granted.
@@ -435,10 +404,10 @@ func (m *Machine) slideWindows(p *pacing, g int64) bool {
 		adapted = p.ad.window
 	}
 	target := p.s.windowTarget(g, adapted)
-	if target <= m.edge.Load() {
+	if target <= m.edge.v.Load() {
 		return false
 	}
-	m.edge.Store(target)
+	m.edge.v.Store(target)
 	if m.met != nil {
 		m.met.windowSlides.Inc()
 	}

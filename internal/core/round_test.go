@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -110,9 +108,8 @@ func TestGrantSafetyRace(t *testing.T) {
 // attribution charges: the lowest-numbered core at the minimum of the
 // effective local times, max(local, floor), with cores blocked in the
 // kernel skipped, and the current global time held by none when every core
-// is blocked. The edge slots (slotMin) must give the same candidate and
-// holder at every step. It also pins holdsGlobal, the test a group makes
-// before its per-turn round.
+// is blocked. It also pins holdsGlobal, the test a group makes before its
+// per-turn round.
 func TestGlobalMinHolder(t *testing.T) {
 	m := bareMachine(8, 8)
 	groupBare(m, 3) // {0 1 2} {3 4 5} {6 7}
@@ -125,14 +122,6 @@ func TestGlobalMinHolder(t *testing.T) {
 		t.Helper()
 		if got, held := m.globalMin(); got != wantMin || held != wantHeld {
 			t.Errorf("%s: globalMin = %d held by %d, want %d held by %d", step, got, held, wantMin, wantHeld)
-		}
-		// The edge rendezvous reads the same candidate from the groups'
-		// slots, stored as each group arrives.
-		for k := 0; k < m.nGroups; k++ {
-			m.groups[k].slot = m.groupMin(&m.groups[k], ownClock)
-		}
-		if got, held := m.slotMin(); got != wantMin || held != wantHeld {
-			t.Errorf("%s: slotMin = %d held by %d, want %d held by %d", step, got, held, wantMin, wantHeld)
 		}
 		for k, want := range wantHolds {
 			if got := m.holdsGlobal(&m.groups[k]); got != want {
@@ -154,45 +143,6 @@ func TestGlobalMinHolder(t *testing.T) {
 	check("all blocked", 30, -1, [3]bool{false, false, false})
 	grantCore(m, 2, 9000)
 	check("core 2 granted at 9000", 9000, 2, [3]bool{false, false, false})
-}
-
-// TestEdgeSlotAuditCatchesStale plants a stale edge slot — group 1's,
-// stored before one of its members' clocks went lower — and checks that the
-// audited slotMin fails the run with an invariant-audit SimError naming
-// that group, while the slots themselves would have handed the round a
-// candidate above a core's clock.
-func TestEdgeSlotAuditCatchesStale(t *testing.T) {
-	cfg := smallConfig(4)
-	cfg.Audit = true
-	m := mustMachine(t, sumProg, cfg)
-	m.beginRun(SchemeCC, 2) // {0 1} {2 3}
-	if !m.atEdge {
-		t.Fatal("CC at K = 2 in process does not meet at the edge")
-	}
-	set := func(i int, v int64) {
-		m.members[i].local = v
-		m.publishLocal(i, v)
-	}
-	for i, v := range []int64{40, 30, 50, 35} {
-		set(i, v)
-	}
-	for k := 0; k < m.nGroups; k++ {
-		m.groups[k].slot = m.groupMin(&m.groups[k], ownClock)
-	}
-	if got, held := m.slotMin(); got != 30 || held != 1 || m.Fault() != nil {
-		t.Fatalf("fresh slots: %d held by %d (fault %v), want 30 held by 1", got, held, m.Fault())
-	}
-	set(3, 20) // core 3 moves lower; group 1's slot still says 35
-	if got, held := m.slotMin(); got != 30 || held != 1 {
-		t.Fatalf("stale slots: %d held by %d, want the stale 30 held by 1", got, held)
-	}
-	var se *SimError
-	if !errors.As(m.Fault(), &se) || se.Op != "invariant-audit" {
-		t.Fatalf("stale slot not caught: fault %v", m.Fault())
-	}
-	if !strings.Contains(se.Detail, "group 1 (cores 2-3)") || se.Core != 3 {
-		t.Fatalf("audit names the wrong group or core: core %d, %q", se.Core, se.Detail)
-	}
 }
 
 // runDriver runs m under s on the named driver ("serial", "parallel" —
