@@ -598,8 +598,8 @@ var roundSpin = 20 * time.Microsecond
 const wokeSpins = 25
 
 // awaitRound waits until the generation of the rendezvous word is past gen
-// or the run ends: it spins for edgeSpin of host time (reading the clock
-// once every 64 polls), then parks under waitRound. Parking follows the
+// or the run ends: it spins for edgeSpin of host time (reading the clock and
+// yielding once every 64 polls), then parks under waitRound. Parking follows the
 // groups' protocol: the flag is raised before the last check under mu, and
 // meetAtEdge stores the word before it reads the flag. t0 is when the group
 // arrived (metrics only: zero otherwise).
@@ -616,8 +616,14 @@ func (m *Machine) awaitRound(g *coreGroup, gen int64, t0 time.Time) {
 			start = time.Now()
 		}
 		for n := 1; m.meet.v.Load()>>32 == gen; n++ {
-			if n&63 == 0 && time.Since(start) >= spin {
-				break
+			if n&63 == 0 {
+				if time.Since(start) >= spin {
+					break
+				}
+				// A peer this group woke at the last edge waits in this
+				// thread's run queue until another takes it: a spin that
+				// never yields would keep it there for the whole spin.
+				runtime.Gosched()
 			}
 		}
 	}
