@@ -388,9 +388,8 @@ func (m *Machine) coreTurn(grp *coreGroup, mb *member, pace corePacing, g, edge 
 // round: after every pass over its members under a conservative scheme (on
 // the remote backend, a pass in which none moved), so the round is run by
 // the group that finished its window first and would otherwise only wait;
-// after every turn under an
-// optimistic one, so a request is answered, and a reply delivered, before a
-// sibling runs further ahead of it. A single group takes those per-turn
+// after every turn under an optimistic one, so a request is answered, and a
+// reply delivered, before a sibling runs further ahead of it. A single group takes those per-turn
 // rounds on every backend: the round is how any reply reaches it. A lone
 // group (K = 1 in process) is always the manager: it never parks, since no
 // other goroutine would wake it, and never yields every 8 passes, since it
@@ -598,11 +597,11 @@ var roundSpin = 20 * time.Microsecond
 const wokeSpins = 25
 
 // awaitRound waits until the generation of the rendezvous word is past gen
-// or the run ends: it spins for edgeSpin of host time (reading the clock and
-// yielding once every 64 polls), then parks under waitRound. Parking follows the
-// groups' protocol: the flag is raised before the last check under mu, and
-// meetAtEdge stores the word before it reads the flag. t0 is when the group
-// arrived (metrics only: zero otherwise).
+// or the run ends: it spins for edgeSpin of host time (reading the clock
+// and yielding once every 64 polls), then parks under waitRound. Parking
+// follows the groups' protocol: the flag is raised before the last check
+// under mu, and meetAtEdge stores the word before it reads the flag. t0 is
+// when the group arrived (metrics only: zero otherwise).
 func (m *Machine) awaitRound(g *coreGroup, gen int64, t0 time.Time) {
 	spin := m.edgeSpin
 	if g.wokePeer {
